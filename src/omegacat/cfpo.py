@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BudgetError
-from .posets import FinPoset, maximal_chains, node_key
+from .posets import FinPoset, _common_bounds, maximal_chains, node_key
 
 __all__ = [
     "AMBIGUOUS",
@@ -72,9 +72,6 @@ class AltPattern:
         if self.length < 1:
             raise ValueError("pattern length must be >= 1")
 
-    def realize(self) -> FinPoset:
-        return alt(self.length, self.reversed)
-
 
 def _require(p: FinPoset, *xs):
     els = set(p.elements)
@@ -87,11 +84,7 @@ def join(p: FinPoset, x, y):
     """Minimum of the common upper bounds of ``x`` and ``y``, or None
     when the pair is unbounded above or the bound set has no minimum."""
     _require(p, x, y)
-    uppers = [t for t in p.elements if p.leq(x, t) and p.leq(y, t)]
-    for m in uppers:
-        if all(p.leq(m, t) for t in uppers):
-            return m
-    return None
+    return _common_bounds(p.up, x, y)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +92,13 @@ def join(p: FinPoset, x, y):
 
 
 def _first_defect(p: FinPoset):
-    """First pair (in node order) whose forced join or meet is missing."""
-    ordered = sorted(p.elements, key=node_key)
-    for x, y in itertools.combinations(ordered, 2):
-        uppers = [t for t in p.elements if p.leq(x, t) and p.leq(y, t)]
-        if uppers and not any(
-            all(p.leq(m, t) for t in uppers) for m in uppers
-        ):
-            return "join", x, y
-        lowers = [t for t in p.elements if p.leq(t, x) and p.leq(t, y)]
-        if lowers and not any(
-            all(p.leq(t, m) for t in lowers) for m in lowers
-        ):
-            return "meet", x, y
+    """First pair (in node order) whose forced join or meet is missing, as
+    ``(kind, x, y, bound set)``, or None."""
+    for x, y in itertools.combinations(p.elements, 2):
+        for kind, cone in (("join", p.up), ("meet", p.down)):
+            bound, best = _common_bounds(cone, x, y)
+            if bound and best is None:
+                return kind, x, y, bound
     return None
 
 
@@ -140,23 +127,11 @@ def path_completion(p: FinPoset) -> FinPoset:
         defect = _first_defect(cur)
         if defect is None:
             return cur
-        kind, x, y = defect
-        if kind == "join":
-            bound = [t for t in cur.elements if cur.leq(x, t) and cur.leq(y, t)]
-            downs = [
-                z
-                for z in cur.elements
-                if all(cur.leq(z, t) for t in bound)
-            ]
-            ups = bound
-        else:
-            bound = [t for t in cur.elements if cur.leq(t, x) and cur.leq(t, y)]
-            ups = [
-                z
-                for z in cur.elements
-                if all(cur.leq(t, z) for t in bound)
-            ]
-            downs = bound
+        kind, _, _, bound = defect
+        # the points on the far side of the whole bound set
+        far_cone = cur.down if kind == "join" else cur.up
+        far = frozenset.intersection(*(far_cone(t) | {t} for t in bound))
+        downs, ups = (far, bound) if kind == "join" else (bound, far)
         name, counter = _fresh_id(set(cur.elements), counter)
         pairs = (
             list(cur.lt)
@@ -188,7 +163,6 @@ def connecting_sets(p: FinPoset, a, b) -> List[ConnectingSet]:
     length, then by node order.
     """
     _require(p, a, b)
-    ordered = sorted(p.elements, key=node_key)
     out: List[ConnectingSet] = []
     bound = 2 * len(p.elements)
 
@@ -196,7 +170,7 @@ def connecting_sets(p: FinPoset, a, b) -> List[ConnectingSet]:
         if len(tup) >= bound:
             return
         last = tup[-1]
-        for z in ordered:
+        for z in p.elements:
             if p.less(last, z):
                 d = "up"
             elif p.less(z, last):
@@ -224,8 +198,7 @@ def connecting_sets(p: FinPoset, a, b) -> List[ConnectingSet]:
 
 def _interval_chains(p: FinPoset, u, v) -> List[frozenset]:
     lo, hi = (u, v) if p.less(u, v) else (v, u)
-    nodes = [z for z in p.elements if p.leq(lo, z) and p.leq(z, hi)]
-    sub = p.restrict(nodes)
+    sub = p.restrict((p.up(lo) | {lo}) & (p.down(hi) | {hi}))
     return [frozenset(ch) for ch in maximal_chains(sub)]
 
 
@@ -286,7 +259,7 @@ def validate_cfpo(p: FinPoset):
     the path completion.  Returns ``(True, None)`` or ``(False, pair)``
     with the first offending pair in node order."""
     q = path_completion(p)
-    for x, y in itertools.combinations(sorted(p.elements, key=node_key), 2):
+    for x, y in itertools.combinations(p.elements, 2):
         if len(_paths(q, x, y, limit=2)) > 1:
             return False, (x, y)
     return True, None
@@ -323,14 +296,13 @@ def _tick(counter):
 def _embed(p: FinPoset, pattern: AltPattern, counter) -> Optional[Dict]:
     """Backtracking search for an induced copy of the pattern zigzag."""
     target = alt(pattern.length, pattern.reversed)
-    candidates = sorted(p.elements, key=node_key)
     img: Dict[int, object] = {}
     used = set()
 
     def place(i: int) -> bool:
         if i == pattern.length:
             return True
-        for z in candidates:
+        for z in p.elements:
             _tick(counter)
             if z in used:
                 continue

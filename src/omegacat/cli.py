@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .cfpo import AMBIGUOUS, alt_rank, path, path_completion, validate_cfpo
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     SpecError,
 )
 from .posets import (
+    AUT_NODE_BOUND,
     FinPoset,
     automorphisms,
     dump_poset,
@@ -58,22 +58,6 @@ from .trees import (
     ramification_table,
     two_orbit_equiv,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters shared by the sampling subcommands."""
-
-    seed: int = 0
-    depth: int = 2
-    width: int = 3
-    size: int = 8
-    cap: int = 3
-    fmt: str = "text"
-    budget_nodes: int = 12
-
-
-_DEFAULTS = RunConfig()
 
 
 class _UsageError(Exception):
@@ -311,19 +295,19 @@ def _cmd_cfpo_path(args) -> int:
 
 
 def _add_seed(sp) -> None:
-    sp.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    sp.add_argument("--seed", type=int, default=0)
 
 
 def _add_format(sp) -> None:
     sp.add_argument(
-        "--format", choices=("text", "records", "dot"), default=_DEFAULTS.fmt
+        "--format", choices=("text", "records", "dot"), default="text"
     )
 
 
 def _add_sample_shape(sp) -> None:
     _add_seed(sp)
-    sp.add_argument("--depth", type=int, default=_DEFAULTS.depth)
-    sp.add_argument("--width", type=int, default=_DEFAULTS.width)
+    sp.add_argument("--depth", type=int, default=2)
+    sp.add_argument("--width", type=int, default=3)
 
 
 def build_parser() -> _Parser:
@@ -347,7 +331,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_term_orbits)
     sp = tsub.add_parser("sample", help="materialize a finite sample")
     sp.add_argument("expr")
-    sp.add_argument("--size", type=int, default=_DEFAULTS.size)
+    sp.add_argument("--size", type=int, default=8)
     _add_seed(sp)
     _add_format(sp)
     sp.set_defaults(func=_cmd_term_sample)
@@ -362,7 +346,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_tree_chains)
     sp = rsub.add_parser("table", help="print the ramification table")
     sp.add_argument("file")
-    sp.add_argument("--cap", type=int, default=_DEFAULTS.cap)
+    sp.add_argument("--cap", type=int, default=3)
     sp.set_defaults(func=_cmd_tree_table)
     sp = rsub.add_parser("sample", help="materialize a finite sample")
     sp.add_argument("file")
@@ -392,14 +376,14 @@ def build_parser() -> _Parser:
     sp.add_argument("file")
     sp.add_argument("-n", type=int, default=1, dest="n")
     sp.add_argument(
-        "--budget-nodes", type=int, default=_DEFAULTS.budget_nodes,
+        "--budget-nodes", type=int, default=AUT_NODE_BOUND,
         dest="budget_nodes",
     )
     sp.set_defaults(func=_cmd_poset_orbits)
     sp = psub.add_parser("auts", help="list all automorphisms")
     sp.add_argument("file")
     sp.add_argument(
-        "--budget-nodes", type=int, default=_DEFAULTS.budget_nodes,
+        "--budget-nodes", type=int, default=AUT_NODE_BOUND,
         dest="budget_nodes",
     )
     sp.set_defaults(func=_cmd_poset_auts)

@@ -1,18 +1,21 @@
-"""Finite labelled posets with brute-force structural oracles.
+"""Finite labelled posets, their order queries, and brute-force oracles.
 
 A :class:`FinPoset` stores a finite strict order, transitively closed, with
-two optional node labels: a colour tag and an "irrational" flag.  On top of
-it this module provides tree validation (downward linearity plus common
-lower bounds), meets, cones and ramification orders, exhaustive
-automorphism/orbit enumeration by backtracking, tuple completion under
-meets, isomorphism testing with a witness, an exhaustive catalogue of tree
-shapes, and a small line-based file format plus DOT output.
+two optional node labels: a colour tag and an "irrational" flag.  It builds
+every element's strict up-set and down-set once, and every order query in
+the package reads those stored sets: covers, meets (and joins in
+:mod:`omegacat.cfpo`), cones and ramification orders, tree validation,
+tuple completion under meets, and a small line-based file format plus DOT
+output.
 
-Everything here is deliberately brute force and deterministic: it is the
-ground-truth oracle the symbolic machinery elsewhere is tested against, so
-it must stay simple rather than fast.  Default budgets (12 nodes for the
-automorphism search, 10**6 tuples for orbit enumeration) keep worst cases
-at desk scale.
+The reference oracles are deliberately brute force and deterministic:
+exhaustive automorphism and orbit enumeration by backtracking
+(``_search``/``_extend``, :func:`automorphisms`, :func:`orbits`),
+isomorphism testing with a witness (:func:`is_isomorphic`) and the
+exhaustive catalogue of tree shapes (:func:`all_trees`).  The fast paths
+elsewhere are tested against them, so they stay simple rather than fast.
+Default budgets (12 nodes for the automorphism search, 10**6 tuples for
+orbit enumeration) keep their worst cases at desk scale.
 """
 
 from __future__ import annotations
@@ -43,6 +46,54 @@ def node_key(x):
     return (1, 0, str(x))
 
 
+def _strict_up_sets(els, succ) -> dict:
+    """The strict up-set of every node of the relation ``succ``.
+
+    One depth-first pass in node order: a node's up-set is the union of its
+    children's closed up-sets, taken when its last child is done.  A child
+    already in the union is skipped, since its up-set is in it too.
+    """
+    up: dict = {}
+    for start in els:
+        if start in up:
+            continue
+        stack, open_ = [(start, iter(succ[start]))], {start}
+        while stack:
+            x, kids = stack[-1]
+            for c in kids:
+                if c in open_:
+                    raise CycleError(
+                        f"cycle through node {_first_on_cycle(els, succ)!r}"
+                    )
+                if c not in up:
+                    stack.append((c, iter(succ[c])))
+                    open_.add(c)
+                    break
+            else:
+                stack.pop()
+                open_.discard(x)
+                acc: set = set()
+                for c in succ[x]:
+                    if c not in acc:
+                        acc.add(c)
+                        acc |= up[c]
+                up[x] = frozenset(acc)
+    return up
+
+
+def _first_on_cycle(els, succ):
+    """The first node, in node order, that can reach itself."""
+    for x in els:
+        seen, todo = set(), list(succ[x])
+        while todo:
+            y = todo.pop()
+            if y == x:
+                return x
+            if y not in seen:
+                seen.add(y)
+                todo.extend(succ[y])
+
+
 class FinPoset:
     """A finite strict partial order with optional colour/irrational labels.
 
@@ -60,39 +111,28 @@ class FinPoset:
         irrational: Iterable | None = None,
     ):
         els = sorted(set(elements), key=node_key)
-        index = set(els)
-        rel = set()
+        succ = {x: [] for x in els}
         for a, b in pairs:
-            if a not in index or b not in index:
+            if a not in succ or b not in succ:
                 raise ParseError(f"edge references unknown node {a!r} or {b!r}")
-            rel.add((a, b))
-        # Warshall transitive closure
-        succ = {x: {b for (a, b) in rel if a == x} for x in els}
-        changed = True
-        while changed:
-            changed = False
-            for x in els:
-                grow = set()
-                for y in succ[x]:
-                    grow |= succ[y] - succ[x]
-                if grow:
-                    succ[x] |= grow
-                    changed = True
-        for x in els:
-            if x in succ[x]:
-                raise CycleError(f"cycle through node {x!r}")
+            succ[a].append(b)
+        up = _strict_up_sets(els, succ)
         self.elements = tuple(els)
-        self.lt = frozenset((a, b) for a in els for b in succ[a])
+        self.lt = frozenset((a, b) for a in els for b in up[a])
         self.colour = dict(colour or {})
         self.irrational = frozenset(irrational or ())
         for x in self.colour:
-            if x not in index:
+            if x not in succ:
                 raise ParseError(f"colour given for unknown node {x!r}")
         for x in self.irrational:
-            if x not in index:
+            if x not in succ:
                 raise ParseError(f"irrational flag for unknown node {x!r}")
-        self._down = {x: frozenset(a for (a, b) in self.lt if b == x) for x in els}
-        self._up = {x: frozenset(b for (a, b) in self.lt if a == x) for x in els}
+        down: dict = {x: [] for x in els}
+        for a in els:
+            for b in up[a]:
+                down[b].append(a)
+        self._down = {x: frozenset(d) for x, d in down.items()}
+        self._up = up
 
     # -- basic queries -----------------------------------------------------
 
@@ -156,28 +196,44 @@ def validate_tree(p: FinPoset) -> TreeReport:
     are comparable.  Axiom 2: any two elements have a common lower bound.
     """
     bad = []
-    els = p.elements
-    for z in els:
-        below = sorted(p.down(z) | {z}, key=node_key)
-        for x, y in itertools.combinations(below, 2):
+    for z in p.elements:
+        below = p.down(z) | {z}
+        # a closed down-set is a chain iff its members' down-sets differ in size
+        if len({len(p.down(t)) for t in below}) == len(below):
+            continue
+        for x, y in itertools.combinations(sorted(below, key=node_key), 2):
             if not p.comparable(x, y):
                 bad.append(("down-linearity", (x, y, z)))
-    for x, y in itertools.combinations(els, 2):
-        if not any(p.leq(t, x) and p.leq(t, y) for t in els):
-            bad.append(("common-lower-bound", (x, y)))
+    # a single minimal element is a common lower bound of every pair
+    if sum(1 for x in p.elements if not p.down(x)) != 1:
+        for x, y in itertools.combinations(p.elements, 2):
+            if (p.down(x) | {x}).isdisjoint(p.down(y) | {y}):
+                bad.append(("common-lower-bound", (x, y)))
     return TreeReport(ok=not bad, violations=tuple(bad))
 
 
 # -------------------------------------------------------------- meets/cones
 
 
+def _common_bounds(cone, x, y):
+    """The common closed bounds of ``x`` and ``y`` and the one of them whose
+    closed cone holds all the others, or None.  ``cone`` is ``p.down`` for
+    lower bounds (whose greatest is the meet) or ``p.up`` for upper bounds
+    (whose least is the join)."""
+    common = (cone(x) | {x}) & (cone(y) | {y})
+    if common:
+        # the extremum, if any, has the strictly largest cone among them
+        best = max(common, key=lambda t: len(cone(t)))
+        if common <= cone(best) | {best}:
+            return common, best
+    return common, None
+
+
 def meet(p: FinPoset, x, y):
     """Maximum of the common lower bounds of x and y, or None."""
-    common = [t for t in p.elements if p.leq(t, x) and p.leq(t, y)]
-    for m in common:
-        if all(p.leq(t, m) for t in common):
-            return m
-    return None
+    if x not in p._down or y not in p._down:
+        return None
+    return _common_bounds(p.down, x, y)[1]
 
 
 def cones_above(p: FinPoset, t) -> tuple:
@@ -337,11 +393,14 @@ def complete_tuple(p: FinPoset, t: Sequence) -> tuple:
 
 
 def covers(p: FinPoset) -> tuple:
-    """The covering (Hasse) relation, sorted."""
-    out = []
-    for a, b in p.lt:
-        if not any(p.less(a, c) and p.less(c, b) for c in p.elements):
-            out.append((a, b))
+    """The covering (Hasse) relation, sorted: ``b`` covers ``a`` when
+    nothing lies strictly between, so ``up(a)`` and ``down(b)`` are disjoint."""
+    out = [
+        (a, b)
+        for a in p.elements
+        for b in p.up(a)
+        if p.up(a).isdisjoint(p.down(b))
+    ]
     out.sort(key=lambda e: (node_key(e[0]), node_key(e[1])))
     return tuple(out)
 
@@ -369,17 +428,6 @@ def maximal_chains(p: FinPoset) -> tuple:
         walk([m])
     chains.sort(key=lambda c: tuple(node_key(x) for x in c))
     return tuple(chains)
-
-
-def chains_between(p: FinPoset, a, b) -> tuple:
-    """Maximal chains of the closed interval [a, b] (requires a <= b)."""
-    if not p.leq(a, b):
-        return ()
-    if a == b:
-        return ((a,),)
-    interval = [x for x in p.elements if p.leq(a, x) and p.leq(x, b)]
-    sub = p.restrict(interval)
-    return maximal_chains(sub)
 
 
 # -------------------------------------------------------------- catalogue

@@ -432,10 +432,22 @@ class _Info:
 
 
 class _Analysis:
+    """The definitions reachable from the root, with their walk edges.
+    Unreachable definitions are left out: they must not decide a verdict."""
+
     def __init__(self, spec: TreeSpec):
         self.root = spec.root
+        reach = {spec.root}
+        todo = [spec.root]
+        while todo:
+            for a in spec.definitions[todo.pop()].attachments:
+                if a.child not in reach:
+                    reach.add(a.child)
+                    todo.append(a.child)
         self.infos: Dict[str, _Info] = {
-            name: _Info(name, dfn) for name, dfn in spec.definitions.items()
+            name: _Info(name, dfn)
+            for name, dfn in spec.definitions.items()
+            if name in reach
         }
         for name in sorted(self.infos):
             info = self.infos[name]
@@ -452,20 +464,6 @@ class _Analysis:
                             uid=(name, len(info.edges)),
                         )
                     )
-
-    def reachable(self) -> set:
-        seen = {self.root}
-        todo = [self.root]
-        while todo:
-            for e in self.infos[todo.pop()].edges:
-                if e.child not in seen:
-                    seen.add(e.child)
-                    todo.append(e.child)
-        return seen
-
-
-def _analyze(spec: TreeSpec) -> _Analysis:
-    return _Analysis(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +516,7 @@ def chain_types(spec: TreeSpec) -> List[NfSequence]:
     """Normalized types of the maximal chains of the denoted tree, sorted by
     their rendering.  For recursions that keep producing new types this is a
     bounded sample of representatives."""
-    return _type_list(_analyze(spec))
+    return _type_list(_Analysis(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +567,8 @@ def _completions(analysis: _Analysis, state: str):
 def _growth_pairs(analysis: _Analysis):
     """Pairs of distinct chain types witnessing that pumping some reachable
     cycle keeps producing new types (the family is infinite)."""
-    reach = analysis.reachable()
     pairs = set()
     for loop in _loops(analysis):
-        if loop[0].src not in reach:
-            continue
         words = [f for e in loop for f in e.word]
         if normalize_sequence([], words).tail == "none":
             continue
@@ -785,10 +780,13 @@ def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
 
     Raises :class:`SpecError` when the chain-type family itself is infinite
     (then no finite table exists)."""
-    analysis = _analyze(spec)
+    analysis = _Analysis(spec)
     if _growth_pairs(analysis):
         raise SpecError("the family of maximal-chain types is not finite")
-    types = _type_list(analysis)
+    return _ram_table(analysis, _type_list(analysis), cap)
+
+
+def _ram_table(analysis: _Analysis, types, cap: int) -> RamTable:
     tindex = {t: i for i, t in enumerate(types)}
     torbits = [sequence_orbits(t) for t in types]
     C = _counts(analysis, cap)
@@ -835,7 +833,7 @@ def check_categorical(spec: TreeSpec) -> Verdict:
     predicate family is finite; every maximal-chain type is itself
     categorical (no infinite tail); the chain-type family is finite.
     """
-    analysis = _analyze(spec)
+    analysis = _Analysis(spec)
     types = _type_list(analysis)
     growth = _growth_pairs(analysis)
 
@@ -871,7 +869,7 @@ def check_categorical(spec: TreeSpec) -> Verdict:
             ),
         )
     else:
-        table = ramification_table(spec)
+        table = _ram_table(analysis, types, 3)
         if table.unbounded:
             r_ram = ConditionReport(
                 name="finite-ramification",
@@ -915,7 +913,7 @@ def materialize_tree(
         raise ValueError("depth must be >= 0")
     if width < 1:
         raise ValueError("width must be >= 1")
-    analysis = _analyze(spec)
+    analysis = _Analysis(spec)
     dist = {spec.root: 0}
     todo = [spec.root]
     while todo:
@@ -1202,93 +1200,45 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     base1 = sorted(p.down(y1) | {y1}, key=lambda v: rank[v])
     if len(base0) != len(base1):
         return False, ()
-    pin = {}
-    for a, b in zip(base0, base1):
-        if p.label(a) != p.label(b):
-            return False, ()
-        if annotations is not None and annotations.get(a) != annotations.get(
-            b
-        ):
-            return False, ()
-        pin[a] = b
+    pin = dict(zip(base0, base1))
     if pin[x0] != x1:
         return False, ()
-    pinned_targets = set(pin.values())
 
+    # Aho-Hopcroft-Ullman codes: equal codes mark isomorphic labelled
+    # subtrees, so after pinning the base chains any match of equal codes
+    # extends to an automorphism and the matching needs no backtracking.
     kids: Dict[object, List[object]] = {x: [] for x in p.elements}
     for a, b in covers(p):
         kids[a].append(b)
-    for a in kids:
-        kids[a].sort(key=node_key)
-
-    sig_cache: Dict[object, tuple] = {}
-
-    def sig(v):
-        if v not in sig_cache:
-            lab = (
-                p.label(v),
-                None if annotations is None else annotations.get(v),
-            )
-            child_sigs = sorted(
-                (sig(c) for c in kids[v]), key=lambda s: s[1]
-            )
-            code = (lab, tuple(s[0] for s in child_sigs))
-            sig_cache[v] = (code, repr(code))
-        return sig_cache[v]
-
-    roots = [v for v in p.elements if not p.down(v)]
-    root = roots[0]
-
-    assign: Dict[object, object] = {}
-    used = set()
-    journal: List[object] = []
-
-    def bind(a, b):
-        assign[a] = b
-        used.add(b)
-        journal.append(a)
-
-    def rollback(mark):
-        while len(journal) > mark:
-            a = journal.pop()
-            used.discard(assign.pop(a))
-
-    def match(u, v) -> bool:
-        us = sorted(kids[u], key=lambda c: (0 if c in pin else 1, node_key(c)))
-        vs = kids[v]
-        if len(us) != len(vs):
-            return False
-
-        def assign_child(i) -> bool:
-            if i == len(us):
-                return True
-            cu = us[i]
-            want = pin.get(cu)
-            for cv in vs:
-                if cv in used:
-                    continue
-                if want is not None and cv != want:
-                    continue
-                if want is None and cv in pinned_targets:
-                    continue
-                if sig(cu) != sig(cv):
-                    continue
-                mark = len(journal)
-                bind(cu, cv)
-                if match(cu, cv) and assign_child(i + 1):
-                    return True
-                rollback(mark)
-            return False
-
-        return assign_child(0)
-
-    if pin.get(root, root) != root:
+    code: Dict[object, int] = {}
+    ids: Dict[tuple, int] = {}
+    for v in sorted(p.elements, key=lambda v: -rank[v]):
+        key = (
+            p.label(v),
+            None if annotations is None else annotations.get(v),
+            tuple(sorted(code[c] for c in kids[v])),
+        )
+        code[v] = ids.setdefault(key, len(ids))
+    if any(code[a] != code[b] for a, b in pin.items()):
         return False, ()
-    bind(root, root)
-    if not match(root, root):
-        return False, ()
+
+    # each unpinned child goes to the first free child of its image, in
+    # node order, that is no pin target and has the same code
+    pinned_targets = set(base1)
+    assign = dict(pin)
+    stack = [base0[0]]
+    while stack:
+        u = stack.pop()
+        free: Dict[int, List[object]] = {}
+        for c in kids[assign[u]]:
+            if c not in pinned_targets:
+                free.setdefault(code[c], []).append(c)
+        for c in kids[u]:
+            if c not in pin:
+                assign[c] = free[code[c]].pop(0)
+            stack.append(c)
     image = {(assign[a], assign[b]) for (a, b) in p.lt}
-    if image != set(p.lt) or len(used) != len(p.elements):
+    if image != p.lt or len(set(assign.values())) != len(p.elements):
         return False, ()
 
     base_set = set(base0)

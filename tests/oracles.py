@@ -5,12 +5,18 @@
 - a sampled back-and-forth soundness check: finite samples of either side
   of a rewrite must embed in the other side's order (equivalent terms
   denote the same order, so a sound step can never fail this)
+- brute-force order queries (closure, down/up sets, covers, meets, joins,
+  tree validation) that rescan the relation for every answer, the
+  reference for the stored sets of ``FinPoset``
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
+from omegacat.errors import CycleError
+from omegacat.posets import node_key
 from omegacat.terms import (
     Concat,
     Singleton,
@@ -125,3 +131,77 @@ def samples_agree(t1, t2, budget: int, seed: int) -> bool:
     l1 = tuple(p1.label(x) for x in range(len(p1)))
     l2 = tuple(p2.label(x) for x in range(len(p2)))
     return chain_embeds(l1, t2) and chain_embeds(l2, t1)
+
+
+# ---------------------------------------------------------------------------
+# brute-force order queries
+
+
+def naive_closure(elements, pairs) -> frozenset:
+    """Strict pairs of the transitive closure, by Warshall iteration.
+    Raises CycleError naming the first node, in node order, on a cycle."""
+    els = sorted(set(elements), key=node_key)
+    succ = {x: {b for (a, b) in pairs if a == x} for x in els}
+    changed = True
+    while changed:
+        changed = False
+        for x in els:
+            grow = set()
+            for y in succ[x]:
+                grow |= succ[y] - succ[x]
+            if grow:
+                succ[x] |= grow
+                changed = True
+    for x in els:
+        if x in succ[x]:
+            raise CycleError(f"cycle through node {x!r}")
+    return frozenset((a, b) for a in els for b in succ[a])
+
+
+def naive_down(p, x) -> frozenset:
+    return frozenset(a for (a, b) in p.lt if b == x)
+
+
+def naive_up(p, x) -> frozenset:
+    return frozenset(b for (a, b) in p.lt if a == x)
+
+
+def naive_covers(p) -> tuple:
+    out = []
+    for a, b in p.lt:
+        if not any(p.less(a, c) and p.less(c, b) for c in p.elements):
+            out.append((a, b))
+    out.sort(key=lambda e: (node_key(e[0]), node_key(e[1])))
+    return tuple(out)
+
+
+def naive_meet(p, x, y):
+    common = [t for t in p.elements if p.leq(t, x) and p.leq(t, y)]
+    for m in common:
+        if all(p.leq(t, m) for t in common):
+            return m
+    return None
+
+
+def naive_join(p, x, y):
+    uppers = [t for t in p.elements if p.leq(x, t) and p.leq(y, t)]
+    for m in uppers:
+        if all(p.leq(m, t) for t in uppers):
+            return m
+    return None
+
+
+def naive_validate_tree(p):
+    """``(ok, violations)`` of the two tree axioms, in the order
+    ``validate_tree`` reports them."""
+    bad = []
+    els = p.elements
+    for z in els:
+        below = sorted(naive_down(p, z) | {z}, key=node_key)
+        for x, y in itertools.combinations(below, 2):
+            if not p.comparable(x, y):
+                bad.append(("down-linearity", (x, y, z)))
+    for x, y in itertools.combinations(els, 2):
+        if not any(p.leq(t, x) and p.leq(t, y) for t in els):
+            bad.append(("common-lower-bound", (x, y)))
+    return not bad, tuple(bad)

@@ -180,6 +180,15 @@ def test_tree_check_single_q_yes(capsys, files):
     assert out.startswith("categorical: yes\n")
 
 
+def test_tree_check_ignores_unreachable_definitions(capsys, files):
+    # B alone makes the chain count system diverge; it must not matter
+    f = files("unreachable.spec", "A = spine Q(1)\nB = spine Q(1)^1 with 2 x B at cut 0\n")
+    code, out, err = run(capsys, "tree", "check", f)
+    assert (code, err) == (0, "")
+    assert out.startswith("categorical: yes\n")
+    assert out == run(capsys, "tree", "check", files("q1.spec", Q1))[1]
+
+
 def test_tree_check_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "tree", "check", str(tmp_path / "nope.spec"))
     assert code == 2

@@ -12,7 +12,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from omegacat.cfpo import join
 from omegacat.errors import BudgetError, CycleError, NotATreeError, ParseError
 from omegacat.posets import (
     FinPoset,
@@ -30,6 +33,16 @@ from omegacat.posets import (
     ramification_order,
     to_dot,
     validate_tree,
+)
+
+from oracles import (
+    naive_closure,
+    naive_covers,
+    naive_down,
+    naive_join,
+    naive_meet,
+    naive_up,
+    naive_validate_tree,
 )
 
 
@@ -116,6 +129,53 @@ def test_validate_tree_rejects_antichain():
     rep = validate_tree(antichain(2))
     assert not rep.ok
     assert {v[0] for v in rep.violations} == {"common-lower-bound"}
+
+
+@st.composite
+def digraphs(draw, acyclic: bool):
+    """Up to 10 nodes named by a random permutation, so that node order is
+    no topological order.  Acyclic graphs only point up a hidden ranking;
+    the others may have cycles and self-loops."""
+    n = draw(st.integers(0, 10))
+    names = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i < j or not acyclic]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=25)) if pairs else []
+    return names, [(names[i], names[j]) for i, j in edges]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(digraphs(acyclic=True))
+def test_order_queries_match_brute_force_on_random_dags(graph):
+    names, edges = graph
+    p = FinPoset(names, edges)
+    assert p.lt == naive_closure(names, edges)
+    for x in p.elements:
+        assert p.down(x) == naive_down(p, x)
+        assert p.up(x) == naive_up(p, x)
+        assert meet(p, x, -1) is None
+    assert covers(p) == naive_covers(p)
+    for x in p.elements:
+        for y in p.elements:
+            assert meet(p, x, y) == naive_meet(p, x, y)
+            assert join(p, x, y) == naive_join(p, x, y)
+    rep = validate_tree(p)
+    assert (rep.ok, rep.violations) == naive_validate_tree(p)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(digraphs(acyclic=False))
+def test_cycle_error_names_the_first_node_on_a_cycle(graph):
+    names, edges = graph
+
+    def outcome(build):
+        try:
+            return build()
+        except CycleError as e:
+            return str(e)
+
+    assert outcome(lambda: FinPoset(names, edges).lt) == outcome(
+        lambda: naive_closure(names, edges)
+    )
 
 
 # ---------------------------------------------------------------- meet / cones

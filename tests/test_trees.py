@@ -354,6 +354,15 @@ def test_two_orbit_identity():
     assert ok
 
 
+def test_two_orbit_long_chain():
+    n = 700  # deeper than the interpreter's default recursion limit
+    p = FinPoset(range(n), [(i, i + 1) for i in range(n - 1)])
+    ok, trace = two_orbit_equiv(p, (0, 1), (0, 1))
+    assert ok
+    assert trace[:3] == (("base", 0, 0), ("base", 1, 1), ("even", 2, 2))
+    assert [(a, b) for _, a, b in trace] == [(v, v) for v in range(n)]
+
+
 def test_two_orbit_requires_comparable_pairs():
     p = FinPoset([0, 1, 2], [(0, 1), (0, 2)])
     with pytest.raises(ValueError):

@@ -3,7 +3,10 @@
 A partial order is cycle-free when any two points are linked by at most
 one path, where a path is assembled from maximal chains between the
 members of a *connecting set* — an alternating zigzag of turning points,
-pairwise incomparable except between neighbours.  Paths may pass through
+pairwise incomparable except between neighbours.  On a finite order those
+chains are runs of covering pairs, so paths are found by walking the
+Hasse diagram: a path is a walk along covers that repeats no node and
+whose turning points form a connecting set.  Paths may pass through
 *irrational* points that only exist in the path completion: the smallest
 extension closing the order under meets of downward-bounded pairs and
 joins of upward-bounded pairs.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BudgetError
-from .posets import FinPoset, _common_bounds, maximal_chains, node_key
+from .posets import FinPoset, _common_bounds, covers, node_key
 
 __all__ = [
     "AMBIGUOUS",
@@ -146,7 +149,7 @@ def path_completion(p: FinPoset) -> FinPoset:
         )
         added += 1
         if added > _MAX_COMPLETION_POINTS:
-            raise RuntimeError("path completion did not close")
+            raise BudgetError("path completion did not close")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,8 @@ def connecting_sets(p: FinPoset, a, b) -> List[ConnectingSet]:
     every interior member, and non-neighbours are incomparable (which
     forces all members distinct).  Run this on the path completion when
     interior turning points may be irrational.  Result is sorted by
-    length, then by node order.
+    length, then by node order.  This is a query for users: ``path`` and
+    ``validate_cfpo`` walk the Hasse diagram instead of calling it.
     """
     _require(p, a, b)
     out: List[ConnectingSet] = []
@@ -196,57 +200,50 @@ def connecting_sets(p: FinPoset, a, b) -> List[ConnectingSet]:
     return out
 
 
-def _interval_chains(p: FinPoset, u, v) -> List[frozenset]:
-    lo, hi = (u, v) if p.less(u, v) else (v, u)
-    sub = p.restrict((p.up(lo) | {lo}) & (p.down(hi) | {hi}))
-    return [frozenset(ch) for ch in maximal_chains(sub)]
+def _hasse(p: FinPoset):
+    """Upper and lower covers of every node, each in node order."""
+    above: Dict = {x: [] for x in p.elements}
+    below: Dict = {x: [] for x in p.elements}
+    for lo, hi in covers(p):
+        above[lo].append(hi)
+        below[hi].append(lo)
+    return above, below
 
 
-def _paths(p: FinPoset, a, b, limit: int = 2) -> List[frozenset]:
-    """Distinct path node-sets between ``a`` and ``b``, at most ``limit``."""
-    found: List[frozenset] = []
-    for cs in connecting_sets(p, a, b):
-        segs = [
-            _interval_chains(p, cs.nodes[k], cs.nodes[k + 1])
-            for k in range(len(cs.nodes) - 1)
-        ]
-
-        def assemble(k, chosen):
-            if len(found) >= limit:
-                return
-            if k == len(segs):
-                union = frozenset().union(*chosen)
-                if union not in found:
-                    found.append(union)
-                return
-            for seg in segs[k]:
-                ok = True
-                for i, prev in enumerate(chosen):
-                    inter = prev & seg
-                    if i == k - 1:
-                        if inter != {cs.nodes[k]}:
-                            ok = False
-                            break
-                    elif inter:
-                        ok = False
-                        break
-                if ok:
-                    assemble(k + 1, chosen + [seg])
-
-        assemble(0, [])
-        if len(found) >= limit:
-            break
-    return found
+def _paths(p: FinPoset, hasse, a, b, limit: int = 2) -> List[frozenset]:
+    """Distinct path node-sets between ``a`` and ``b``, at most ``limit``:
+    walks from ``a`` along covering pairs that repeat no node, whose turning
+    points (``a``, each change of direction, then ``b``) are incomparable
+    to every earlier turning point except the one just before."""
+    found = set()
+    stack = [(a, None, (a,), frozenset({a}))]
+    while stack:
+        x, heading, turns, seen = stack.pop()
+        for step, cover in enumerate(hasse):  # 0 goes up, 1 down
+            ts = turns if heading in (None, step) else turns + (x,)
+            if ts is not turns and any(p.comparable(x, t) for t in turns[:-1]):
+                continue
+            for y in cover[x]:
+                if y in seen:
+                    continue
+                if y != b:
+                    stack.append((y, step, ts, seen | {y}))
+                elif not any(p.comparable(b, t) for t in ts[:-1]):
+                    found.add(seen | {b})
+                    if len(found) == limit:
+                        return list(found)
+    return list(found)
 
 
 def path(p: FinPoset, a, b):
     """The unique path between ``a`` and ``b`` as a frozenset of nodes,
     ``AMBIGUOUS`` when several distinct paths exist, or None when the two
-    points cannot be linked.  Run on the path completion."""
+    points cannot be linked.  Paths are found by walking the Hasse diagram
+    of ``p``.  Run on the path completion."""
     _require(p, a, b)
     if a == b:
         return frozenset({a})
-    ps = _paths(p, a, b, limit=2)
+    ps = _paths(p, _hasse(p), a, b)
     if not ps:
         return None
     if len(ps) > 1:
@@ -259,8 +256,9 @@ def validate_cfpo(p: FinPoset):
     the path completion.  Returns ``(True, None)`` or ``(False, pair)``
     with the first offending pair in node order."""
     q = path_completion(p)
+    hasse = _hasse(q)
     for x, y in itertools.combinations(p.elements, 2):
-        if len(_paths(q, x, y, limit=2)) > 1:
+        if len(_paths(q, hasse, x, y)) > 1:
             return False, (x, y)
     return True, None
 
@@ -297,36 +295,25 @@ def _embed(p: FinPoset, pattern: AltPattern, counter) -> Optional[Dict]:
     """Backtracking search for an induced copy of the pattern zigzag."""
     target = alt(pattern.length, pattern.reversed)
     img: Dict[int, object] = {}
-    used = set()
 
     def place(i: int) -> bool:
         if i == pattern.length:
             return True
-        for z in p.elements:
+        # Position i is related to i-1 only: the cone fixes that relation,
+        # and z must be incomparable to (so distinct from) earlier images.
+        if i == 0:
+            cands = p.elements
+        else:
+            cone = p.up if target.less(i - 1, i) else p.down
+            cands = sorted(cone(img[i - 1]), key=node_key)
+        for z in cands:
             _tick(counter)
-            if z in used:
+            if any(p.comparable(z, img[j]) for j in range(i - 1)):
                 continue
-            ok = True
-            for j in range(i):
-                zj = img[j]
-                if target.less(j, i):
-                    if not p.less(zj, z):
-                        ok = False
-                        break
-                elif target.less(i, j):
-                    if not p.less(z, zj):
-                        ok = False
-                        break
-                elif p.comparable(z, zj):
-                    ok = False
-                    break
-            if ok:
-                img[i] = z
-                used.add(z)
-                if place(i + 1):
-                    return True
-                used.discard(z)
-                del img[i]
+            img[i] = z
+            if place(i + 1):
+                return True
+            del img[i]
         return False
 
     return dict(img) if place(0) else None

@@ -17,6 +17,7 @@ budgets.  All output is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .cfpo import AMBIGUOUS, alt_rank, path, path_completion, validate_cfpo
@@ -310,7 +311,9 @@ def _add_sample_shape(sp) -> None:
     sp.add_argument("--width", type=int, default=3)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="omegacat",
         description="Classification tools for categorical orders and trees.",

@@ -545,13 +545,8 @@ def _completions(analysis: _Analysis, state: str):
     """A few ways to finish a chain from ``state``, as factor words
     ``(prefix, period-or-None)``."""
     terminals, lassos = _explore(analysis, state, bound=2)
-    comps = []
-    seen = set()
-    for t in sorted(terminals, key=render_sequence):
-        pre, per = seq_factors(t)
-        if t not in seen:
-            seen.add(t)
-            comps.append((pre, per))
+    comps = [seq_factors(t) for t in sorted(terminals, key=render_sequence)]
+    seen = set(terminals)
     for pre_e, cyc_e in lassos:
         pre = [f for e in pre_e for f in e.word]
         per = [f for e in cyc_e for f in e.word]
@@ -568,31 +563,30 @@ def _growth_pairs(analysis: _Analysis):
     """Pairs of distinct chain types witnessing that pumping some reachable
     cycle keeps producing new types (the family is infinite)."""
     pairs = set()
+    comps: Dict[str, list] = {}
+    # Every rotation of a returned walk is returned too (the visit bound
+    # holds for all rotations or none), so each walk is pumped from its start.
     for loop in _loops(analysis):
         words = [f for e in loop for f in e.word]
         if normalize_sequence([], words).tail == "none":
             continue
         loop_ids = {e.uid for e in loop}
-        for i in range(len(loop)):
-            state = loop[i].src
-            rot = list(loop[i:]) + list(loop[:i])
-            rw = [f for e in rot for f in e.word]
-            exits = []
-            info = analysis.infos[state]
-            if info.terminal_valid:
-                exits.append((list(info.terminal_word), None))
-            for e2 in info.edges:
-                if e2.uid in loop_ids:
-                    continue
-                for cpre, cper in _completions(analysis, e2.child):
-                    exits.append((list(e2.word) + list(cpre), cper))
-            for xpre, xper in exits:
-                ts = {
-                    normalize_sequence(rw * n + xpre, xper) for n in (1, 2, 3)
-                }
-                if len(ts) > 1:
-                    a, b = sorted(ts, key=render_sequence)[:2]
-                    pairs.add((a, b))
+        exits = []
+        info = analysis.infos[loop[0].src]
+        if info.terminal_valid:
+            exits.append((list(info.terminal_word), None))
+        for e2 in info.edges:
+            if e2.uid in loop_ids:
+                continue
+            if e2.child not in comps:
+                comps[e2.child] = _completions(analysis, e2.child)
+            for cpre, cper in comps[e2.child]:
+                exits.append((list(e2.word) + list(cpre), cper))
+        for xpre, xper in exits:
+            ts = {normalize_sequence(words * n + xpre, xper) for n in (1, 2, 3)}
+            if len(ts) > 1:
+                a, b = sorted(ts, key=render_sequence)[:2]
+                pairs.add((a, b))
     return sorted(
         pairs, key=lambda ab: (render_sequence(ab[0]), render_sequence(ab[1]))
     )

@@ -8,6 +8,9 @@
 - brute-force order queries (closure, down/up sets, covers, meets, joins,
   tree validation) that rescan the relation for every answer, the
   reference for the stored sets of ``FinPoset``
+- CFPO paths assembled from connecting sets and maximal chains of the
+  intervals between their members, the reference for the Hasse-diagram
+  walk of ``cfpo.path``
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from omegacat.cfpo import connecting_sets
 from omegacat.errors import CycleError
-from omegacat.posets import node_key
+from omegacat.posets import maximal_chains, node_key
 from omegacat.terms import (
     Concat,
     Singleton,
@@ -205,3 +209,44 @@ def naive_validate_tree(p):
         if not any(p.leq(t, x) and p.leq(t, y) for t in els):
             bad.append(("common-lower-bound", (x, y)))
     return not bad, tuple(bad)
+
+
+# ---------------------------------------------------------------------------
+# CFPO paths from connecting sets
+
+
+def naive_paths(p, a, b, limit: int = 2) -> list:
+    """Distinct path node-sets between ``a`` and ``b``, at most ``limit``.
+
+    For every connecting set, pick one maximal chain of the interval
+    between each pair of neighbouring members; neighbouring chains must
+    share exactly their common member and all others must be disjoint.
+    A path is the union of such a choice.
+    """
+    found: list = []
+    for cs in connecting_sets(p, a, b):
+        segs = []
+        for u, v in zip(cs.nodes, cs.nodes[1:]):
+            lo, hi = (u, v) if p.less(u, v) else (v, u)
+            sub = p.restrict((p.up(lo) | {lo}) & (p.down(hi) | {hi}))
+            segs.append([frozenset(ch) for ch in maximal_chains(sub)])
+
+        def assemble(k, chosen):
+            if len(found) >= limit:
+                return
+            if k == len(segs):
+                union = frozenset().union(*chosen)
+                if union not in found:
+                    found.append(union)
+                return
+            for seg in segs[k]:
+                if all(
+                    prev & seg == ({cs.nodes[k]} if i == k - 1 else set())
+                    for i, prev in enumerate(chosen)
+                ):
+                    assemble(k + 1, chosen + [seg])
+
+        assemble(0, [])
+        if len(found) >= limit:
+            break
+    return found

@@ -11,8 +11,11 @@ automorphism oracle of the poset core.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegacat.cfpo import (
     AMBIGUOUS,
@@ -29,6 +32,7 @@ from omegacat.cfpo import (
 )
 from omegacat.errors import BudgetError
 from omegacat.posets import FinPoset, all_trees, meet, orbits
+from oracles import naive_paths
 
 
 # ---------------------------------------------------------------- fixtures
@@ -71,6 +75,28 @@ def bowtie():
 
 def disjoint_chains():
     return FinPoset([0, 1, 2, 3], [(0, 1), (2, 3)])
+
+
+def oriented_tree(seed, n):
+    """Edges of a random tree on ``0..n-1``, each pointing up or down at
+    random: the covering pairs of the order they generate."""
+    rng = random.Random(seed)
+    edges = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    return edges
+
+
+@st.composite
+def small_dags(draw, max_nodes=8):
+    """Up to ``max_nodes`` nodes named by a random permutation, with edges
+    pointing up a hidden ranking."""
+    n = draw(st.integers(1, max_nodes))
+    names = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=16)) if pairs else []
+    return FinPoset(names, [(names[i], names[j]) for i, j in edges])
 
 
 def same_shape(p, q):
@@ -284,6 +310,47 @@ def test_path_on_trees_matches_meet_segments():
             assert path(p, y, x) == expected
 
 
+def test_path_on_oriented_tree_is_the_tree_path():
+    # Such an order has many connecting sets between far-apart points;
+    # its paths are still the undirected paths of the Hasse tree.
+    edges = oriented_tree(80, 80)
+    p = FinPoset(range(80), edges)
+    nbrs = {x: set() for x in range(80)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    rng = random.Random(80)
+    for _ in range(60):
+        a, b = rng.sample(range(80), 2)
+        parent, todo = {a: None}, [a]
+        while todo:
+            x = todo.pop()
+            for y in nbrs[x] - parent.keys():
+                parent[y] = x
+                todo.append(y)
+        expected, x = set(), b
+        while x is not None:
+            expected.add(x)
+            x = parent[x]
+        assert path(p, a, b) == expected
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(small_dags())
+def test_path_and_validate_match_connecting_set_oracle(p):
+    q = path_completion(p)
+    for a, b in itertools.product(q.elements, repeat=2):
+        ps = [frozenset({a})] if a == b else naive_paths(q, a, b)
+        expected = None if not ps else AMBIGUOUS if len(ps) > 1 else ps[0]
+        assert path(q, a, b) == expected
+    bad = [
+        (x, y)
+        for x, y in itertools.combinations(p.elements, 2)
+        if len(naive_paths(q, x, y)) > 1
+    ]
+    assert validate_cfpo(p) == ((False, bad[0]) if bad else (True, None))
+
+
 # --------------------------------------------------------- validate_cfpo
 
 
@@ -427,6 +494,33 @@ def test_alt_rank_empty_rejected():
 def test_alt_rank_budget():
     with pytest.raises(BudgetError):
         alt_rank(alt(10), budget=5)
+
+
+def is_induced_zigzag(p, emb, pattern):
+    """``emb`` maps pattern positions injectively to nodes, and ``emb[i]``
+    lies below ``emb[j]`` exactly when position ``i`` is a valley next to
+    ``j`` (odd positions are valleys unless the pattern is reversed)."""
+    n = pattern.length
+    if sorted(emb) != list(range(n)) or len(set(emb.values())) != n:
+        return False
+    return all(
+        p.less(emb[i], emb[j])
+        == (abs(i - j) == 1 and (i % 2 == 1) != pattern.reversed)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def test_alt_rank_on_oriented_tree_within_budget():
+    p = FinPoset(range(30), oriented_tree(0, 30))
+    r = alt_rank(p)
+    shapes = [AltPattern(r, False), AltPattern(r, True)]
+    assert any(
+        (emb := embeds_alt(p, pat)) is not None and is_induced_zigzag(p, emb, pat)
+        for pat in shapes
+    )
+    assert embeds_alt(p, AltPattern(r + 1, False)) is None
+    assert embeds_alt(p, AltPattern(r + 1, True)) is None
 
 
 # ------------------------------------- pairs at different path lengths

@@ -426,6 +426,16 @@ def test_cfpo_path_unknown_node(capsys, files):
     assert err.startswith("error: value:")
 
 
+def test_cfpo_path_completion_budget_is_exit_3(capsys, files, monkeypatch):
+    # the bowtie needs one added point; a limit of none leaves it open
+    monkeypatch.setattr("omegacat.cfpo._MAX_COMPLETION_POINTS", 0)
+    f = files("bowtie.poset", BOWTIE_POSET)
+    code, out, err = run(capsys, "cfpo", "path", f, "a", "x")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: budget:")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # usage and process-level behaviour
 

@@ -5,7 +5,11 @@ and the chain-categoricity test (no tail survives).
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegacat.sequences import (
     NfSequence,
@@ -73,6 +77,32 @@ def test_rotated_presentations_normalize_identically():
     a = norm(["b"], ["Q(a)^b"])
     b = norm([], ["b^Q(a)"])
     assert a == b
+
+
+FACTORS = [t(x) for x in "1 a b Q(1) Q(a) Q(b) Q(1,a) Q(a,b) Q(1,a,b)".split()]
+
+
+def collapses_for_every_rotation_or_none(word):
+    collapsed = {
+        normalize_sequence([], word[i:] + word[:i]).tail == "none"
+        for i in range(len(word))
+    }
+    return len(collapsed) == 1
+
+
+def test_collapse_of_a_period_is_invariant_under_rotation():
+    # The growth search pumps each closed walk from its first definition
+    # only; that relies on every rotation of a walk's word collapsing
+    # (tail "none") or none of them.
+    for n in range(1, 4):
+        for word in itertools.product(FACTORS, repeat=n):
+            assert collapses_for_every_rotation_or_none(word), word
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(FACTORS), min_size=4, max_size=6))
+def test_collapse_of_a_long_period_is_invariant_under_rotation(word):
+    assert collapses_for_every_rotation_or_none(tuple(word))
 
 
 def test_finite_sequences_merge_finite_runs():

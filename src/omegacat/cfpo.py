@@ -77,9 +77,8 @@ class AltPattern:
 
 
 def _require(p: FinPoset, *xs):
-    els = set(p.elements)
     for x in xs:
-        if x not in els:
+        if x not in p._down:
             raise ValueError(f"unknown node {x!r}")
 
 
@@ -137,7 +136,7 @@ def path_completion(p: FinPoset) -> FinPoset:
         downs, ups = (far, bound) if kind == "join" else (bound, far)
         name, counter = _fresh_id(set(cur.elements), counter)
         pairs = (
-            list(cur.lt)
+            list(covers(cur))
             + [(d, name) for d in downs]
             + [(name, u) for u in ups]
         )
@@ -200,17 +199,7 @@ def connecting_sets(p: FinPoset, a, b) -> List[ConnectingSet]:
     return out
 
 
-def _hasse(p: FinPoset):
-    """Upper and lower covers of every node, each in node order."""
-    above: Dict = {x: [] for x in p.elements}
-    below: Dict = {x: [] for x in p.elements}
-    for lo, hi in covers(p):
-        above[lo].append(hi)
-        below[hi].append(lo)
-    return above, below
-
-
-def _paths(p: FinPoset, hasse, a, b, limit: int = 2) -> List[frozenset]:
+def _paths(p: FinPoset, a, b, limit: int = 2) -> List[frozenset]:
     """Distinct path node-sets between ``a`` and ``b``, at most ``limit``:
     walks from ``a`` along covering pairs that repeat no node, whose turning
     points (``a``, each change of direction, then ``b``) are incomparable
@@ -219,7 +208,7 @@ def _paths(p: FinPoset, hasse, a, b, limit: int = 2) -> List[frozenset]:
     stack = [(a, None, (a,), frozenset({a}))]
     while stack:
         x, heading, turns, seen = stack.pop()
-        for step, cover in enumerate(hasse):  # 0 goes up, 1 down
+        for step, cover in enumerate((p._upper, p._lower)):  # 0 goes up, 1 down
             ts = turns if heading in (None, step) else turns + (x,)
             if ts is not turns and any(p.comparable(x, t) for t in turns[:-1]):
                 continue
@@ -243,7 +232,7 @@ def path(p: FinPoset, a, b):
     _require(p, a, b)
     if a == b:
         return frozenset({a})
-    ps = _paths(p, _hasse(p), a, b)
+    ps = _paths(p, a, b)
     if not ps:
         return None
     if len(ps) > 1:
@@ -256,9 +245,8 @@ def validate_cfpo(p: FinPoset):
     the path completion.  Returns ``(True, None)`` or ``(False, pair)``
     with the first offending pair in node order."""
     q = path_completion(p)
-    hasse = _hasse(q)
     for x, y in itertools.combinations(p.elements, 2):
-        if len(_paths(q, hasse, x, y)) > 1:
+        if len(_paths(q, x, y)) > 1:
             return False, (x, y)
     return True, None
 

@@ -1,12 +1,13 @@
 """Finite labelled posets, their order queries, and brute-force oracles.
 
 A :class:`FinPoset` stores a finite strict order, transitively closed, with
-two optional node labels: a colour tag and an "irrational" flag.  It builds
-every element's strict up-set and down-set once, and every order query in
-the package reads those stored sets: covers, meets (and joins in
-:mod:`omegacat.cfpo`), cones and ramification orders, tree validation,
-tuple completion under meets, and a small line-based file format plus DOT
-output.
+two optional node labels: a colour tag and an "irrational" flag.  It is
+built from any generating relation, such as the covering pairs, and one
+closure pass stores every element's strict up-set and down-set and the
+Hasse diagram (upper and lower covers).  Every order query in the package
+reads those: covers, maximal chains, meets (and joins and paths in
+:mod:`omegacat.cfpo`), cones, tree validation, tuple completion under
+meets, and a small line-based file format plus DOT output.
 
 The reference oracles are deliberately brute force and deterministic:
 exhaustive automorphism and orbit enumeration by backtracking
@@ -46,14 +47,20 @@ def node_key(x):
     return (1, 0, str(x))
 
 
-def _strict_up_sets(els, succ) -> dict:
-    """The strict up-set of every node of the relation ``succ``.
+def _strict_up_sets(els, succ) -> tuple:
+    """The strict up-set and the upper covers, in node order, of every node
+    of ``succ``.
 
     One depth-first pass in node order: a node's up-set is the union of its
-    children's closed up-sets, taken when its last child is done.  A child
-    already in the union is skipped, since its up-set is in it too.
+    successors' closed up-sets, taken when its last successor is done.  A
+    successor already in the union is skipped, since its up-set is in it
+    too.  Every cover is a single edge of ``succ``, and an edge ``x -> c``
+    is one exactly when ``c`` lies in no other successor's up-set, so the
+    upper covers are the successors left outside the union.
     """
     up: dict = {}
+    upper: dict = {}
+    pos = {x: i for i, x in enumerate(els)}
     for start in els:
         if start in up:
             continue
@@ -72,13 +79,14 @@ def _strict_up_sets(els, succ) -> dict:
             else:
                 stack.pop()
                 open_.discard(x)
-                acc: set = set()
+                reach: set = set()
                 for c in succ[x]:
-                    if c not in acc:
-                        acc.add(c)
-                        acc |= up[c]
-                up[x] = frozenset(acc)
-    return up
+                    if c not in reach:
+                        reach |= up[c]
+                upper[x] = sorted(set(succ[x]) - reach, key=pos.__getitem__)
+                reach.update(succ[x])
+                up[x] = frozenset(reach)
+    return up, upper
 
 
 def _first_on_cycle(els, succ):
@@ -97,11 +105,16 @@ def _first_on_cycle(els, succ):
 class FinPoset:
     """A finite strict partial order with optional colour/irrational labels.
 
-    ``lt`` is the full transitively closed set of strict pairs.  Elements are
-    kept in a canonical sorted order; construction rejects cycles.
+    ``pairs`` may be any relation whose transitive closure is the order,
+    such as its covering pairs.  ``lt`` is the full transitively closed set
+    of strict pairs.  Elements are kept in a canonical sorted order;
+    construction rejects cycles.
     """
 
-    __slots__ = ("elements", "lt", "colour", "irrational", "_down", "_up")
+    # _down/_up: strict down- and up-sets; _lower/_upper: covers, in node order
+    __slots__ = (
+        "elements", "lt", "colour", "irrational", "_down", "_up", "_lower", "_upper"
+    )
 
     def __init__(
         self,
@@ -116,7 +129,7 @@ class FinPoset:
             if a not in succ or b not in succ:
                 raise ParseError(f"edge references unknown node {a!r} or {b!r}")
             succ[a].append(b)
-        up = _strict_up_sets(els, succ)
+        up, upper = _strict_up_sets(els, succ)
         self.elements = tuple(els)
         self.lt = frozenset((a, b) for a in els for b in up[a])
         self.colour = dict(colour or {})
@@ -128,11 +141,16 @@ class FinPoset:
             if x not in succ:
                 raise ParseError(f"irrational flag for unknown node {x!r}")
         down: dict = {x: [] for x in els}
+        lower: dict = {x: [] for x in els}
         for a in els:
             for b in up[a]:
                 down[b].append(a)
+            for b in upper[a]:
+                lower[b].append(a)
         self._down = {x: frozenset(d) for x, d in down.items()}
         self._up = up
+        self._lower = lower
+        self._upper = upper
 
     # -- basic queries -----------------------------------------------------
 
@@ -165,14 +183,6 @@ class FinPoset:
             irrational=self.irrational & keep,
         )
 
-    def relabel(self, mapping: Mapping) -> "FinPoset":
-        return FinPoset(
-            [mapping[x] for x in self.elements],
-            [(mapping[a], mapping[b]) for (a, b) in self.lt],
-            colour={mapping[x]: c for x, c in self.colour.items()},
-            irrational={mapping[x] for x in self.irrational},
-        )
-
     def __len__(self):
         return len(self.elements)
 
@@ -195,12 +205,15 @@ def validate_tree(p: FinPoset) -> TreeReport:
     Axiom 1 (downward linearity): any two elements below a common element
     are comparable.  Axiom 2: any two elements have a common lower bound.
     """
+    # a closed down-set is a chain iff none of its members has two lower
+    # covers, so only nodes at or above such a fork can fail axiom 1
+    forks = [t for t in p.elements if len(p._lower[t]) > 1]
+    forked = set(forks).union(*(p._up[t] for t in forks))
     bad = []
     for z in p.elements:
-        below = p.down(z) | {z}
-        # a closed down-set is a chain iff its members' down-sets differ in size
-        if len({len(p.down(t)) for t in below}) == len(below):
+        if z not in forked:
             continue
+        below = p.down(z) | {z}
         for x, y in itertools.combinations(sorted(below, key=node_key), 2):
             if not p.comparable(x, y):
                 bad.append(("down-linearity", (x, y, z)))
@@ -394,38 +407,29 @@ def complete_tuple(p: FinPoset, t: Sequence) -> tuple:
 
 def covers(p: FinPoset) -> tuple:
     """The covering (Hasse) relation, sorted: ``b`` covers ``a`` when
-    nothing lies strictly between, so ``up(a)`` and ``down(b)`` are disjoint."""
-    out = [
-        (a, b)
-        for a in p.elements
-        for b in p.up(a)
-        if p.up(a).isdisjoint(p.down(b))
-    ]
-    out.sort(key=lambda e: (node_key(e[0]), node_key(e[1])))
-    return tuple(out)
+    nothing lies strictly between.  Reads the covers that the constructor
+    stored."""
+    return tuple((a, b) for a in p.elements for b in p._upper[a])
 
 
 def maximal_chains(p: FinPoset) -> tuple:
     """All maximal chains, each as a tuple from bottom to top, sorted."""
-    cov = covers(p)
-    succ: dict = {x: [] for x in p.elements}
-    for a, b in cov:
-        succ[a].append(b)
-    for a in succ:
-        succ[a].sort(key=node_key)
-    minimal = [x for x in p.elements if not p.down(x)]
     chains = []
-
-    def walk(path):
-        nxt = succ[path[-1]]
-        if not nxt:
-            chains.append(tuple(path))
-            return
-        for y in nxt:
-            walk(path + [y])
-
-    for m in minimal:
-        walk([m])
+    for m in p.elements:
+        if p._down[m]:
+            continue
+        # depth-first along upper covers: walks[i] runs over those of chain[i]
+        chain, walks = [m], [iter(p._upper[m])]
+        while walks:
+            for y in walks[-1]:
+                chain.append(y)
+                walks.append(iter(p._upper[y]))
+                break
+            else:
+                walks.pop()
+                if not p._upper[chain[-1]]:
+                    chains.append(tuple(chain))
+                chain.pop()
     chains.sort(key=lambda c: tuple(node_key(x) for x in c))
     return tuple(chains)
 
@@ -488,7 +492,7 @@ def load_poset(text: str) -> FinPoset:
     ``node <id> [colour=<tag>] [irrational]`` declares a node;
     ``edge <a> <b>`` declares a covering pair a < b.  '#' starts a comment.
     """
-    nodes: list = []
+    nodes: set = set()
     colour: dict = {}
     irrational: set = set()
     edges: list = []
@@ -501,9 +505,9 @@ def load_poset(text: str) -> FinPoset:
             if len(parts) < 2:
                 raise ParseError("node line needs an id", lineno)
             name = parts[1]
-            if name in set(nodes):
+            if name in nodes:
                 raise ParseError(f"duplicate node {name!r}", lineno)
-            nodes.append(name)
+            nodes.add(name)
             for opt in parts[2:]:
                 if opt == "irrational":
                     irrational.add(name)
@@ -515,8 +519,7 @@ def load_poset(text: str) -> FinPoset:
             if len(parts) != 3:
                 raise ParseError("edge line needs exactly two node ids", lineno)
             a, b = parts[1], parts[2]
-            known = set(nodes)
-            if a not in known or b not in known:
+            if a not in nodes or b not in nodes:
                 raise ParseError(f"edge uses undeclared node {a!r} or {b!r}", lineno)
             edges.append((a, b))
         else:

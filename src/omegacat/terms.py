@@ -484,6 +484,22 @@ def materialize(t: Term, budget: int, seed: int = 0):
     Raises :class:`BudgetError` when ``budget`` cannot fit one point of every
     leaf.
     """
+    pts = _sample_points(t, budget, seed)
+    n = len(pts)
+    irrational = {i for i, (_, tag) in enumerate(pts) if tag == IRRATIONAL}
+    colour = {
+        i: tag
+        for i, (_, tag) in enumerate(pts)
+        if tag not in (IRRATIONAL, UNCOLOURED)
+    }
+    successors = [(i, i + 1) for i in range(n - 1)]
+    poset = FinPoset(range(n), successors, colour=colour, irrational=irrational)
+    return poset, {i: desc for i, (desc, _) in enumerate(pts)}
+
+
+def _sample_points(t: Term, budget: int, seed: int):
+    """The points of :func:`materialize`'s sample in order, as
+    ``(OrbitDescriptor, tag)`` pairs."""
     need = min_size(t)
     if budget < need:
         raise BudgetError(
@@ -492,17 +508,5 @@ def materialize(t: Term, budget: int, seed: int = 0):
     rng = random.Random(seed)
     pts: List[Tuple[Tuple[int, ...], str]] = []
     _emit(t, budget, rng, (), pts)
-    n = len(pts)
     path_index = {p: i for i, p in enumerate(orbit_paths(t))}
-    colour = {}
-    irrational = set()
-    annotations = {}
-    for node, (path, tag) in enumerate(pts):
-        if tag == IRRATIONAL:
-            irrational.add(node)
-        elif tag != UNCOLOURED:
-            colour[node] = tag
-        annotations[node] = OrbitDescriptor(path_index[path], path)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    poset = FinPoset(range(n), pairs, colour=colour, irrational=irrational)
-    return poset, annotations
+    return [(OrbitDescriptor(path_index[path], path), tag) for path, tag in pts]

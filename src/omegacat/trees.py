@@ -22,7 +22,6 @@ there are only finitely many chain types.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import warnings
@@ -37,7 +36,7 @@ from .errors import (
     SpecError,
     SpecWarning,
 )
-from .posets import FinPoset, covers, maximal_chains, node_key, validate_tree
+from .posets import FinPoset, maximal_chains, node_key, validate_tree
 from .sequences import (
     NfSequence,
     normalize_sequence,
@@ -51,13 +50,13 @@ from .terms import (
     Singleton,
     Term,
     UNCOLOURED,
+    _sample_points,
     collapse_factors,
     concat,
     factors,
     final_segment,
     initial_segment,
     is_finite,
-    materialize,
     min_size,
     normalize,
     orbit_paths,
@@ -922,58 +921,55 @@ def materialize_tree(
             f"nesting needs depth {deep} but only {depth} is available"
         )
 
-    elements: List[int] = []
-    pairs: List[Tuple[int, int]] = []
+    pairs: List[Tuple[int, int]] = []  # spine successors and attachments
     colour: Dict[int, str] = {}
     irrational = set()
-    counter = itertools.count()
-
-    def build(name: str, d: int, seedv: int, below: Tuple[int, ...]):
+    size = 0
+    # (definition, depth left, seed, attachment point or None); popping the
+    # children in order numbers the points in pre-order
+    stack = [(spec.root, depth, seed, None)]
+    while stack:
+        name, d, seedv, attach = stack.pop()
         dfn = spec.definitions[name]
         info = analysis.infos[name]
         sp_seed = zlib.crc32(f"{seedv}|{name}|{d}|spine".encode())
         budget = max(min_size(dfn.spine), width)
-        chain, ann = materialize(dfn.spine, budget, seed=sp_seed)
-        l2g = {}
-        for x in chain.elements:
-            g = next(counter)
-            elements.append(g)
-            l2g[x] = g
-            c, ir = chain.label(x)
-            if c is not None:
-                colour[g] = c
-            if ir:
+        pts = _sample_points(dfn.spine, budget, sp_seed)
+        first = size
+        for g, (_, tag) in enumerate(pts, start=first):
+            if tag == IRRATIONAL:
                 irrational.add(g)
+            elif tag != UNCOLOURED:
+                colour[g] = tag
+        size += len(pts)
         k = len(info.fs)
-        fac_of = {
-            x: (ann[x].path[0] if k > 1 else 0) for x in chain.elements
-        }
         als: List[int] = []
         cutg: Dict[int, int] = {}
+        fac = [desc.path[0] if k > 1 else 0 for desc, _ in pts]
         for j in range(k):
-            als.extend(l2g[x] for x in chain.elements if fac_of[x] == j)
+            als.extend(first + i for i, f in enumerate(fac) if f == j)
             if d >= 1 and j in info.cut_positions:
-                g = next(counter)
-                elements.append(g)
-                irrational.add(g)
-                cutg[j] = g
-                als.append(g)
-        for b in below:
-            pairs.extend((b, g) for g in als)
-        for i in range(len(als)):
-            pairs.extend((als[i], als[j]) for j in range(i + 1, len(als)))
+                irrational.add(size)
+                cutg[j] = size
+                als.append(size)
+                size += 1
+        if attach is not None:
+            pairs.append((attach, als[0]))
+        pairs.extend(zip(als, als[1:]))
         if d == 0:
-            return
+            continue
+        children = []
         for att in dfn.attachments:
             if isinstance(att.site, OrbitSite):
-                pts = [
-                    x for x in chain.elements if ann[x].index == att.site.orbit
+                on_orbit = [
+                    i for i, (desc, _) in enumerate(pts)
+                    if desc.index == att.site.orbit
                 ]
-                if not pts:
+                if not on_orbit:
                     raise BudgetError(
                         "width too small to include an attachment orbit"
                     )
-                ap = l2g[min(pts)]
+                ap = first + on_orbit[0]
             else:
                 p = (
                     k - 1
@@ -981,18 +977,15 @@ def materialize_tree(
                     else att.site.position
                 )
                 ap = cutg[p]
-            below2 = below + tuple(als[: als.index(ap) + 1])
             copies = (
                 max(2, width)
                 if att.multiplicity == OMEGA
                 else int(att.multiplicity)
             )
             child_seed = zlib.crc32(f"{seedv}|{att.child}|{d - 1}".encode())
-            for _ in range(copies):
-                build(att.child, d - 1, child_seed, below2)
-
-    build(spec.root, depth, seed, ())
-    return FinPoset(elements, pairs, colour=colour, irrational=irrational)
+            children += [(att.child, d - 1, child_seed, ap)] * copies
+        stack.extend(reversed(children))
+    return FinPoset(range(size), pairs, colour=colour, irrational=irrational)
 
 
 # ---------------------------------------------------------------------------
@@ -1177,7 +1170,7 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     if not report.ok:
         raise NotATreeError(f"not a tree: {report.violations[0]}")
     for a, b in (pair0, pair1):
-        if a not in set(p.elements) or b not in set(p.elements):
+        if a not in p._down or b not in p._down:
             raise ValueError(f"unknown point in pair ({a!r}, {b!r})")
         if not p.less(a, b):
             raise ValueError(
@@ -1201,16 +1194,13 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     # Aho-Hopcroft-Ullman codes: equal codes mark isomorphic labelled
     # subtrees, so after pinning the base chains any match of equal codes
     # extends to an automorphism and the matching needs no backtracking.
-    kids: Dict[object, List[object]] = {x: [] for x in p.elements}
-    for a, b in covers(p):
-        kids[a].append(b)
     code: Dict[object, int] = {}
     ids: Dict[tuple, int] = {}
     for v in sorted(p.elements, key=lambda v: -rank[v]):
         key = (
             p.label(v),
             None if annotations is None else annotations.get(v),
-            tuple(sorted(code[c] for c in kids[v])),
+            tuple(sorted(code[c] for c in p._upper[v])),
         )
         code[v] = ids.setdefault(key, len(ids))
     if any(code[a] != code[b] for a, b in pin.items()):
@@ -1224,10 +1214,10 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     while stack:
         u = stack.pop()
         free: Dict[int, List[object]] = {}
-        for c in kids[assign[u]]:
+        for c in p._upper[assign[u]]:
             if c not in pinned_targets:
                 free.setdefault(code[c], []).append(c)
-        for c in kids[u]:
+        for c in p._upper[u]:
             if c not in pin:
                 assign[c] = free[code[c]].pop(0)
             stack.append(c)

@@ -271,6 +271,16 @@ def test_tree_sample_dot_format(capsys, files):
     assert out.startswith("digraph")
 
 
+def test_tree_sample_deeper_than_the_recursion_limit(capsys, files):
+    f = files("unary.spec", "T = spine 1 with 1 x T at orbit 0\n")
+    code, out, err = run(
+        capsys, "tree", "sample", f, "--depth", "1100", "--width", "1"
+    )
+    assert (code, err) == (0, "")
+    assert out.count("node ") == 1101
+    assert out.endswith("edge 1099 1100\n")
+
+
 def test_tree_sample_depth_budget(capsys, files):
     f = files("v.spec", VSPEC)
     code, out, err = run(capsys, "tree", "sample", f, "--depth", "0")

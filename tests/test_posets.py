@@ -154,6 +154,7 @@ def test_order_queries_match_brute_force_on_random_dags(graph):
         assert p.up(x) == naive_up(p, x)
         assert meet(p, x, -1) is None
     assert covers(p) == naive_covers(p)
+    assert FinPoset(names, covers(p)).lt == p.lt
     for x in p.elements:
         for y in p.elements:
             assert meet(p, x, y) == naive_meet(p, x, y)
@@ -327,6 +328,11 @@ def test_maximal_chains():
     assert maximal_chains(chain(4)) == (((0, 1, 2, 3),))
     p = leg_poset()
     assert maximal_chains(p) == ((0, 1, 2), (0, 3))
+
+
+def test_maximal_chains_of_a_chain_longer_than_the_recursion_limit():
+    p = FinPoset(range(1100), [(i, i + 1) for i in range(1099)])
+    assert maximal_chains(p) == (tuple(range(1100)),)
 
 
 # ---------------------------------------------------------------- catalogue

@@ -32,13 +32,13 @@ from .errors import (
 from .posets import (
     AUT_NODE_BOUND,
     FinPoset,
+    _tree_violations,
     automorphisms,
     dump_poset,
     load_poset,
     node_key,
     orbits,
     to_dot,
-    validate_tree,
 )
 from .sequences import NfSequence, render_sequence
 from .terms import (
@@ -234,11 +234,11 @@ def _cmd_tree_orbit2(args) -> int:
 def _cmd_poset_validate(args) -> int:
     p = load_poset(_read_file(args.file))
     if args.tree:
-        report = validate_tree(p)
-        if report.ok:
+        violation = next(_tree_violations(p), None)
+        if violation is None:
             _emit("ok\n")
             return 0
-        _emit(f"not a tree: {report.violations[0]}\n")
+        _emit(f"not a tree: {violation}\n")
         return 1
     ok, witness = validate_cfpo(p)
     if ok:

@@ -205,24 +205,29 @@ def validate_tree(p: FinPoset) -> TreeReport:
     Axiom 1 (downward linearity): any two elements below a common element
     are comparable.  Axiom 2: any two elements have a common lower bound.
     """
+    bad = tuple(_tree_violations(p))
+    return TreeReport(ok=not bad, violations=bad)
+
+
+def _tree_violations(p: FinPoset):
+    """The violations of :func:`validate_tree` in order, found lazily, so
+    that callers needing only the first stop there."""
     # a closed down-set is a chain iff none of its members has two lower
     # covers, so only nodes at or above such a fork can fail axiom 1
     forks = [t for t in p.elements if len(p._lower[t]) > 1]
     forked = set(forks).union(*(p._up[t] for t in forks))
-    bad = []
     for z in p.elements:
         if z not in forked:
             continue
         below = p.down(z) | {z}
         for x, y in itertools.combinations(sorted(below, key=node_key), 2):
             if not p.comparable(x, y):
-                bad.append(("down-linearity", (x, y, z)))
+                yield ("down-linearity", (x, y, z))
     # a single minimal element is a common lower bound of every pair
     if sum(1 for x in p.elements if not p.down(x)) != 1:
         for x, y in itertools.combinations(p.elements, 2):
             if (p.down(x) | {x}).isdisjoint(p.down(y) | {y}):
-                bad.append(("common-lower-bound", (x, y)))
-    return TreeReport(ok=not bad, violations=tuple(bad))
+                yield ("common-lower-bound", (x, y))
 
 
 # -------------------------------------------------------------- meets/cones

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ParseError
+from .errors import BudgetError, ParseError
 from .terms import (
     Shuffle,
     Singleton,
@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 _ONE = Singleton(UNCOLOURED)
+
+# Most reduction steps one periodic normalization may take; beyond it the
+# pipeline raises BudgetError instead of looping.
+_MAX_PIPELINE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def _periodic_pipeline(pre: List[Term], per: List[Term]):
     absorbed into the prefix (the shuffle flanking each junction swallows
     copy after copy, leaving a finite word).
     """
-    for _ in range(200):
+    for _ in range(_MAX_PIPELINE_STEPS):
         per = _primitive_root(per)
         r = _period_redex(per)
         if r is not None:
@@ -172,7 +176,9 @@ def _periodic_pipeline(pre: List[Term], per: List[Term]):
             m = (j - len(pre) + 1) % len(per)
             pre = pre[: i + 1]
             per = per[m:] + per[:m]
-    raise RuntimeError("periodic normalization did not stabilize")
+    raise BudgetError(
+        f"periodic normalization did not stabilize in {_MAX_PIPELINE_STEPS} steps"
+    )
 
 
 def normalize_sequence(

@@ -22,6 +22,7 @@ baked into the :class:`Shuffle` constructor, the other two are
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -427,6 +428,44 @@ def final_segment(t: Term, path: Sequence[int]) -> Optional[Term]:
     sub = final_segment(t.factors[j], path[1:])
     parts = ([sub] if sub is not None else []) + list(t.factors[j + 1 :])
     return concat(parts) if parts else None
+
+
+def _factor_list(t: Optional[Term]) -> List[Term]:
+    return list(factors(t)) if t is not None else []
+
+
+def _later_points(t: Term, p, q) -> List[Tuple[Union[int, float], List[Term]]]:
+    """The points of leaf ``q`` of ``t`` strictly above a point of leaf
+    ``p``, as ``(count, connecting word)`` pairs: the count is 1 or
+    ``math.inf``, and the word runs from just above the source to the
+    target included.  Inside a shuffle they lie in the source's own copy of
+    its constituent and in the dense set of later copies, where the word
+    runs through the rest of the source's copy, the shuffle, and the
+    target's copy up to the target."""
+    if isinstance(t, Singleton):
+        return []
+    i, k = p[0], q[0]
+    if isinstance(t, Shuffle):
+        word = (
+            _factor_list(final_segment(t.constituents[i], p[1:]))
+            + [t]
+            + _factor_list(initial_segment(t.constituents[k], q[1:]))
+        )
+        own = _later_points(t.constituents[i], p[1:], q[1:]) if i == k else []
+        return own + [(math.inf, word)]
+    if k <= i:
+        return _later_points(t.factors[i], p[1:], q[1:]) if k == i else []
+    target = t.factors[k]
+    word = (
+        _factor_list(final_segment(t.factors[i], p[1:]))
+        + list(t.factors[i + 1 : k])
+        + _factor_list(initial_segment(target, q[1:]))
+    )
+    dense = any(
+        isinstance(subterm_at(target, q[1 : d + 1]), Shuffle)
+        for d in range(len(q))
+    )
+    return [(math.inf if dense else 1, word)]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .errors import (
     SpecError,
     SpecWarning,
 )
-from .posets import FinPoset, maximal_chains, node_key, validate_tree
+from .posets import FinPoset, _tree_violations, maximal_chains, node_key
 from .sequences import (
     NfSequence,
     normalize_sequence,
@@ -46,10 +46,13 @@ from .sequences import (
 )
 from .terms import (
     IRRATIONAL,
+    Concat,
     Shuffle,
     Singleton,
     Term,
     UNCOLOURED,
+    _factor_list,
+    _later_points,
     _sample_points,
     collapse_factors,
     concat,
@@ -316,59 +319,47 @@ class _Edge:
 
 class _Info:
     def __init__(self, name: str, dfn: TreeDef):
-        self.name = name
-        self.spine = dfn.spine
         self.fs = factors(dfn.spine)
         k = len(self.fs)
         self.orbit_addr = _orbit_addresses(dfn.spine)
-        self.cut_positions = sorted(
-            {
-                (k - 1 if a.site.position == "top" else a.site.position)
-                for a in dfn.attachments
-                if isinstance(a.site, CutSite)
-            }
-        )
-        self.slots: List[tuple] = []
-        self.slot_of_factor: Dict[int, int] = {}
-        self.slot_of_cut: Dict[int, int] = {}
-        for j in range(k):
-            self.slot_of_factor[j] = len(self.slots)
-            self.slots.append(("f", j))
-            if j in self.cut_positions:
-                self.slot_of_cut[j] = len(self.slots)
-                self.slots.append(("c", j))
-        self.sites: List[tuple] = [
-            ("orbit", i) for i in range(len(self.orbit_addr))
-        ] + [("cut", p) for p in self.cut_positions]
         self.att_by_site: Dict[tuple, List[Tuple[object, str]]] = {}
         for a in dfn.attachments:
             if isinstance(a.site, OrbitSite):
                 key = ("orbit", a.site.orbit)
             else:
-                key = (
-                    "cut",
-                    k - 1 if a.site.position == "top" else a.site.position,
-                )
-            self.att_by_site.setdefault(key, []).append(
-                (a.multiplicity, a.child)
-            )
+                pos = a.site.position
+                key = ("cut", k - 1 if pos == "top" else pos)
+            self.att_by_site.setdefault(key, []).append((a.multiplicity, a.child))
+        self.cut_positions = sorted(v for kd, v in self.att_by_site if kd == "cut")
+        # the spine with a cut point after each cut position: every site is
+        # a leaf of this term, at the path ``site_path`` gives
+        slots: List[Term] = []
+        self.slot_of_factor: Dict[int, int] = {}
+        self.slot_of_cut: Dict[int, int] = {}
+        for j, f in enumerate(self.fs):
+            self.slot_of_factor[j] = len(slots)
+            slots.append(f)
+            if j in self.cut_positions:
+                self.slot_of_cut[j] = len(slots)
+                slots.append(_I)
+        self.chain = Concat(tuple(slots))
+        self.sites: List[tuple] = [
+            ("orbit", i) for i in range(len(self.orbit_addr))
+        ] + [("cut", p) for p in self.cut_positions]
         top_cut = (k - 1) in self.cut_positions
         top_orbit_attached = isinstance(self.fs[-1], Singleton) and (
             ("orbit", self.orbit_addr.index((k - 1, ()))) in self.att_by_site
         )
         self.terminal_valid = not top_cut and not top_orbit_attached
-        self.terminal_word = [self._slot_term(s) for s in self.slots]
+        self.terminal_word = slots
         self.edges: List[_Edge] = []
 
-    def _slot_term(self, slot: tuple) -> Term:
-        kind, v = slot
-        return self.fs[v] if kind == "f" else _I
-
-    def site_slot(self, site: tuple) -> int:
+    def site_path(self, site: tuple) -> Tuple[int, ...]:
         kind, v = site
-        if kind == "orbit":
-            return self.slot_of_factor[self.orbit_addr[v][0]]
-        return self.slot_of_cut[v]
+        if kind == "cut":
+            return (self.slot_of_cut[v],)
+        j, inner = self.orbit_addr[v]
+        return (self.slot_of_factor[j],) + inner
 
     def site_npoints(self, site: tuple) -> Union[int, float]:
         kind, v = site
@@ -380,54 +371,16 @@ class _Info:
     def aug_down(self, site: tuple) -> List[Term]:
         """Word of the points at or below one point of ``site`` (the point
         included), cut points of earlier positions included."""
-        kind, v = site
-        if kind == "cut":
-            s = self.slot_of_cut[v]
-            return [self._slot_term(t) for t in self.slots[: s + 1]]
-        j, inner = self.orbit_addr[v]
-        s = self.slot_of_factor[j]
-        head = [self._slot_term(t) for t in self.slots[:s]]
-        return head + list(factors(initial_segment(self.fs[j], inner)))
+        return list(factors(initial_segment(self.chain, self.site_path(site))))
 
     def rest_above(self, site: tuple) -> List[Term]:
         """Word of the spine strictly above one point of ``site``."""
-        kind, v = site
-        if kind == "cut":
-            s = self.slot_of_cut[v]
-            return [self._slot_term(t) for t in self.slots[s + 1 :]]
-        j, inner = self.orbit_addr[v]
-        s = self.slot_of_factor[j]
-        fin = final_segment(self.fs[j], inner)
-        head = list(factors(fin)) if fin is not None else []
-        return head + [self._slot_term(t) for t in self.slots[s + 1 :]]
+        return _factor_list(final_segment(self.chain, self.site_path(site)))
 
     def above(self, frm: tuple, to: tuple):
-        """How many points of site ``to`` lie strictly above a point of
-        ``frm``, with the connecting word (strictly above the source, the
-        target point included).  Returns ``(0, None)`` when none do."""
-        sf, st = self.site_slot(frm), self.site_slot(to)
-        if st < sf:
-            return 0, None
-        if st == sf:
-            if to[0] == "cut" or frm[0] == "cut":
-                return 0, None
-            j, inner_t = self.orbit_addr[to[1]]
-            if not isinstance(self.fs[j], Shuffle):
-                return 0, None
-            return OMEGA, list(factors(initial_segment(self.fs[j], inner_t)))
-        if frm[0] == "cut":
-            tail: List[Term] = []
-        else:
-            jf, inner_f = self.orbit_addr[frm[1]]
-            fin = final_segment(self.fs[jf], inner_f)
-            tail = list(factors(fin)) if fin is not None else []
-        middle = [self._slot_term(t) for t in self.slots[sf + 1 : st]]
-        if to[0] == "cut":
-            return 1, tail + middle + [_I]
-        jt, inner_t = self.orbit_addr[to[1]]
-        head = list(factors(initial_segment(self.fs[jt], inner_t)))
-        n = OMEGA if isinstance(self.fs[jt], Shuffle) else 1
-        return n, tail + middle + head
+        """The points of site ``to`` strictly above a point of ``frm``, as
+        ``(count, connecting word)`` pairs."""
+        return _later_points(self.chain, self.site_path(frm), self.site_path(to))
 
 
 class _Analysis:
@@ -463,132 +416,191 @@ class _Analysis:
                             uid=(name, len(info.edges)),
                         )
                     )
+        self.walks: Dict[str, "_Walk"] = {}
 
 
 # ---------------------------------------------------------------------------
-# chain types
+# the pump-cut walk
+
+# Most states one walk may push (a state met on several paths counts once
+# per path).  The walks of the perfbench specs push at most 8, and those of
+# 9 000 random specs drawn as in tests/test_fuzz.py at most 14; going past
+# this raises BudgetError instead of returning a family cut short.
+_WALK_BUDGET = 100_000
 
 
-def _explore(analysis: _Analysis, start: str, bound: int = 3):
-    """Bounded walk enumeration from ``start``.
+@dataclass(frozen=True)
+class _Lasso:
+    """A walk ``pre`` followed by a ``cycle`` of edges back to the
+    definition where the cycle starts.  ``cut`` marks a cycle whose endless
+    repetition leaves a tail, so that pumping it gives ever longer words."""
 
-    Returns ``(terminal_types, lassos)``: the normalized types of walks that
-    end at a definition whose spine chain is maximal, and for walks that
-    close a cycle the pair ``(pre_edges, cycle_edges)``.
+    pre: Tuple[_Edge, ...]
+    cycle: Tuple[_Edge, ...]
+    type: NfSequence
+    cut: bool
+
+
+@dataclass
+class _Walk:
+    states: set
+    terminals: set
+    lassos: List[_Lasso]
+
+    def types(self) -> List[NfSequence]:
+        found = self.terminals | {lasso.type for lasso in self.lassos}
+        return sorted(found, key=render_sequence)
+
+
+def _word(edges) -> List[Term]:
+    return [f for e in edges for f in e.word]
+
+
+def _walk(analysis: _Analysis, start: str) -> _Walk:
+    """All chains from a copy of ``start``, as one depth-first walk over
+    states ``(definition, collapsed word below the copy)``.
+
+    An edge ``e`` takes ``(d, w)`` to ``(e.child, collapse(w + e.word))``.
+    A ``terminal_valid`` state yields the type of ``w`` plus its spine.  An
+    edge back to a state on the path closes an absorbed cycle: the walk
+    records the lasso and does not push it.  An edge into a definition on
+    the path whose lasso from some earlier occurrence of that definition
+    has a tail is a *cut*: pumping that cycle only lengthens the word, so
+    the walk records the lasso and does not push it either.
+
+    Termination: within |definitions| + 1 edges a path meets a definition
+    again, and it goes on only where the cycle just closed is absorbed from
+    every earlier occurrence (its endless repetition collapses into a
+    shuffle of the word) while the collapsed word is new.  Each such step
+    leaves the word ending in an absorbing shuffle plus a short remainder,
+    so a path soon repeats a state or reaches a cut.  That is an argument,
+    not a proof, so ``_WALK_BUDGET`` caps the pushes and raises
+    :class:`BudgetError` rather than cut a family short.
     """
-    terminals = set()
-    lassos: List[Tuple[Tuple[_Edge, ...], Tuple[_Edge, ...]]] = []
+    if start in analysis.walks:
+        return analysis.walks[start]
+    first = (start, ())
+    walk = _Walk(states={first}, terminals=set(), lassos=[])
+    path = [first]  # states on the current path
+    taken: List[_Edge] = []  # edges between them
+    on_path = {first: 0}
+    pushes = 0
+    # each frame: the edges still to try from the state at that depth
+    frames = [iter(_enter(analysis, walk, first))]
+    while frames:
+        e = next(frames[-1], None)
+        if e is None:
+            frames.pop()
+            del on_path[path.pop()]
+            if taken:
+                taken.pop()
+            continue
+        ctx = collapse_factors(list(path[-1][1]) + list(e.word))
+        nxt = (e.child, tuple(ctx))
+        if nxt in on_path:
+            lasso = _close(taken, on_path[nxt], e)
+            walk.lassos.append(_Lasso(*lasso, cut=False))
+            continue
+        cut = _cut(path, taken, e)
+        if cut is not None:
+            walk.lassos.append(_Lasso(*cut, cut=True))
+            continue
+        pushes += 1
+        if pushes > _WALK_BUDGET:
+            raise BudgetError(
+                f"the chain walk from {start!r} pushed more than "
+                f"{_WALK_BUDGET} states"
+            )
+        walk.states.add(nxt)
+        on_path[nxt] = len(path)
+        path.append(nxt)
+        taken.append(e)
+        frames.append(iter(_enter(analysis, walk, nxt)))
+    analysis.walks[start] = walk
+    return walk
 
-    def dfs(state, trail, taken, visits):
-        info = analysis.infos[state]
-        if info.terminal_valid:
-            word = [f for e in taken for f in e.word] + info.terminal_word
-            terminals.add(normalize_sequence(word))
-        for e in info.edges:
-            if e.child in trail:
-                i = len(trail) - 1 - trail[::-1].index(e.child)
-                lassos.append((tuple(taken[:i]), tuple(taken[i:]) + (e,)))
-            if visits.get(e.child, 0) < bound:
-                v2 = dict(visits)
-                v2[e.child] = v2.get(e.child, 0) + 1
-                dfs(e.child, trail + [e.child], taken + [e], v2)
 
-    dfs(start, [start], [], {start: 1})
-    return terminals, lassos
+def _close(taken: List[_Edge], i: int, e: _Edge):
+    """The lasso that ``e`` closes back to the ``i``-th state of the path:
+    ``(pre, cycle, type)``."""
+    pre, cycle = tuple(taken[:i]), tuple(taken[i:]) + (e,)
+    return pre, cycle, normalize_sequence(_word(pre), _word(cycle))
 
 
-def _lasso_type(pre, cyc) -> NfSequence:
-    return normalize_sequence(
-        [f for e in pre for f in e.word], [f for e in cyc for f in e.word]
-    )
+def _cut(path, taken: List[_Edge], e: _Edge):
+    """The lasso of the cut ``e`` makes, or None: the first lasso back to an
+    occurrence of ``e.child`` on the path, latest first, with a tail."""
+    for i in reversed(range(len(path))):
+        if path[i][0] == e.child:
+            lasso = _close(taken, i, e)
+            if lasso[2].tail != "none":
+                return lasso
+    return None
 
 
-def _type_list(analysis: _Analysis) -> List[NfSequence]:
-    terminals, lassos = _explore(analysis, analysis.root)
-    types = set(terminals)
-    for pre, cyc in lassos:
-        types.add(_lasso_type(pre, cyc))
-    return sorted(types, key=render_sequence)
+def _enter(analysis: _Analysis, walk: _Walk, state) -> List[_Edge]:
+    """Record the terminal type of ``state``; return its edges."""
+    name, ctx = state
+    info = analysis.infos[name]
+    if info.terminal_valid:
+        walk.terminals.add(normalize_sequence(list(ctx) + info.terminal_word))
+    return info.edges
 
 
 def chain_types(spec: TreeSpec) -> List[NfSequence]:
     """Normalized types of the maximal chains of the denoted tree, sorted by
-    their rendering.  For recursions that keep producing new types this is a
-    bounded sample of representatives."""
-    return _type_list(_Analysis(spec))
+    their rendering: the terminal and lasso types of the walk from the root.
+
+    For an infinite family the list is the part the walk reaches: the
+    chains that never go all the way round a cycle whose repetition leaves
+    a tail, and for each such cycle the chain that repeats it forever.
+    Going round it a finite number of times before leaving it gives the
+    types left out (:func:`check_categorical` reports two of them)."""
+    analysis = _Analysis(spec)
+    return _walk(analysis, analysis.root).types()
 
 
 # ---------------------------------------------------------------------------
 # growth of the chain-type family
 
 
-def _loops(analysis: _Analysis) -> List[Tuple[_Edge, ...]]:
-    """Closed edge walks (visiting no definition more than twice)."""
-    out: List[Tuple[_Edge, ...]] = []
-    for start in sorted(analysis.infos):
+def _growth_pair(analysis: _Analysis, walk: _Walk):
+    """Two distinct chain types witnessing an infinite family, or None.
 
-        def dfs(state, taken, visits):
-            for e in analysis.infos[state].edges:
-                if e.child == start:
-                    out.append(tuple(taken) + (e,))
-                if visits.get(e.child, 0) < 2:
-                    v2 = dict(visits)
-                    v2[e.child] = v2.get(e.child, 0) + 1
-                    dfs(e.child, taken + [e], v2)
-
-        dfs(start, [], {start: 1})
-    return out
-
-
-def _completions(analysis: _Analysis, state: str):
-    """A few ways to finish a chain from ``state``, as factor words
-    ``(prefix, period-or-None)``."""
-    terminals, lassos = _explore(analysis, state, bound=2)
-    comps = [seq_factors(t) for t in sorted(terminals, key=render_sequence)]
-    seen = set(terminals)
-    for pre_e, cyc_e in lassos:
-        pre = [f for e in pre_e for f in e.word]
-        per = [f for e in cyc_e for f in e.word]
-        t = normalize_sequence(pre, per)
-        if t not in seen:
-            seen.add(t)
-            comps.append((pre, per))
-        if len(comps) >= 4:
-            break
-    return comps[:4]
-
-
-def _growth_pairs(analysis: _Analysis):
-    """Pairs of distinct chain types witnessing that pumping some reachable
-    cycle keeps producing new types (the family is infinite)."""
-    pairs = set()
-    comps: Dict[str, list] = {}
-    # Every rotation of a returned walk is returned too (the visit bound
-    # holds for all rotations or none), so each walk is pumped from its start.
-    for loop in _loops(analysis):
-        words = [f for e in loop for f in e.word]
-        if normalize_sequence([], words).tail == "none":
+    The family is infinite when some cut cycle can be left: going round it
+    once or twice and then leaving it gives two types that differ in how
+    often the tail-leaving word occurs.  A cycle is left from one of its
+    definitions that is ``terminal_valid`` or has an edge off the cycle,
+    followed by a chain type of that edge's child; the first way that
+    tells the two types apart, in walk order, gives the witness.
+    """
+    for lasso in walk.lassos:
+        if not lasso.cut:
             continue
-        loop_ids = {e.uid for e in loop}
-        exits = []
-        info = analysis.infos[loop[0].src]
-        if info.terminal_valid:
-            exits.append((list(info.terminal_word), None))
-        for e2 in info.edges:
-            if e2.uid in loop_ids:
-                continue
-            if e2.child not in comps:
-                comps[e2.child] = _completions(analysis, e2.child)
-            for cpre, cper in comps[e2.child]:
-                exits.append((list(e2.word) + list(cpre), cper))
-        for xpre, xper in exits:
-            ts = {normalize_sequence(words * n + xpre, xper) for n in (1, 2, 3)}
-            if len(ts) > 1:
-                a, b = sorted(ts, key=render_sequence)[:2]
-                pairs.add((a, b))
-    return sorted(
-        pairs, key=lambda ab: (render_sequence(ab[0]), render_sequence(ab[1]))
-    )
+        head, loop = _word(lasso.pre), _word(lasso.cycle)
+        uids = {e.uid for e in lasso.cycle}
+        for j, e in enumerate(lasso.cycle):
+            for out, per in _exits(analysis, e.src, uids):
+                rest = _word(lasso.cycle[:j]) + out
+                pair = {
+                    normalize_sequence(head + loop * n + rest, per) for n in (1, 2)
+                }
+                if len(pair) == 2:
+                    return tuple(sorted(pair, key=render_sequence))
+    return None
+
+
+def _exits(analysis: _Analysis, name: str, uids):
+    """Ways to finish a chain from a copy of ``name`` without taking an
+    edge in ``uids``, as ``(word, period or None)``."""
+    info = analysis.infos[name]
+    if info.terminal_valid:
+        yield list(info.terminal_word), None
+    for e in info.edges:
+        if e.uid not in uids:
+            for t in _walk(analysis, e.child).types():
+                pre, per = seq_factors(t)
+                yield list(e.word) + pre, per
 
 
 # ---------------------------------------------------------------------------
@@ -635,36 +647,37 @@ def _counts(analysis: _Analysis, cap: int) -> Dict[str, Dict[NfSequence, object]
 
     Chains that decompose through finitely many attachment steps are counted
     by a least fixpoint; chains that keep descending forever are floored by
-    their cycle structure (one per forced cycle, infinitely many as soon as
-    a cycle step branches).  The two are joined by maximum, so degenerate
-    overlaps under-approximate rather than double count.
+    the lassos of the walk from that definition (one per forced cycle,
+    infinitely many as soon as a cycle step branches).  The two are joined
+    by maximum, so degenerate overlaps under-approximate rather than double
+    count.  The rounds run to the least fixpoint: every key of a definition
+    is a type its walk found (anything else raises), every entry lives in
+    the finite lattice ``0..cap+1, omega``, and each change raises an entry,
+    so the loop ends.
     """
     base: Dict[str, Dict[NfSequence, object]] = {}
     floor: Dict[str, Dict[NfSequence, object]] = {}
+    keys: Dict[str, set] = {}
     for name, info in analysis.infos.items():
         b: Dict[NfSequence, object] = {}
         if info.terminal_valid:
-            t = normalize_sequence(info.terminal_word)
-            b[t] = _sadd(b.get(t, 0), 1, cap)
+            b[normalize_sequence(info.terminal_word)] = _sadd(0, 1, cap)
         base[name] = b
         fl: Dict[NfSequence, object] = {}
-        _, lassos = _explore(analysis, name)
-        for pre, cyc in lassos:
-            t = _lasso_type(pre, cyc)
-            if all(_edge_weight(e, cap) == 1 for e in cyc):
-                val = 1
-            else:
-                val = OMEGA
-            for e in pre:
+        walk = _walk(analysis, name)
+        keys[name] = set(walk.types())
+        for lasso in walk.lassos:
+            weights = [_edge_weight(e, cap) for e in lasso.cycle]
+            val = 1 if all(w == 1 for w in weights) else OMEGA
+            for e in lasso.pre:
                 val = _smul(val, _edge_weight(e, cap), cap)
-            if fl.get(t, 0) < val:
-                fl[t] = val
+            if fl.get(lasso.type, 0) < val:
+                fl[lasso.type] = val
         floor[name] = fl
 
-    C: Dict[str, Dict[NfSequence, object]] = {
-        name: {} for name in analysis.infos
-    }
-    for _ in range(200):
+    C: Dict[str, Dict[NfSequence, object]] = {n: {} for n in analysis.infos}
+    changed = True
+    while changed:
         changed = False
         for name, info in analysis.infos.items():
             new = dict(base[name])
@@ -676,40 +689,18 @@ def _counts(analysis: _Analysis, cap: int) -> Dict[str, Dict[NfSequence, object]
             for t, v in floor[name].items():
                 if new.get(t, 0) < v:
                     new[t] = v
+            if not keys[name].issuperset(new):
+                raise SpecError(
+                    "internal: a chain count escaped the walk's chain types"
+                )
             if new != C[name]:
                 C[name] = new
                 changed = True
-        if not changed:
-            return C
-        if sum(len(d) for d in C.values()) > 500:
-            raise SpecError("the chain count system did not close")
-    raise SpecError("the chain count system did not stabilize")
+    return C
 
 
 # ---------------------------------------------------------------------------
 # realised predicate table
-
-
-def _contexts(analysis: _Analysis):
-    """Distinct (definition, collapsed word below a copy) combinations
-    reachable from the root, from walks visiting no definition > 3 times."""
-    start = (analysis.root, ())
-    seen = {start}
-    todo = [(analysis.root, (), {analysis.root: 1})]
-    while todo:
-        state, ctx, visits = todo.pop()
-        for e in analysis.infos[state].edges:
-            if visits.get(e.child, 0) >= 3:
-                continue
-            ctx2 = tuple(collapse_factors(list(ctx) + list(e.word)))
-            key = (e.child, ctx2)
-            if key in seen:
-                continue
-            seen.add(key)
-            v2 = dict(visits)
-            v2[e.child] = v2.get(e.child, 0) + 1
-            todo.append((e.child, ctx2, v2))
-    return seen
 
 
 def _class_cells(analysis, C, tindex, torbits, name, ctx, site, cap):
@@ -727,13 +718,11 @@ def _class_cells(analysis, C, tindex, torbits, name, ctx, site, cap):
     for to_site in info.sites:
         if to_site not in info.att_by_site:
             continue
-        n, between = info.above(site, to_site)
-        if not n:
-            continue
-        for mult, child in info.att_by_site[to_site]:
-            w = _smul(_lat(n, cap), _lat(mult, cap), cap)
-            for t2, c2 in C[child].items():
-                options.append((_smul(w, c2, cap), list(between), t2))
+        for n, between in info.above(site, to_site):
+            for mult, child in info.att_by_site[to_site]:
+                w = _smul(_lat(n, cap), _lat(mult, cap), cap)
+                for t2, c2 in C[child].items():
+                    options.append((_smul(w, c2, cap), list(between), t2))
 
     cells: Dict[Tuple[int, int], object] = {}
     unbounded = set()
@@ -774,9 +763,10 @@ def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
     Raises :class:`SpecError` when the chain-type family itself is infinite
     (then no finite table exists)."""
     analysis = _Analysis(spec)
-    if _growth_pairs(analysis):
+    walk = _walk(analysis, analysis.root)
+    if _growth_pair(analysis, walk):
         raise SpecError("the family of maximal-chain types is not finite")
-    return _ram_table(analysis, _type_list(analysis), cap)
+    return _ram_table(analysis, walk.types(), cap)
 
 
 def _ram_table(analysis: _Analysis, types, cap: int) -> RamTable:
@@ -787,7 +777,7 @@ def _ram_table(analysis: _Analysis, types, cap: int) -> RamTable:
     unbounded = set()
     indeterminate = set()
     ordered = sorted(
-        _contexts(analysis),
+        _walk(analysis, analysis.root).states,
         key=lambda dc: (dc[0], tuple(term_key(f) for f in dc[1])),
     )
     for name, ctx in ordered:
@@ -818,6 +808,12 @@ def _ram_table(analysis: _Analysis, types, cap: int) -> RamTable:
 # the categoricity verdict
 
 
+def _report(name: str, failed: bool, witness, note: str) -> ConditionReport:
+    if failed:
+        return ConditionReport(name, False, witness, note)
+    return ConditionReport(name, True, None, None)
+
+
 def check_categorical(spec: TreeSpec) -> Verdict:
     """Decide whether the denoted tree is determined by its first-order
     theory among countable trees.
@@ -825,61 +821,41 @@ def check_categorical(spec: TreeSpec) -> Verdict:
     Three independently reported conditions, all required: the realised
     predicate family is finite; every maximal-chain type is itself
     categorical (no infinite tail); the chain-type family is finite.
+
+    All three read one walk from the root over (definition, collapsed word)
+    states.  The walk stops at a *cut*: an edge back into a definition on
+    its path whose cycle, repeated forever, leaves a tail.  A cut's endless
+    repetition is a chain type with a tail; the family is infinite when a
+    cut cycle can be left, and going round it once or twice before leaving
+    gives the two witness types.
     """
     analysis = _Analysis(spec)
-    types = _type_list(analysis)
-    growth = _growth_pairs(analysis)
+    walk = _walk(analysis, analysis.root)
+    types = walk.types()
+    growth = _growth_pair(analysis, walk)
 
-    bad_chains = [t for t in types if t.tail != "none"]
-    r_chains = ConditionReport(
-        name="chains-categorical",
-        passed=not bad_chains,
-        witness=bad_chains[0] if bad_chains else None,
-        note=(
-            "a maximal chain realises a type with an infinite tail"
-            if bad_chains
-            else None
-        ),
+    bad = next((t for t in types if t.tail != "none"), None)
+    r_chains = _report(
+        "chains-categorical", bad is not None, bad,
+        "a maximal chain realises a type with an infinite tail",
     )
-    r_family = ConditionReport(
-        name="finite-chain-family",
-        passed=not growth,
-        witness=growth[0] if growth else None,
-        note=(
-            "pumping a reachable cycle keeps producing new chain types"
-            if growth
-            else None
-        ),
+    r_family = _report(
+        "finite-chain-family", growth is not None, growth,
+        "going round a cut cycle more often gives new chain types",
     )
     if growth:
-        r_ram = ConditionReport(
-            name="finite-ramification",
-            passed=False,
-            witness=None,
-            note=(
-                "the chain-type family is infinite, so the realised "
-                "predicate family cannot be finite"
-            ),
+        r_ram = _report(
+            "finite-ramification", True, None,
+            "the chain-type family is infinite, so the realised "
+            "predicate family cannot be finite",
         )
     else:
-        table = _ram_table(analysis, types, 3)
-        if table.unbounded:
-            r_ram = ConditionReport(
-                name="finite-ramification",
-                passed=False,
-                witness=table.chain_types[table.unbounded[0]],
-                note=(
-                    "points sit at unboundedly many positions inside a "
-                    "chain-type tail"
-                ),
-            )
-        else:
-            r_ram = ConditionReport(
-                name="finite-ramification",
-                passed=True,
-                witness=None,
-                note=None,
-            )
+        unbounded = _ram_table(analysis, types, 3).unbounded
+        r_ram = _report(
+            "finite-ramification", bool(unbounded),
+            unbounded and types[unbounded[0]],
+            "points sit at unboundedly many positions inside a chain-type tail",
+        )
     reports = (r_ram, r_chains, r_family)
     return Verdict(
         categorical=all(r.passed for r in reports), condition_reports=reports
@@ -1022,14 +998,15 @@ def _leaf_count(member: Term) -> int:
     return len(orbit_paths(member))
 
 
-def _parse_chain_labels(labels, t: NfSequence):
+def _parse_chain_labels(labels, t: NfSequence, sparse: bool = False):
     """Assign an orbit position of ``t`` to every token of a chain label
     word, or None when the word is not a (possibly truncated) instance.
 
     Finite members must appear in full, except at the end of the word where
     a sample may have been cut short.  A dense member absorbs one or more
-    tokens drawn from its leaf labels; matches are resolved
-    leftmost-shortest.  Tail members cycle, reusing their position block.
+    tokens drawn from its leaf labels, or also none when ``sparse``;
+    matches are resolved leftmost-shortest.  Tail members cycle, reusing
+    their position block.
     """
     pre_members = list(t.prefix)
     if t.tail == "none":
@@ -1056,19 +1033,12 @@ def _parse_chain_labels(labels, t: NfSequence):
         key = (ti, phase, mi)
         if key in dead:
             return False
+        # marked on entry: a key met again below itself consumed nothing
+        dead.add(key)
         if phase == 0 and mi == len(pre_info):
-            if not per_info:
-                dead.add(key)
-                return False
-            if solve(ti, 1, 0):
-                return True
-            dead.add(key)
-            return False
+            return bool(per_info) and solve(ti, 1, 0)
         if phase == 1 and mi == len(per_info):
-            if solve(ti, 1, 0):
-                return True
-            dead.add(key)
-            return False
+            return solve(ti, 1, 0)
         kind, data = (pre_info if phase == 0 else per_info)[mi]
         base = pre_base[mi] if phase == 0 else per_base[mi]
         if kind == "finite":
@@ -1089,9 +1059,10 @@ def _parse_chain_labels(labels, t: NfSequence):
                 for jj in range(j):
                     out[ti + jj] = base + jj
                 return True
-            dead.add(key)
             return False
         palette = data
+        if sparse and solve(ti, phase, mi + 1):
+            return True
         c = 0
         while ti + c < n_tokens and labels[ti + c] in palette:
             c += 1
@@ -1103,10 +1074,25 @@ def _parse_chain_labels(labels, t: NfSequence):
             for cc in range(c):
                 out[ti + cc] = base + palette[labels[ti + cc]]
             return True
-        dead.add(key)
         return False
 
     return out if solve(0, 0, 0) else None
+
+
+def _chain_type(word, table: RamTable):
+    """The index of the first chain type of ``table`` that the label word
+    of a sampled maximal chain parses as, and its position assignment.  A
+    chain that fits no type with every dense member holding a sampled point
+    is parsed again letting them hold none: a sample can miss a dense
+    stretch, as below the lowest sampled point of a shuffle."""
+    for sparse in (False, True):
+        for m, t in enumerate(table.chain_types):
+            assignment = _parse_chain_labels(word, t, sparse)
+            if assignment is not None:
+                return m, assignment
+    raise SpecError(
+        "internal: a sampled maximal chain parses as no chain type"
+    )
 
 
 def annotate_R(p: FinPoset, table: Optional[RamTable] = None):
@@ -1116,7 +1102,8 @@ def annotate_R(p: FinPoset, table: Optional[RamTable] = None):
     on exactly ``i`` maximal chains of type ``m`` at position ``n``.  With
     no table the types are the distinct chain label words of ``p`` itself
     and counts are exact; with a table the types come from the symbolic
-    chain-type list and counts saturate to infinity beyond ``table.cap``.
+    chain-type list and counts saturate to infinity beyond ``table.cap``,
+    and a chain that parses as none of them raises :class:`SpecError`.
     """
     chains = maximal_chains(p)
     counts: Dict[object, Dict[Tuple[int, int], int]] = {
@@ -1136,14 +1123,10 @@ def annotate_R(p: FinPoset, table: Optional[RamTable] = None):
             for x in p.elements
         }
     for ch in chains:
-        word = tuple(p.label(x) for x in ch)
-        for m, t in enumerate(table.chain_types):
-            assignment = _parse_chain_labels(word, t)
-            if assignment is not None:
-                for x, n in zip(ch, assignment):
-                    cell = (m, n)
-                    counts[x][cell] = counts[x].get(cell, 0) + 1
-                break
+        m, assignment = _chain_type(tuple(p.label(x) for x in ch), table)
+        for x, n in zip(ch, assignment):
+            cell = (m, n)
+            counts[x][cell] = counts[x].get(cell, 0) + 1
     return {
         x: frozenset(
             (i if i <= table.cap else OMEGA, cell)
@@ -1166,9 +1149,9 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     remaining matches by level parity.  Optional ``annotations`` (from
     :func:`annotate_R`) are used as an invariant filter.
     """
-    report = validate_tree(p)
-    if not report.ok:
-        raise NotATreeError(f"not a tree: {report.violations[0]}")
+    violation = next(_tree_violations(p), None)
+    if violation is not None:
+        raise NotATreeError(f"not a tree: {violation}")
     for a, b in (pair0, pair1):
         if a not in p._down or b not in p._down:
             raise ValueError(f"unknown point in pair ({a!r}, {b!r})")

@@ -7,6 +7,7 @@ independently in the per-module test files, so these tests freeze the
 presentation layer on top of already-verified values.
 """
 
+import random
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import pytest
 
 from omegacat.cfpo import alt
 from omegacat.cli import main
-from omegacat.posets import dump_poset, load_poset
+from omegacat.posets import dump_poset, load_poset, validate_tree
 
 Q1 = "T = spine Q(1)\n"
 OMEGA_SPEC = "T = spine 1 with omega x T at orbit 0\n"
@@ -444,6 +445,43 @@ def test_cfpo_path_completion_budget_is_exit_3(capsys, files, monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("error: budget:")
     assert err.count("\n") == 1
+
+
+def test_periodic_normalization_budget_is_exit_3(capsys, files, monkeypatch):
+    # the omega spec's chain type has a tail; a limit of no steps leaves it
+    monkeypatch.setattr("omegacat.sequences._MAX_PIPELINE_STEPS", 0)
+    f = files("omega.spec", OMEGA_SPEC)
+    code, out, err = run(capsys, "tree", "check", f)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: budget:")
+    assert err.count("\n") == 1
+
+
+def test_chain_walk_budget_is_exit_3(capsys, files, monkeypatch):
+    # the dense spec's walk pushes one state below the root
+    monkeypatch.setattr("omegacat.trees._WALK_BUDGET", 0)
+    f = files("dense.spec", DENSE)
+    code, out, err = run(capsys, "tree", "chains", f)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: budget:")
+    assert err.count("\n") == 1
+
+
+def test_poset_validate_tree_prints_the_first_violation(capsys, files):
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        edges = [(a, b) for b in range(n) for a in range(b) if rng.random() < 0.3]
+        text = "".join(f"node {i}\n" for i in range(n))
+        text += "".join(f"edge {a} {b}\n" for a, b in edges)
+        report = validate_tree(load_poset(text))
+        if report.ok:
+            continue
+        checked += 1
+        code, out, _ = run(capsys, "poset", "validate", "--tree", files("p.poset", text))
+        assert (code, out) == (1, f"not a tree: {report.violations[0]}\n")
+    assert checked > 30
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,109 @@
+"""Random-spec fuzzing of the categoricity checker at a fixed seed.
+
+Specs have one to three definitions with random spines of nesting depth
+two, cut sites anywhere (including the degenerate ones the parser
+rewrites) and definitions the root may not reach.  Every spec must be
+checked without an error; the verdict must not change under renaming,
+respelling ``Q(1)`` or adding a definition nothing reaches; and for a
+categorical spec every maximal chain of a small sample must parse as one
+of the symbolic chain types.
+"""
+
+import random
+import re
+import warnings
+
+from oracles import random_term
+
+from omegacat.errors import SpecError
+from omegacat.terms import factors, normalize, orbit_paths, render_term
+from omegacat.trees import (
+    annotate_R,
+    check_categorical,
+    materialize_tree,
+    parse_spec,
+    ramification_table,
+)
+
+NAMES = ("A", "B", "C")
+SPECS = 150
+
+
+def random_definition(rng, name, targets):
+    spine = normalize(random_term(rng, 2, colours=("a", "b")))
+    k = len(factors(spine))
+    sites = [f"orbit {i}" for i in range(len(orbit_paths(spine)))]
+    sites += [f"cut {j}" for j in range(k - 1)] + ["top"]
+    rules = {
+        (rng.choice(sites), rng.choice(targets))
+        for _ in range(rng.randint(0, 2))
+    }
+    clauses = [
+        f"{rng.choice(('1', '2', 'omega'))} x {child} at {site}"
+        for site, child in sorted(rules)
+    ]
+    with_part = " with " + ", ".join(clauses) if clauses else ""
+    return f"{name} = spine {render_term(spine)}{with_part}\n"
+
+
+def parse(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return parse_spec(text)
+
+
+def parsing(draw):
+    """The first text ``draw()`` returns that parses: a degenerate cut the
+    parser rewrites may duplicate another rule of its definition."""
+    while True:
+        text = draw()
+        try:
+            parse(text)
+        except SpecError:
+            continue
+        return text
+
+
+def random_spec_text(rng):
+    def draw():
+        names = NAMES[: rng.randint(1, 3)]
+        return "".join(random_definition(rng, n, names) for n in names)
+
+    return parsing(draw)
+
+
+def renamed(text):
+    fresh = {"A": "Root", "B": "Mid", "C": "Leaf"}
+    return re.sub(r"\b[ABC]\b", lambda m: fresh[m.group(0)], text)
+
+
+def respelt(text, rng):
+    return text.replace("Q(1)", rng.choice(("Q(1,1)", "Q(1)^Q(1)")))
+
+
+def with_unreachable(text, rng):
+    names = re.findall(r"^(\w+) =", text, re.M) + ["Z"]
+    return parsing(lambda: text + random_definition(rng, "Z", names))
+
+
+def test_random_specs_check_without_error_and_keep_their_verdicts():
+    rng = random.Random(20261018)
+    categorical = 0
+    for _ in range(SPECS):
+        text = random_spec_text(rng)
+        spec = parse(text)
+        verdict = check_categorical(spec)
+        for variant in (
+            renamed(text),
+            respelt(text, rng),
+            with_unreachable(text, rng),
+        ):
+            assert check_categorical(parse(variant)) == verdict, variant
+        if verdict.categorical:
+            categorical += 1
+            table = ramification_table(spec)
+            sample = materialize_tree(spec, depth=2, width=2)
+            # raises SpecError when a chain parses as no chain type
+            annotate_R(sample, table=table)
+    # both verdicts occur often enough for the checks above to mean much
+    assert SPECS // 4 < categorical < 3 * SPECS // 4

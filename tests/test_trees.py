@@ -21,7 +21,7 @@ from omegacat.posets import (
     orbits,
     validate_tree,
 )
-from omegacat.sequences import NfSequence
+from omegacat.sequences import NfSequence, parse_sequence
 from omegacat.terms import parse_term
 from omegacat.trees import (
     OMEGA,
@@ -160,10 +160,18 @@ def test_chain_types_mixed_escape_family():
         "A = spine 1 with omega x A at orbit 0, 1 x B at orbit 0\n"
         "B = spine Q(1)\n"
     )
-    types = chain_types(spec)
-    assert NfSequence((), "ones") in types
-    assert NfSequence((t("1"), t("Q(1)")), "none") in types
-    assert NfSequence((t("1^1"), t("Q(1)")), "none") in types
+    # the walk stops where the A-loop would repeat: the list holds the chain
+    # that never loops and the endless loop; pumping the loop once and twice
+    # before leaving for B gives the family witness
+    assert chain_types(spec) == [
+        NfSequence((t("1"), t("Q(1)")), "none"),
+        NfSequence((), "ones"),
+    ]
+    family = check_categorical(spec).condition_reports[2]
+    assert family.witness == (
+        NfSequence((t("1^1"), t("Q(1)")), "none"),
+        NfSequence((t("1^1^1"), t("Q(1)")), "none"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +243,21 @@ def test_checker_escape_family_fails_finiteness():
     v = check_categorical(spec)
     assert v.categorical is False
     assert v.condition_reports[2].passed is False
+
+
+def test_checker_leaves_a_cut_cycle_by_a_chain_that_stays_out():
+    # A and B alternate through their top cuts forever unless a chain takes
+    # B's own loop, which Q(a) absorbs; the first type from B by rendering
+    # goes back round the A-B cycle and so cannot witness its pumping
+    spec = parse_spec(
+        "A = spine Q(1,b) with 2 x B at top\n"
+        "B = spine Q(a) with 1 x B at orbit 0, 2 x A at top\n"
+    )
+    family = check_categorical(spec).condition_reports[2]
+    assert family.witness == (
+        parse_sequence("[Q(1,b), I, Q(a), I, Q(1,b), I, Q(a), I, Q(1,b), I, Q(a)]"),
+        parse_sequence("[Q(1,b), I, Q(a), I, Q(1,b), I, Q(a)]"),
+    )
 
 
 def test_checker_stable_under_renaming():
@@ -412,6 +435,39 @@ def test_annotate_with_symbolic_table():
     ann = annotate_R(p, table=table)
     assert ann[0] == frozenset({(2, (0, 0))})
     assert ann[1] == frozenset({(1, (0, 1))})
+
+
+def test_annotate_with_table_parses_copies_below_the_lowest_sampled_point():
+    # the copies of B hang off the lowest sampled point of Q(a), so their
+    # chains hold no sampled point of the shuffle below the attachment
+    spec = parse_spec("A = spine Q(a) with omega x B at orbit 0\nB = spine 1\n")
+    table = ramification_table(spec)
+    assert table.chain_types == (
+        NfSequence((t("Q(a)"), t("a^1")), "none"),
+        NfSequence((t("Q(a)"),), "none"),
+    )
+    p = materialize_tree(spec, depth=2, width=2, seed=0)
+    ann = annotate_R(p, table=table)
+    copies = [x for x in p.elements if p.label(x) == (None, False)]
+    assert len(copies) == 2
+    assert all(ann[x] == frozenset({(1, (0, 2))}) for x in copies)
+
+
+def test_annotate_with_table_rejects_a_chain_of_no_type():
+    table = ramification_table(parse_spec(VSPEC))
+    p = FinPoset(range(2), [(0, 1)], colour={1: "c"})
+    with pytest.raises(SpecError, match="internal"):
+        annotate_R(p, table=table)
+
+
+def test_table_counts_points_in_the_sources_own_shuffle_copy():
+    # above the first b of a copy of b^b lie its partner (one point) and
+    # the dense set of later copies
+    spec = parse_spec("A = spine Q(b^b) with 2 x A at orbit 1\n")
+    assert check_categorical(spec).categorical is True
+    table = ramification_table(spec)
+    assert table.chain_types == (NfSequence((t("Q(b^b)"),), "none"),)
+    assert set(table.realised) == {(OMEGA, (0, 0)), (OMEGA, (0, 1))}
 
 
 def test_math_inf_is_the_omega_marker():

@@ -78,7 +78,7 @@ class AltPattern:
 
 def _require(p: FinPoset, *xs):
     for x in xs:
-        if x not in p._down:
+        if x not in p:
             raise ValueError(f"unknown node {x!r}")
 
 

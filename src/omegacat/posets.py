@@ -2,12 +2,14 @@
 
 A :class:`FinPoset` stores a finite strict order, transitively closed, with
 two optional node labels: a colour tag and an "irrational" flag.  It is
-built from any generating relation, such as the covering pairs, and one
-closure pass stores every element's strict up-set and down-set and the
-Hasse diagram (upper and lower covers).  Every order query in the package
-reads those: covers, maximal chains, meets (and joins and paths in
-:mod:`omegacat.cfpo`), cones, tree validation, tuple completion under
-meets, and a small line-based file format plus DOT output.
+built from any generating relation, such as the covering pairs.  One
+closure pass over the successor lists stores every element's strict up-set
+and upper covers, and the same pass over the predecessor lists stores its
+strict down-set and lower covers; the order is kept only in those sets.
+Every order query in the package reads them: covers, maximal chains,
+meets (and joins and paths in :mod:`omegacat.cfpo`), cones, tree
+validation, tuple completion under meets, and a small line-based file
+format plus DOT output.
 
 The reference oracles are deliberately brute force and deterministic:
 exhaustive automorphism and orbit enumeration by backtracking
@@ -49,7 +51,8 @@ def node_key(x):
 
 def _strict_up_sets(els, succ) -> tuple:
     """The strict up-set and the upper covers, in node order, of every node
-    of ``succ``.
+    of ``succ``.  On the predecessor lists the same pass gives the strict
+    down-sets and the lower covers.
 
     One depth-first pass in node order: a node's up-set is the union of its
     successors' closed up-sets, taken when its last successor is done.  A
@@ -106,14 +109,16 @@ class FinPoset:
     """A finite strict partial order with optional colour/irrational labels.
 
     ``pairs`` may be any relation whose transitive closure is the order,
-    such as its covering pairs.  ``lt`` is the full transitively closed set
-    of strict pairs.  Elements are kept in a canonical sorted order;
-    construction rejects cycles.
+    such as its covering pairs.  Elements are kept in a canonical sorted
+    order; construction rejects cycles.  The order is stored once per
+    direction, as strict up- and down-sets, each from one closure pass.
+    ``lt``, the set of all strict pairs, is built on each access in
+    O(pairs); it serves tests and oracles, not hot paths.
     """
 
     # _down/_up: strict down- and up-sets; _lower/_upper: covers, in node order
     __slots__ = (
-        "elements", "lt", "colour", "irrational", "_down", "_up", "_lower", "_upper"
+        "elements", "colour", "irrational", "_down", "_up", "_lower", "_upper"
     )
 
     def __init__(
@@ -125,13 +130,15 @@ class FinPoset:
     ):
         els = sorted(set(elements), key=node_key)
         succ = {x: [] for x in els}
+        pred = {x: [] for x in els}
         for a, b in pairs:
             if a not in succ or b not in succ:
                 raise ParseError(f"edge references unknown node {a!r} or {b!r}")
             succ[a].append(b)
-        up, upper = _strict_up_sets(els, succ)
+            pred[b].append(a)
+        self._up, self._upper = _strict_up_sets(els, succ)
+        self._down, self._lower = _strict_up_sets(els, pred)
         self.elements = tuple(els)
-        self.lt = frozenset((a, b) for a in els for b in up[a])
         self.colour = dict(colour or {})
         self.irrational = frozenset(irrational or ())
         for x in self.colour:
@@ -140,28 +147,26 @@ class FinPoset:
         for x in self.irrational:
             if x not in succ:
                 raise ParseError(f"irrational flag for unknown node {x!r}")
-        down: dict = {x: [] for x in els}
-        lower: dict = {x: [] for x in els}
-        for a in els:
-            for b in up[a]:
-                down[b].append(a)
-            for b in upper[a]:
-                lower[b].append(a)
-        self._down = {x: frozenset(d) for x, d in down.items()}
-        self._up = up
-        self._lower = lower
-        self._upper = upper
+
+    @property
+    def lt(self) -> frozenset:
+        """All strict pairs ``(a, b)`` with ``a < b``, built on each access."""
+        return frozenset((a, b) for a in self.elements for b in self._up[a])
 
     # -- basic queries -----------------------------------------------------
 
+    def __contains__(self, x) -> bool:
+        return x in self._up
+
     def less(self, a, b) -> bool:
-        return (a, b) in self.lt
+        up = self._up.get(a)
+        return up is not None and b in up
 
     def leq(self, a, b) -> bool:
-        return a == b or (a, b) in self.lt
+        return a == b or self.less(a, b)
 
     def comparable(self, a, b) -> bool:
-        return a == b or (a, b) in self.lt or (b, a) in self.lt
+        return a == b or self.less(a, b) or self.less(b, a)
 
     def down(self, x) -> frozenset:
         """Strict lower set of ``x``."""
@@ -178,7 +183,7 @@ class FinPoset:
         keep = set(keep)
         return FinPoset(
             keep,
-            [(a, b) for (a, b) in self.lt if a in keep and b in keep],
+            [(a, b) for a in self.elements if a in keep for b in self._up[a] & keep],
             colour={x: c for x, c in self.colour.items() if x in keep},
             irrational=self.irrational & keep,
         )
@@ -187,7 +192,8 @@ class FinPoset:
         return len(self.elements)
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"FinPoset({len(self.elements)} nodes, {len(self.lt)} pairs)"
+        pairs = sum(map(len, self._up.values()))
+        return f"FinPoset({len(self.elements)} nodes, {pairs} pairs)"
 
 
 # -------------------------------------------------------------- validation
@@ -249,7 +255,7 @@ def _common_bounds(cone, x, y):
 
 def meet(p: FinPoset, x, y):
     """Maximum of the common lower bounds of x and y, or None."""
-    if x not in p._down or y not in p._down:
+    if x not in p or y not in p:
         return None
     return _common_bounds(p.down, x, y)[1]
 
@@ -310,7 +316,7 @@ def _extend(p: FinPoset, q: FinPoset, order, images, assigned, used, sigs_q, sig
             continue
         ok = True
         for u, v in assigned.items():
-            if ((u, x) in p.lt) != ((v, y) in q.lt) or ((x, u) in p.lt) != ((y, v) in q.lt):
+            if p.less(u, x) != q.less(v, y) or p.less(x, u) != q.less(y, v):
                 ok = False
                 break
         if ok:

@@ -865,6 +865,58 @@ def check_categorical(spec: TreeSpec) -> Verdict:
 # ---------------------------------------------------------------------------
 # materialization
 
+# A sample of N points and height H holds at most N * H order pairs, and its
+# FinPoset keeps each pair twice, in an up-set and a down-set, at about 46
+# bytes a set entry.  2 * 10**6 pairs keep that under about 190 MB, and the
+# 1 101-point sample of a unary spine at depth 1 100 (N * H = 1.2 * 10**6)
+# still fits.
+_MAX_SAMPLE_PAIRS = 2 * 10**6
+
+
+def _copies(att: Attachment, width: int) -> int:
+    """How many copies a sample hangs at each point of an attachment site."""
+    return max(2, width) if att.multiplicity == OMEGA else int(att.multiplicity)
+
+
+def _check_sample_size(spec: TreeSpec, analysis: _Analysis, depth: int, width: int):
+    """Raise :class:`BudgetError` before sampling when the sample may hold
+    more than ``_MAX_SAMPLE_PAIRS`` order pairs.
+
+    Bounds the points N and the height H of a copy of every reachable
+    definition with ``d`` levels of nesting left, for d = 0, 1, ... up to
+    ``depth``, saturating just above the limit.  A copy has at most
+    ``max(min_size(spine), width)`` spine points, its cut points when
+    d >= 1, and the copies of its children with d - 1 levels left.  For
+    d >= 1 each level's bounds are the same function of the level below,
+    so once they repeat they stay, and the walk stops there.
+    """
+    cap = _MAX_SAMPLE_PAIRS + 1
+    below: Dict[str, Tuple[int, int]] = {}
+    for d in range(depth + 1):
+        level = {}
+        for name, info in analysis.infos.items():
+            dfn = spec.definitions[name]
+            pts = max(min_size(dfn.spine), width)
+            kids = []
+            if d >= 1:
+                pts += len(info.cut_positions)
+                kids = [
+                    (_copies(a, width),) + below[a.child] for a in dfn.attachments
+                ]
+            level[name] = (
+                min(pts + sum(k * cn for k, cn, _ in kids), cap),
+                min(pts + max((ch for _, _, ch in kids), default=0), cap),
+            )
+        n, h = level[spec.root]
+        if n * h > _MAX_SAMPLE_PAIRS:
+            raise BudgetError(
+                f"a sample of depth {depth} and width {width} may hold more "
+                f"than {_MAX_SAMPLE_PAIRS} order pairs"
+            )
+        if level == below:
+            return
+        below = level
+
 
 def materialize_tree(
     spec: TreeSpec, depth: int, width: int, seed: int = 0
@@ -876,7 +928,8 @@ def materialize_tree(
     number of copies standing in for an ``omega`` multiplicity.  Sibling
     copies are rendered identically so the sample keeps the symmetry of the
     denoted tree.  Raises :class:`BudgetError` when some definition cannot
-    be reached at all within ``depth``.
+    be reached at all within ``depth``, or when the sample may hold more
+    than ``_MAX_SAMPLE_PAIRS`` order pairs.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -896,6 +949,7 @@ def materialize_tree(
         raise BudgetError(
             f"nesting needs depth {deep} but only {depth} is available"
         )
+    _check_sample_size(spec, analysis, depth, width)
 
     pairs: List[Tuple[int, int]] = []  # spine successors and attachments
     colour: Dict[int, str] = {}
@@ -953,13 +1007,8 @@ def materialize_tree(
                     else att.site.position
                 )
                 ap = cutg[p]
-            copies = (
-                max(2, width)
-                if att.multiplicity == OMEGA
-                else int(att.multiplicity)
-            )
             child_seed = zlib.crc32(f"{seedv}|{att.child}|{d - 1}".encode())
-            children += [(att.child, d - 1, child_seed, ap)] * copies
+            children += [(att.child, d - 1, child_seed, ap)] * _copies(att, width)
         stack.extend(reversed(children))
     return FinPoset(range(size), pairs, colour=colour, irrational=irrational)
 
@@ -1153,7 +1202,7 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     if violation is not None:
         raise NotATreeError(f"not a tree: {violation}")
     for a, b in (pair0, pair1):
-        if a not in p._down or b not in p._down:
+        if a not in p or b not in p:
             raise ValueError(f"unknown point in pair ({a!r}, {b!r})")
         if not p.less(a, b):
             raise ValueError(
@@ -1204,8 +1253,12 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
             if c not in pin:
                 assign[c] = free[code[c]].pop(0)
             stack.append(c)
-    image = {(assign[a], assign[b]) for (a, b) in p.lt}
-    if image != p.lt or len(set(assign.values())) != len(p.elements):
+    # a bijection carrying the covers onto the covers is an automorphism,
+    # since the order is the transitive closure of its covers
+    if len(set(assign.values())) != len(p.elements) or any(
+        {assign[c] for c in p._upper[u]} != set(p._upper[assign[u]])
+        for u in p.elements
+    ):
         return False, ()
 
     base_set = set(base0)

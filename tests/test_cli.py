@@ -10,6 +10,7 @@ presentation layer on top of already-verified values.
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -280,6 +281,25 @@ def test_tree_sample_deeper_than_the_recursion_limit(capsys, files):
     assert (code, err) == (0, "")
     assert out.count("node ") == 1101
     assert out.endswith("edge 1099 1100\n")
+
+
+@pytest.mark.parametrize(
+    "spec, size",
+    [
+        (OMEGA_SPEC, ("--depth", "40", "--width", "3")),  # 3**40 copies
+        (
+            "T = spine 1 with 1 x T at orbit 0\n",
+            ("--depth", "1000000", "--width", "1"),
+        ),
+    ],
+)
+def test_tree_sample_too_large_to_hold_is_a_budget_error(capsys, files, spec, size):
+    f = files("big.spec", spec)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tree", "sample", f, *size)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: budget:") and err.count("\n") == 1
 
 
 def test_tree_sample_depth_budget(capsys, files):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -144,11 +145,24 @@ def digraphs(draw, acyclic: bool):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(digraphs(acyclic=True))
-def test_order_queries_match_brute_force_on_random_dags(graph):
+@given(digraphs(acyclic=True), st.sets(st.integers(0, 9)))
+def test_order_queries_match_brute_force_on_random_dags(graph, keep):
     names, edges = graph
     p = FinPoset(names, edges)
-    assert p.lt == naive_closure(names, edges)
+    closure = naive_closure(names, edges)
+    assert p.lt == closure
+    for x in list(p.elements) + [-1]:  # -1 names no point
+        assert (x in p) == (x != -1)
+        for y in list(p.elements) + [-1]:
+            assert p.less(x, y) == ((x, y) in closure)
+            assert p.leq(x, y) == (x == y or (x, y) in closure)
+            assert p.comparable(x, y) == (
+                x == y or (x, y) in closure or (y, x) in closure
+            )
+    keep = {x for x in keep if x in p} | {-1}
+    q = p.restrict(keep)
+    assert set(q.elements) == keep
+    assert q.lt == {(a, b) for (a, b) in closure if a in keep and b in keep}
     for x in p.elements:
         assert p.down(x) == naive_down(p, x)
         assert p.up(x) == naive_up(p, x)
@@ -328,6 +342,19 @@ def test_maximal_chains():
     assert maximal_chains(chain(4)) == (((0, 1, 2, 3),))
     p = leg_poset()
     assert maximal_chains(p) == ((0, 1, 2), (0, 3))
+
+
+def test_a_long_chain_stores_its_order_once_per_direction():
+    # 605 550 pairs, held once as up-sets and once as down-sets: about
+    # 53 MB; a third copy as a stored pair set would make it about 102 MB
+    tracemalloc.start()
+    try:
+        p = FinPoset(range(1101), [(i, i + 1) for i in range(1100)])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(p.up(0)) == len(p.down(1100)) == 1100
+    assert held < 64 * 2**20
 
 
 def test_maximal_chains_of_a_chain_longer_than_the_recursion_limit():

@@ -281,7 +281,6 @@ def _tick(counter):
 
 def _embed(p: FinPoset, pattern: AltPattern, counter) -> Optional[Dict]:
     """Backtracking search for an induced copy of the pattern zigzag."""
-    target = alt(pattern.length, pattern.reversed)
     img: Dict[int, object] = {}
 
     def place(i: int) -> bool:
@@ -289,10 +288,12 @@ def _embed(p: FinPoset, pattern: AltPattern, counter) -> Optional[Dict]:
             return True
         # Position i is related to i-1 only: the cone fixes that relation,
         # and z must be incomparable to (so distinct from) earlier images.
+        # In alt(), an even position lies above its neighbours unless the
+        # pattern is reversed.
         if i == 0:
             cands = p.elements
         else:
-            cone = p.up if target.less(i - 1, i) else p.down
+            cone = p.up if (i % 2 == 0) != pattern.reversed else p.down
             cands = sorted(cone(img[i - 1]), key=node_key)
         for z in cands:
             _tick(counter)

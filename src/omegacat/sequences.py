@@ -243,17 +243,12 @@ def sequence_orbits(s: NfSequence):
     """
     orbits = []
     pre_factors = [list(factors(m)) for m in s.prefix]
-    if s.tail == "none":
-        period = None
-    elif s.tail == "ones":
-        period = [_ONE]
-    else:
-        period = [f for m in s.period for f in factors(m)]
+    period = seq_factors(s)[1]
     for i, member in enumerate(s.prefix):
         before = [f for fs in pre_factors[:i] for f in fs]
         after = [f for fs in pre_factors[i + 1 :] for f in fs]
         for path in orbit_paths(member):
-            down_t = initial_segment(member, path, strict=False)
+            down_t = initial_segment(member, path)
             down = normalize(concat(before + list(factors(down_t))))
             up_t = final_segment(member, path)
             up_word = (list(factors(up_t)) if up_t is not None else []) + after

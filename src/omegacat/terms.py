@@ -397,22 +397,16 @@ def subterm_at(t: Term, path: Sequence[int]) -> Term:
     return t
 
 
-def initial_segment(
-    t: Term, path: Sequence[int], strict: bool = False
-) -> Optional[Term]:
-    """Term for the set of points at or before (strictly before, if
-    ``strict``) a point in the leaf at ``path``.  None denotes the empty
-    segment."""
+def initial_segment(t: Term, path: Sequence[int]) -> Term:
+    """Term for the set of points at or before a point in the leaf at
+    ``path``."""
     if isinstance(t, Singleton):
-        return None if strict else t
+        return t
     if isinstance(t, Shuffle):
-        sub = initial_segment(t.constituents[path[0]], path[1:], strict)
-        parts = [t] + ([sub] if sub is not None else [])
-        return concat(parts)
+        return concat([t, initial_segment(t.constituents[path[0]], path[1:])])
     j = path[0]
-    sub = initial_segment(t.factors[j], path[1:], strict)
-    parts = list(t.factors[:j]) + ([sub] if sub is not None else [])
-    return concat(parts) if parts else None
+    sub = initial_segment(t.factors[j], path[1:])
+    return concat(list(t.factors[:j]) + [sub])
 
 
 def final_segment(t: Term, path: Sequence[int]) -> Optional[Term]:
@@ -449,7 +443,7 @@ def _later_points(t: Term, p, q) -> List[Tuple[Union[int, float], List[Term]]]:
         word = (
             _factor_list(final_segment(t.constituents[i], p[1:]))
             + [t]
-            + _factor_list(initial_segment(t.constituents[k], q[1:]))
+            + list(factors(initial_segment(t.constituents[k], q[1:])))
         )
         own = _later_points(t.constituents[i], p[1:], q[1:]) if i == k else []
         return own + [(math.inf, word)]
@@ -459,7 +453,7 @@ def _later_points(t: Term, p, q) -> List[Tuple[Union[int, float], List[Term]]]:
     word = (
         _factor_list(final_segment(t.factors[i], p[1:]))
         + list(t.factors[i + 1 : k])
-        + _factor_list(initial_segment(target, q[1:]))
+        + list(factors(initial_segment(target, q[1:])))
     )
     dense = any(
         isinstance(subterm_at(target, q[1 : d + 1]), Shuffle)
@@ -470,6 +464,14 @@ def _later_points(t: Term, p, q) -> List[Tuple[Union[int, float], List[Term]]]:
 
 # ---------------------------------------------------------------------------
 # materialization
+
+# Most order pairs a sample may hold.  A FinPoset keeps each pair twice, in
+# an up-set and a down-set, at about 46 bytes a set entry, so 2 * 10**6
+# pairs keep it under about 190 MB.  A chain of n points holds
+# n * (n - 1) / 2 pairs, so chains of up to 2 000 points fit; a tree sample
+# of N points and height H holds at most N * H, and the 1 101-point sample
+# of a unary spine at depth 1 100 (N * H = 1.2 * 10**6) fits.
+_MAX_SAMPLE_PAIRS = 2 * 10**6
 
 
 def _emit(t: Term, budget: int, rng: random.Random, path, out) -> None:
@@ -521,8 +523,15 @@ def materialize(t: Term, budget: int, seed: int = 0):
     arrangements of its full constituent set, so every constituent appears
     and (given enough budget) every pair appears in both relative orders.
     Raises :class:`BudgetError` when ``budget`` cannot fit one point of every
-    leaf.
+    leaf, or when the sample may hold more than ``_MAX_SAMPLE_PAIRS`` order
+    pairs.
     """
+    most = min_size(t) if is_finite(t) else budget
+    if most * (most - 1) // 2 > _MAX_SAMPLE_PAIRS:
+        raise BudgetError(
+            f"a sample of {most} points may hold more than "
+            f"{_MAX_SAMPLE_PAIRS} order pairs"
+        )
     pts = _sample_points(t, budget, seed)
     n = len(pts)
     irrational = {i for i, (_, tag) in enumerate(pts) if tag == IRRATIONAL}

@@ -46,6 +46,7 @@ from .sequences import (
 )
 from .terms import (
     IRRATIONAL,
+    _MAX_SAMPLE_PAIRS,
     Concat,
     Shuffle,
     Singleton,
@@ -65,7 +66,6 @@ from .terms import (
     orbit_paths,
     parse_term,
     subterm_at,
-    term_key,
 )
 
 OMEGA = math.inf
@@ -314,108 +314,102 @@ class _Edge:
     mult: Union[int, float]
     npoints: Union[int, float]
     word: Tuple[Term, ...]
-    uid: Tuple[str, int]
 
 
 class _Info:
-    def __init__(self, name: str, dfn: TreeDef):
+    """One definition's sites, each resolved once.
+
+    ``attachments`` lists ``(site, multiplicity, child)`` in spec order,
+    with a site written ``("orbit", i)`` or ``("cut", p)`` and ``top``
+    resolved to the cut after the last factor.  ``chain`` is the spine with
+    a cut point after each cut position, and ``sites`` maps every site to
+    its leaf in ``chain``: orbit sites by index, then cut sites by
+    position.  Spec order numbers a sample's points; site order is the
+    order of the walk's edges, which picks the chain-family witness.
+    """
+
+    def __init__(self, dfn: TreeDef):
+        self.spine = dfn.spine
         self.fs = factors(dfn.spine)
         k = len(self.fs)
-        self.orbit_addr = _orbit_addresses(dfn.spine)
-        self.att_by_site: Dict[tuple, List[Tuple[object, str]]] = {}
+        self.attachments: List[Tuple[tuple, Union[int, float], str]] = []
         for a in dfn.attachments:
             if isinstance(a.site, OrbitSite):
-                key = ("orbit", a.site.orbit)
+                site = ("orbit", a.site.orbit)
             else:
                 pos = a.site.position
-                key = ("cut", k - 1 if pos == "top" else pos)
-            self.att_by_site.setdefault(key, []).append((a.multiplicity, a.child))
-        self.cut_positions = sorted(v for kd, v in self.att_by_site if kd == "cut")
-        # the spine with a cut point after each cut position: every site is
-        # a leaf of this term, at the path ``site_path`` gives
-        slots: List[Term] = []
-        self.slot_of_factor: Dict[int, int] = {}
-        self.slot_of_cut: Dict[int, int] = {}
-        for j, f in enumerate(self.fs):
-            self.slot_of_factor[j] = len(slots)
-            slots.append(f)
-            if j in self.cut_positions:
-                self.slot_of_cut[j] = len(slots)
-                slots.append(_I)
-        self.chain = Concat(tuple(slots))
-        self.sites: List[tuple] = [
-            ("orbit", i) for i in range(len(self.orbit_addr))
-        ] + [("cut", p) for p in self.cut_positions]
-        top_cut = (k - 1) in self.cut_positions
-        top_orbit_attached = isinstance(self.fs[-1], Singleton) and (
-            ("orbit", self.orbit_addr.index((k - 1, ()))) in self.att_by_site
+                site = ("cut", k - 1 if pos == "top" else pos)
+            self.attachments.append((site, a.multiplicity, a.child))
+        self.cut_positions = sorted(
+            {v for (kind, v), _, _ in self.attachments if kind == "cut"}
         )
-        self.terminal_valid = not top_cut and not top_orbit_attached
+        slots: List[Term] = []
+        slot_of = []  # factor -> its slot
+        for j, f in enumerate(self.fs):
+            slot_of.append(len(slots))
+            slots += [f, _I] if j in self.cut_positions else [f]
+        self.chain = Concat(tuple(slots))
+        self.sites: Dict[tuple, Tuple[int, ...]] = {
+            ("orbit", i): (slot_of[j],) + inner
+            for i, (j, inner) in enumerate(_orbit_addresses(dfn.spine))
+        }
+        for p in self.cut_positions:
+            self.sites[("cut", p)] = (slot_of[p] + 1,)
+        # a copy's chain ends in its spine only when nothing hangs above the
+        # spine's greatest point
+        top = (len(slots) - 1,)
+        self.terminal_valid = all(
+            self.sites[site] != top for site, _, _ in self.attachments
+        )
         self.terminal_word = slots
         self.edges: List[_Edge] = []
-
-    def site_path(self, site: tuple) -> Tuple[int, ...]:
-        kind, v = site
-        if kind == "cut":
-            return (self.slot_of_cut[v],)
-        j, inner = self.orbit_addr[v]
-        return (self.slot_of_factor[j],) + inner
-
-    def site_npoints(self, site: tuple) -> Union[int, float]:
-        kind, v = site
-        if kind == "cut":
-            return 1
-        j, _ = self.orbit_addr[v]
-        return OMEGA if isinstance(self.fs[j], Shuffle) else 1
 
     def aug_down(self, site: tuple) -> List[Term]:
         """Word of the points at or below one point of ``site`` (the point
         included), cut points of earlier positions included."""
-        return list(factors(initial_segment(self.chain, self.site_path(site))))
-
-    def rest_above(self, site: tuple) -> List[Term]:
-        """Word of the spine strictly above one point of ``site``."""
-        return _factor_list(final_segment(self.chain, self.site_path(site)))
-
-    def above(self, frm: tuple, to: tuple):
-        """The points of site ``to`` strictly above a point of ``frm``, as
-        ``(count, connecting word)`` pairs."""
-        return _later_points(self.chain, self.site_path(frm), self.site_path(to))
+        return list(factors(initial_segment(self.chain, self.sites[site])))
 
 
 class _Analysis:
     """The definitions reachable from the root, with their walk edges.
-    Unreachable definitions are left out: they must not decide a verdict."""
+    Unreachable definitions are left out: they must not decide a verdict.
+
+    ``depth`` holds each reachable definition's first nesting depth below
+    the root.  A definition's edges are its ``attachments`` stably sorted
+    into ``sites`` order, so the walk, and with it the chain-family
+    witness, does not depend on the order a spec lists its attachments in.
+    """
 
     def __init__(self, spec: TreeSpec):
         self.root = spec.root
-        reach = {spec.root}
+        self.depth = {spec.root: 0}
         todo = [spec.root]
-        while todo:
-            for a in spec.definitions[todo.pop()].attachments:
-                if a.child not in reach:
-                    reach.add(a.child)
+        for name in todo:  # breadth first: the list grows as it is read
+            for a in spec.definitions[name].attachments:
+                if a.child not in self.depth:
+                    self.depth[a.child] = self.depth[name] + 1
                     todo.append(a.child)
         self.infos: Dict[str, _Info] = {
-            name: _Info(name, dfn)
+            name: _Info(dfn)
             for name, dfn in spec.definitions.items()
-            if name in reach
+            if name in self.depth
         }
-        for name in sorted(self.infos):
-            info = self.infos[name]
-            for site in info.sites:
-                for mult, child in info.att_by_site.get(site, ()):
-                    info.edges.append(
-                        _Edge(
-                            src=name,
-                            child=child,
-                            site=site,
-                            mult=mult,
-                            npoints=info.site_npoints(site),
-                            word=tuple(info.aug_down(site)),
-                            uid=(name, len(info.edges)),
-                        )
+        for name, info in self.infos.items():
+            rank = list(info.sites).index
+            for site, mult, child in sorted(
+                info.attachments, key=lambda a: rank(a[0])
+            ):
+                slot = info.chain.factors[info.sites[site][0]]
+                info.edges.append(
+                    _Edge(
+                        src=name,
+                        child=child,
+                        site=site,
+                        mult=mult,
+                        npoints=OMEGA if isinstance(slot, Shuffle) else 1,
+                        word=tuple(info.aug_down(site)),
                     )
+                )
         self.walks: Dict[str, "_Walk"] = {}
 
 
@@ -578,9 +572,8 @@ def _growth_pair(analysis: _Analysis, walk: _Walk):
         if not lasso.cut:
             continue
         head, loop = _word(lasso.pre), _word(lasso.cycle)
-        uids = {e.uid for e in lasso.cycle}
         for j, e in enumerate(lasso.cycle):
-            for out, per in _exits(analysis, e.src, uids):
+            for out, per in _exits(analysis, e.src, lasso.cycle):
                 rest = _word(lasso.cycle[:j]) + out
                 pair = {
                     normalize_sequence(head + loop * n + rest, per) for n in (1, 2)
@@ -590,14 +583,15 @@ def _growth_pair(analysis: _Analysis, walk: _Walk):
     return None
 
 
-def _exits(analysis: _Analysis, name: str, uids):
+def _exits(analysis: _Analysis, name: str, cycle):
     """Ways to finish a chain from a copy of ``name`` without taking an
-    edge in ``uids``, as ``(word, period or None)``."""
+    edge of ``cycle``, as ``(word, period or None)``.  No two edges are
+    equal: the parser rejects a repeated (site, child) rule."""
     info = analysis.infos[name]
     if info.terminal_valid:
         yield list(info.terminal_word), None
     for e in info.edges:
-        if e.uid not in uids:
+        if e not in cycle:
             for t in _walk(analysis, e.child).types():
                 pre, per = seq_factors(t)
                 yield list(e.word) + pre, per
@@ -707,22 +701,20 @@ def _class_cells(analysis, C, tindex, torbits, name, ctx, site, cap):
     """Cell counts for the points of ``site`` in a copy of ``name`` whose
     word of points below the copy is ``ctx``."""
     info = analysis.infos[name]
+    leaf = info.sites[site]
     d_word = list(ctx) + info.aug_down(site)
     down_x = normalize(concat(d_word))
     options = []  # (count, connecting word, tail type or None)
-    if info.terminal_valid:
-        options.append((1, info.rest_above(site), None))
-    for mult, child in info.att_by_site.get(site, ()):
-        for t2, c2 in C[child].items():
-            options.append((_smul(_lat(mult, cap), c2, cap), [], t2))
-    for to_site in info.sites:
-        if to_site not in info.att_by_site:
-            continue
-        for n, between in info.above(site, to_site):
-            for mult, child in info.att_by_site[to_site]:
-                w = _smul(_lat(n, cap), _lat(mult, cap), cap)
-                for t2, c2 in C[child].items():
-                    options.append((_smul(w, c2, cap), list(between), t2))
+    if info.terminal_valid:  # the spine strictly above the point
+        options.append((1, _factor_list(final_segment(info.chain, leaf)), None))
+    for e in info.edges:
+        if e.site == site:
+            for t2, c2 in C[e.child].items():
+                options.append((_smul(_lat(e.mult, cap), c2, cap), [], t2))
+        for n, between in _later_points(info.chain, leaf, info.sites[e.site]):
+            w = _smul(_lat(n, cap), _lat(e.mult, cap), cap)
+            for t2, c2 in C[e.child].items():
+                options.append((_smul(w, c2, cap), list(between), t2))
 
     cells: Dict[Tuple[int, int], object] = {}
     unbounded = set()
@@ -761,7 +753,10 @@ def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
     """The realised chain-membership predicates of the denoted tree.
 
     Raises :class:`SpecError` when the chain-type family itself is infinite
-    (then no finite table exists)."""
+    (then no finite table exists), and :class:`ValueError` when ``cap`` is
+    negative."""
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     analysis = _Analysis(spec)
     walk = _walk(analysis, analysis.root)
     if _growth_pair(analysis, walk):
@@ -776,11 +771,8 @@ def _ram_table(analysis: _Analysis, types, cap: int) -> RamTable:
     realised = set()
     unbounded = set()
     indeterminate = set()
-    ordered = sorted(
-        _walk(analysis, analysis.root).states,
-        key=lambda dc: (dc[0], tuple(term_key(f) for f in dc[1])),
-    )
-    for name, ctx in ordered:
+    # every result is a set, sorted below, so the states go in any order
+    for name, ctx in _walk(analysis, analysis.root).states:
         for site in analysis.infos[name].sites:
             cells, unb = _class_cells(
                 analysis, C, tindex, torbits, name, ctx, site, cap
@@ -865,20 +857,12 @@ def check_categorical(spec: TreeSpec) -> Verdict:
 # ---------------------------------------------------------------------------
 # materialization
 
-# A sample of N points and height H holds at most N * H order pairs, and its
-# FinPoset keeps each pair twice, in an up-set and a down-set, at about 46
-# bytes a set entry.  2 * 10**6 pairs keep that under about 190 MB, and the
-# 1 101-point sample of a unary spine at depth 1 100 (N * H = 1.2 * 10**6)
-# still fits.
-_MAX_SAMPLE_PAIRS = 2 * 10**6
-
-
-def _copies(att: Attachment, width: int) -> int:
+def _copies(mult: Union[int, float], width: int) -> int:
     """How many copies a sample hangs at each point of an attachment site."""
-    return max(2, width) if att.multiplicity == OMEGA else int(att.multiplicity)
+    return max(2, width) if mult == OMEGA else int(mult)
 
 
-def _check_sample_size(spec: TreeSpec, analysis: _Analysis, depth: int, width: int):
+def _check_sample_size(analysis: _Analysis, depth: int, width: int):
     """Raise :class:`BudgetError` before sampling when the sample may hold
     more than ``_MAX_SAMPLE_PAIRS`` order pairs.
 
@@ -886,7 +870,8 @@ def _check_sample_size(spec: TreeSpec, analysis: _Analysis, depth: int, width: i
     definition with ``d`` levels of nesting left, for d = 0, 1, ... up to
     ``depth``, saturating just above the limit.  A copy has at most
     ``max(min_size(spine), width)`` spine points, its cut points when
-    d >= 1, and the copies of its children with d - 1 levels left.  For
+    d >= 1, and the copies of its children with d - 1 levels left; a
+    sample of N points and height H holds at most N * H order pairs.  For
     d >= 1 each level's bounds are the same function of the level below,
     so once they repeat they stay, and the walk stops there.
     """
@@ -895,19 +880,19 @@ def _check_sample_size(spec: TreeSpec, analysis: _Analysis, depth: int, width: i
     for d in range(depth + 1):
         level = {}
         for name, info in analysis.infos.items():
-            dfn = spec.definitions[name]
-            pts = max(min_size(dfn.spine), width)
+            pts = max(min_size(info.spine), width)
             kids = []
             if d >= 1:
                 pts += len(info.cut_positions)
                 kids = [
-                    (_copies(a, width),) + below[a.child] for a in dfn.attachments
+                    (_copies(mult, width),) + below[child]
+                    for _, mult, child in info.attachments
                 ]
             level[name] = (
                 min(pts + sum(k * cn for k, cn, _ in kids), cap),
                 min(pts + max((ch for _, _, ch in kids), default=0), cap),
             )
-        n, h = level[spec.root]
+        n, h = level[analysis.root]
         if n * h > _MAX_SAMPLE_PAIRS:
             raise BudgetError(
                 f"a sample of depth {depth} and width {width} may hold more "
@@ -936,20 +921,12 @@ def materialize_tree(
     if width < 1:
         raise ValueError("width must be >= 1")
     analysis = _Analysis(spec)
-    dist = {spec.root: 0}
-    todo = [spec.root]
-    while todo:
-        cur = todo.pop(0)
-        for e in analysis.infos[cur].edges:
-            if e.child not in dist:
-                dist[e.child] = dist[cur] + 1
-                todo.append(e.child)
-    deep = max(dist.values())
+    deep = max(analysis.depth.values())
     if deep > depth:
         raise BudgetError(
             f"nesting needs depth {deep} but only {depth} is available"
         )
-    _check_sample_size(spec, analysis, depth, width)
+    _check_sample_size(analysis, depth, width)
 
     pairs: List[Tuple[int, int]] = []  # spine successors and attachments
     colour: Dict[int, str] = {}
@@ -960,13 +937,16 @@ def materialize_tree(
     stack = [(spec.root, depth, seed, None)]
     while stack:
         name, d, seedv, attach = stack.pop()
-        dfn = spec.definitions[name]
         info = analysis.infos[name]
         sp_seed = zlib.crc32(f"{seedv}|{name}|{d}|spine".encode())
-        budget = max(min_size(dfn.spine), width)
-        pts = _sample_points(dfn.spine, budget, sp_seed)
+        # a budget of at least min_size(spine) samples every orbit, so
+        # ``at`` below holds the lowest sampled point of each orbit site
+        budget = max(min_size(info.spine), width)
+        pts = _sample_points(info.spine, budget, sp_seed)
         first = size
-        for g, (_, tag) in enumerate(pts, start=first):
+        at: Dict[tuple, int] = {}  # site -> the point its copies hang above
+        for g, (desc, tag) in enumerate(pts, start=first):
+            at.setdefault(("orbit", desc.index), g)
             if tag == IRRATIONAL:
                 irrational.add(g)
             elif tag != UNCOLOURED:
@@ -974,13 +954,12 @@ def materialize_tree(
         size += len(pts)
         k = len(info.fs)
         als: List[int] = []
-        cutg: Dict[int, int] = {}
         fac = [desc.path[0] if k > 1 else 0 for desc, _ in pts]
         for j in range(k):
             als.extend(first + i for i, f in enumerate(fac) if f == j)
             if d >= 1 and j in info.cut_positions:
                 irrational.add(size)
-                cutg[j] = size
+                at[("cut", j)] = size
                 als.append(size)
                 size += 1
         if attach is not None:
@@ -989,26 +968,10 @@ def materialize_tree(
         if d == 0:
             continue
         children = []
-        for att in dfn.attachments:
-            if isinstance(att.site, OrbitSite):
-                on_orbit = [
-                    i for i, (desc, _) in enumerate(pts)
-                    if desc.index == att.site.orbit
-                ]
-                if not on_orbit:
-                    raise BudgetError(
-                        "width too small to include an attachment orbit"
-                    )
-                ap = first + on_orbit[0]
-            else:
-                p = (
-                    k - 1
-                    if att.site.position == "top"
-                    else att.site.position
-                )
-                ap = cutg[p]
-            child_seed = zlib.crc32(f"{seedv}|{att.child}|{d - 1}".encode())
-            children += [(att.child, d - 1, child_seed, ap)] * _copies(att, width)
+        for site, mult, child in info.attachments:
+            child_seed = zlib.crc32(f"{seedv}|{child}|{d - 1}".encode())
+            copy = (child, d - 1, child_seed, at[site])
+            children += [copy] * _copies(mult, width)
         stack.extend(reversed(children))
     return FinPoset(range(size), pairs, colour=colour, irrational=irrational)
 
@@ -1155,31 +1118,25 @@ def annotate_R(p: FinPoset, table: Optional[RamTable] = None):
     and a chain that parses as none of them raises :class:`SpecError`.
     """
     chains = maximal_chains(p)
+    words = [tuple(p.label(x) for x in ch) for ch in chains]
+    if table is None:
+        distinct = sorted(set(words), key=_word_key)
+        midx = {w: i for i, w in enumerate(distinct)}
+        typed = [(midx[w], range(len(w))) for w in words]
+        cap = OMEGA  # exact counts: nothing saturates
+    else:
+        typed = [_chain_type(w, table) for w in words]
+        cap = table.cap
     counts: Dict[object, Dict[Tuple[int, int], int]] = {
         x: {} for x in p.elements
     }
-    if table is None:
-        words = {ch: tuple(p.label(x) for x in ch) for ch in chains}
-        distinct = sorted(set(words.values()), key=_word_key)
-        midx = {w: i for i, w in enumerate(distinct)}
-        for ch in chains:
-            m = midx[words[ch]]
-            for n, x in enumerate(ch):
-                cell = (m, n)
-                counts[x][cell] = counts[x].get(cell, 0) + 1
-        return {
-            x: frozenset((i, cell) for cell, i in counts[x].items())
-            for x in p.elements
-        }
-    for ch in chains:
-        m, assignment = _chain_type(tuple(p.label(x) for x in ch), table)
-        for x, n in zip(ch, assignment):
+    for ch, (m, positions) in zip(chains, typed):
+        for x, n in zip(ch, positions):
             cell = (m, n)
             counts[x][cell] = counts[x].get(cell, 0) + 1
     return {
         x: frozenset(
-            (i if i <= table.cap else OMEGA, cell)
-            for cell, i in counts[x].items()
+            (i if i <= cap else OMEGA, cell) for cell, i in counts[x].items()
         )
         for x in p.elements
     }

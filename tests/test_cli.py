@@ -138,6 +138,15 @@ def test_term_sample_budget_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_term_sample_too_large_to_hold_is_a_budget_error(capsys):
+    # a chain of a million points would hold 5 * 10**11 order pairs
+    start = time.perf_counter()
+    code, out, err = run(capsys, "term", "sample", "Q(1)", "--size", "1000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: budget:") and err.count("\n") == 1
+
+
 def test_term_sample_dot_format(capsys):
     code, out, _ = run(
         capsys, "term", "sample", "1^1", "--size", "2", "--format", "dot"
@@ -238,6 +247,13 @@ def test_tree_table_dense_reports_omega(capsys, files):
     assert "cell type=0 pos=0 count=omega\n" in out
 
 
+def test_tree_table_negative_cap_is_a_value_error(capsys, files):
+    f = files("v.spec", VSPEC)
+    code, out, err = run(capsys, "tree", "table", f, "--cap", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: value:") and err.count("\n") == 1
+
+
 def test_tree_table_omega_reports_unbounded(capsys, files):
     f = files("omega.spec", OMEGA_SPEC)
     code, out, _ = run(capsys, "tree", "table", f)
@@ -252,6 +268,25 @@ def test_tree_sample_v_golden(capsys, files):
     )
     assert code == 0 and err == ""
     assert out == "node 0\nnode 1\nnode 2\nedge 0 1\nedge 0 2\n"
+
+
+def test_tree_sample_hangs_copies_in_spec_order(capsys, files):
+    # the attachments are listed out of site order: the copy of L at the
+    # top cut (point 3) is numbered before the two copies of M at orbit 0
+    f = files("order.spec", (
+        "T = spine 1^Q(a) with 1 x L at top, 2 x M at orbit 0\n"
+        "L = spine b\n"
+        "M = spine c\n"
+    ))
+    code, out, err = run(
+        capsys, "tree", "sample", f, "--depth", "1", "--width", "3"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "node 0\nnode 1 colour=a\nnode 2 colour=a\nnode 3 irrational\n"
+        "node 4 colour=b\nnode 5 colour=c\nnode 6 colour=c\n"
+        "edge 0 1\nedge 0 5\nedge 0 6\nedge 1 2\nedge 2 3\nedge 3 4\n"
+    )
 
 
 def test_tree_sample_deterministic(capsys, files):

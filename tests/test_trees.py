@@ -7,8 +7,10 @@ the brute-force poset machinery where feasible.
 """
 
 import math
+import random
 
 import pytest
+from oracles import random_term
 
 from omegacat.errors import BudgetError, ParseError, SpecError, SpecWarning
 from omegacat.posets import (
@@ -22,7 +24,13 @@ from omegacat.posets import (
     validate_tree,
 )
 from omegacat.sequences import NfSequence, parse_sequence
-from omegacat.terms import parse_term
+from omegacat.terms import (
+    _sample_points,
+    min_size,
+    normalize,
+    orbit_paths,
+    parse_term,
+)
 from omegacat.trees import (
     OMEGA,
     CutSite,
@@ -316,6 +324,20 @@ def test_materialize_samples_validate_as_trees():
     for text in [Q1, OMEGA_SPEC, DENSE, VSPEC, CUT, BINARY]:
         p = materialize_tree(parse_spec(text), depth=2, width=2, seed=3)
         assert validate_tree(p).ok
+
+
+def test_a_spine_sample_holds_a_point_of_every_orbit():
+    # materialize_tree hangs the copies of an orbit site above that orbit's
+    # lowest sampled point, so every orbit must get one at that budget
+    rng = random.Random(7)
+    for _ in range(2000):
+        spine = normalize(random_term(rng, 3))
+        width = rng.randint(1, 6)
+        budget = max(min_size(spine), width)
+        pts = _sample_points(spine, budget, rng.randrange(2**32))
+        assert {desc.index for desc, _ in pts} == set(
+            range(len(orbit_paths(spine)))
+        ), (spine, width)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ ranked orders reduce to coloured trees for classification purposes.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -93,23 +94,9 @@ def join(p: FinPoset, x, y):
 # path completion
 
 
-def _first_defect(p: FinPoset):
-    """First pair (in node order) whose forced join or meet is missing, as
-    ``(kind, x, y, bound set)``, or None."""
-    for x, y in itertools.combinations(p.elements, 2):
-        for kind, cone in (("join", p.up), ("meet", p.down)):
-            bound, best = _common_bounds(cone, x, y)
-            if bound and best is None:
-                return kind, x, y, bound
-    return None
-
-
-def _fresh_id(taken, counter):
-    while True:
-        name = f"i{counter}"
-        if name not in taken:
-            return name, counter + 1
-        counter += 1
+def _bits(mask) -> list:
+    """Positions of the set bits of ``mask``, lowest first."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def path_completion(p: FinPoset) -> FinPoset:
@@ -118,37 +105,80 @@ def path_completion(p: FinPoset) -> FinPoset:
     Whenever two points have a common upper bound but no least one, the
     infimum of that bound set is adjoined (dually for lower bounds).  The
     new point sits above exactly the common lower bounds of the bound set
-    and below the bound set itself; nothing else is related to it.  Added
-    points are flagged irrational and named ``i0``, ``i1``, ... skipping
-    names already present.
+    and below the bound set itself; nothing else is related to it.  Points
+    are added one at a time, each for the first defective pair in node
+    order (a missing join before a missing meet) among the points so far,
+    and extend the order in place; one ``FinPoset`` is built at the end.
+    Added points are flagged irrational and named ``i0``, ``i1``, ... in
+    the order they are added, skipping names already present.
     """
-    cur = p
-    counter = 0
-    added = 0
-    while True:
-        defect = _first_defect(cur)
-        if defect is None:
-            return cur
-        kind, _, _, bound = defect
-        # the points on the far side of the whole bound set
-        far_cone = cur.down if kind == "join" else cur.up
-        far = frozenset.intersection(*(far_cone(t) | {t} for t in bound))
-        downs, ups = (far, bound) if kind == "join" else (bound, far)
-        name, counter = _fresh_id(set(cur.elements), counter)
-        pairs = (
-            list(covers(cur))
-            + [(d, name) for d in downs]
-            + [(name, u) for u in ups]
-        )
-        cur = FinPoset(
-            list(cur.elements) + [name],
-            pairs,
-            colour=dict(cur.colour),
-            irrational=set(cur.irrational) | {name},
-        )
-        added += 1
-        if added > _MAX_COMPLETION_POINTS:
+    els = list(p.elements)
+    pos = {x: i for i, x in enumerate(els)}
+    keys = [node_key(x) for x in els]
+    # cones[0][i] / cones[1][i]: closed up- / down-cone of point i, as a bit
+    # mask over positions.  A bound set has its extremum iff it is that
+    # point's closed cone, and closed cones are distinct, so ``known``
+    # decides a pair with one lookup.
+    cones = tuple(
+        [sum((1 << pos[t] for t in cone(x)), 1 << i) for i, x in enumerate(els)]
+        for cone in (p.up, p.down)
+    )
+    known = (set(cones[0]), set(cones[1]))
+
+    def defects(pairs):
+        """Heap entries ``(key, key, 0 join / 1 meet, position, position)``
+        of the pairs ``(i, j)``, ``i`` first in node order, that miss their
+        join or meet."""
+        return [
+            (keys[i], keys[j], k, i, j)
+            for i, j in pairs
+            for k, cone in enumerate(cones)
+            if (bound := cone[i] & cone[j]) and bound not in known[k]
+        ]
+
+    heap = defects(itertools.combinations(range(len(els)), 2))
+    heapq.heapify(heap)
+    edges, taken, counter = list(covers(p)), set(els), 0
+    while heap:
+        _, _, k, i, j = heapq.heappop(heap)
+        bound = cones[k][i] & cones[k][j]
+        if bound in known[k]:  # mended since it was queued
+            continue
+        if len(els) - len(p) == _MAX_COMPLETION_POINTS:
             raise BudgetError("path completion did not close")
+        far = -1  # the points on the far side of the whole bound set
+        for t in _bits(bound):
+            far &= cones[1 - k][t]
+        counter = next(c for c in itertools.count(counter) if f"i{c}" not in taken)
+        z, name = len(els), f"i{counter}"
+        taken.add(name)
+        els.append(name)
+        keys.append(node_key(name))
+        lo, hi = (far, bound) if k == 0 else (bound, far)
+        edges += [(els[t], name) for t in _bits(lo)]
+        edges += [(name, els[t]) for t in _bits(hi)]
+        # For a join, z enters the up-cones of the far side and the
+        # down-cones of the bound set (dually for a meet).  No pair of old
+        # points gets a new defect, so only the pairs with z are examined.
+        # A pair not both below z keeps its common upper bounds U and its
+        # status, as every up-cone that gains z then holds a point outside
+        # U.  For a pair below z, U gains z; if U had a least point m, then
+        # m lies below the bound set, so below z, and its cone gains z too;
+        # if U had none, only z's new cone can match, when U is the bound
+        # set: then the defect is mended.  Dually for meets.
+        for side, mask, own in ((k, far, bound), (1 - k, bound, far)):
+            for t in _bits(mask):
+                known[side].remove(cones[side][t])
+                cones[side][t] |= 1 << z
+                known[side].add(cones[side][t])
+            cones[side].append(own | 1 << z)
+            known[side].add(own | 1 << z)
+        for entry in defects((t, z) if keys[t] < keys[z] else (z, t) for t in range(z)):
+            heapq.heappush(heap, entry)
+    if len(els) == len(p):
+        return p
+    irrational = set(p.irrational) | set(els[len(p) :])
+    return FinPoset(els, edges, colour=dict(p.colour), irrational=irrational)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@
 - CFPO paths assembled from connecting sets and maximal chains of the
   intervals between their members, the reference for the Hasse-diagram
   walk of ``cfpo.path``
+- path completion that rebuilds the order and rescans every pair after
+  each added point, the reference for the in-place extension of
+  ``cfpo.path_completion``
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import random
 
 from omegacat.cfpo import connecting_sets
 from omegacat.errors import CycleError
-from omegacat.posets import maximal_chains, node_key
+from omegacat.posets import FinPoset, maximal_chains, node_key
 from omegacat.terms import (
     Concat,
     Singleton,
@@ -250,3 +253,50 @@ def naive_paths(p, a, b, limit: int = 2) -> list:
         if len(found) >= limit:
             break
     return found
+
+
+# ---------------------------------------------------------------------------
+# CFPO path completion by rebuild and rescan
+
+
+def _first_missing_bound(p):
+    """The bound set of the first pair, in node order, that has common
+    upper bounds but no join (checked first) or common lower bounds but no
+    meet, with True for a join; or None."""
+    for x, y in itertools.combinations(p.elements, 2):
+        uppers = [t for t in p.elements if p.leq(x, t) and p.leq(y, t)]
+        if uppers and naive_join(p, x, y) is None:
+            return uppers, True
+        lowers = [t for t in p.elements if p.leq(t, x) and p.leq(t, y)]
+        if lowers and naive_meet(p, x, y) is None:
+            return lowers, False
+    return None
+
+
+def naive_path_completion(p):
+    """Path completion one point at a time: adjoin the extremum missing for
+    the first defective pair, between the bound set and the points on the
+    far side of all of it, rebuild the order and rescan from the first
+    pair.  Added points are irrational and named ``i0``, ``i1``, ...,
+    skipping names already present."""
+    cur, counter = p, 0
+    while True:
+        found = _first_missing_bound(cur)
+        if found is None:
+            return cur
+        bound, is_join = found
+        while f"i{counter}" in cur.elements:
+            counter += 1
+        name = f"i{counter}"
+        if is_join:
+            far = [t for t in cur.elements if all(cur.leq(t, u) for u in bound)]
+            edges = [(t, name) for t in far] + [(name, u) for u in bound]
+        else:
+            far = [t for t in cur.elements if all(cur.leq(u, t) for u in bound)]
+            edges = [(u, name) for u in bound] + [(name, t) for t in far]
+        cur = FinPoset(
+            cur.elements + (name,),
+            list(cur.lt) + edges,
+            colour=dict(cur.colour),
+            irrational=set(cur.irrational) | {name},
+        )

@@ -32,7 +32,7 @@ from omegacat.cfpo import (
 )
 from omegacat.errors import BudgetError
 from omegacat.posets import FinPoset, all_trees, meet, orbits
-from oracles import naive_paths
+from oracles import naive_path_completion, naive_paths
 
 
 # ---------------------------------------------------------------- fixtures
@@ -202,6 +202,50 @@ def test_completion_idempotent():
     for p in (bowtie(), diamond(), v_poset(), disjoint_chains()):
         q = path_completion(p)
         assert same_shape(path_completion(q), q)
+
+
+def test_completion_budget_counts_added_points(monkeypatch):
+    monkeypatch.setattr("omegacat.cfpo._MAX_COMPLETION_POINTS", 1)
+    assert set(path_completion(bowtie()).elements) == {"a", "b", "x", "y", "i0"}
+    # two disjoint bowties need one centre each
+    edges = [(a, x) for a in "ab" for x in "xy"]
+    edges += [(c, u) for c in "cd" for u in "uv"]
+    two = FinPoset("abcdxyuv", edges)
+    assert len(naive_path_completion(two)) == 10
+    with pytest.raises(BudgetError):
+        path_completion(two)
+
+
+def same_completion(p):
+    q, want = path_completion(p), naive_path_completion(p)
+    assert q.elements == want.elements
+    assert q.lt == want.lt
+    assert q.irrational == want.irrational
+    assert q.colour == want.colour
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_dags())
+def test_completion_matches_rebuild_oracle(p):
+    same_completion(p)
+
+
+@pytest.mark.parametrize("n, prob", [(20, 0.3), (30, 0.2), (40, 0.15)])
+def test_completion_matches_rebuild_oracle_on_random_dags(n, prob):
+    # names i0 and i2 collide with fresh ids; some points carry colours
+    rng = random.Random(n)
+    names = list(range(n))
+    for v, name in zip(rng.sample(range(n), 2), ("i0", "i2")):
+        names[v] = name
+    edges = [
+        (names[i], names[j])
+        for i, j in itertools.combinations(range(n), 2)
+        if rng.random() < prob
+    ]
+    colour = {x: rng.choice("ab") for x in names if rng.random() < 0.2}
+    p = FinPoset(names, edges, colour=colour)
+    assert len(path_completion(p)) > n
+    same_completion(p)
 
 
 # ------------------------------------------------------- connecting sets

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BudgetError
-from .posets import FinPoset, _common_bounds, covers, node_key
+from .posets import FinPoset, _bits, _common_bounds, covers, node_key
 
 __all__ = [
     "AMBIGUOUS",
@@ -87,16 +87,11 @@ def join(p: FinPoset, x, y):
     """Minimum of the common upper bounds of ``x`` and ``y``, or None
     when the pair is unbounded above or the bound set has no minimum."""
     _require(p, x, y)
-    return _common_bounds(p.up, x, y)[1]
+    return _common_bounds(p, p._up, x, y)
 
 
 # ---------------------------------------------------------------------------
 # path completion
-
-
-def _bits(mask) -> list:
-    """Positions of the set bits of ``mask``, lowest first."""
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def path_completion(p: FinPoset) -> FinPoset:
@@ -113,15 +108,13 @@ def path_completion(p: FinPoset) -> FinPoset:
     the order they are added, skipping names already present.
     """
     els = list(p.elements)
-    pos = {x: i for i, x in enumerate(els)}
     keys = [node_key(x) for x in els]
     # cones[0][i] / cones[1][i]: closed up- / down-cone of point i, as a bit
     # mask over positions.  A bound set has its extremum iff it is that
     # point's closed cone, and closed cones are distinct, so ``known``
     # decides a pair with one lookup.
     cones = tuple(
-        [sum((1 << pos[t] for t in cone(x)), 1 << i) for i, x in enumerate(els)]
-        for cone in (p.up, p.down)
+        [m | 1 << i for i, m in enumerate(strict)] for strict in (p._up, p._down)
     )
     known = (set(cones[0]), set(cones[1]))
 
@@ -323,8 +316,8 @@ def _embed(p: FinPoset, pattern: AltPattern, counter) -> Optional[Dict]:
         if i == 0:
             cands = p.elements
         else:
-            cone = p.up if (i % 2 == 0) != pattern.reversed else p.down
-            cands = sorted(cone(img[i - 1]), key=node_key)
+            cones = p._up if (i % 2 == 0) != pattern.reversed else p._down
+            cands = p._decode(cones[p._pos[img[i - 1]]])
         for z in cands:
             _tick(counter)
             if any(p.comparable(z, img[j]) for j in range(i - 1)):

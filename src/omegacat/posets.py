@@ -3,9 +3,9 @@
 A :class:`FinPoset` stores a finite strict order, transitively closed, with
 two optional node labels: a colour tag and an "irrational" flag.  It is
 built from any generating relation, such as the covering pairs.  One
-closure pass over the successor lists stores every element's strict up-set
-and upper covers, and the same pass over the predecessor lists stores its
-strict down-set and lower covers; the order is kept only in those sets.
+closure pass over the successor lists stores every element's strict up-set,
+as an int bit mask over element positions, and its upper covers; the same
+pass over the predecessor lists stores the down-sets and lower covers.
 Every order query in the package reads them: covers, maximal chains,
 meets (and joins and paths in :mod:`omegacat.cfpo`), cones, tree
 validation, tuple completion under meets, and a small line-based file
@@ -49,23 +49,26 @@ def node_key(x):
     return (1, 0, str(x))
 
 
-def _strict_up_sets(els, succ) -> tuple:
-    """The strict up-set and the upper covers, in node order, of every node
-    of ``succ``.  On the predecessor lists the same pass gives the strict
-    down-sets and the lower covers.
+def _bits(mask) -> list:
+    """Positions of the set bits of ``mask``, lowest first."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
-    One depth-first pass in node order: a node's up-set is the union of its
-    successors' closed up-sets, taken when its last successor is done.  A
-    successor already in the union is skipped, since its up-set is in it
-    too.  Every cover is a single edge of ``succ``, and an edge ``x -> c``
-    is one exactly when ``c`` lies in no other successor's up-set, so the
-    upper covers are the successors left outside the union.
+
+def _strict_up_sets(els, succ) -> tuple:
+    """The strict up-set, a bit mask over positions, of every position of
+    ``succ`` and the upper covers of every node, in node order.  On the
+    predecessor lists the same pass gives the down-sets and lower covers.
+
+    One depth-first pass in node order.  When a node's last successor is
+    done, its up-set is the OR of its successors' strict up-sets, skipping
+    successors already in it, and of the successors themselves.  Every
+    cover is an edge of ``succ``, and ``x -> c`` is one exactly when ``c``
+    lies in no other successor's up-set, that is outside that first OR.
     """
-    up: dict = {}
+    up: list = [None] * len(els)
     upper: dict = {}
-    pos = {x: i for i, x in enumerate(els)}
-    for start in els:
-        if start in up:
+    for start in range(len(els)):
+        if up[start] is not None:
             continue
         stack, open_ = [(start, iter(succ[start]))], {start}
         while stack:
@@ -73,28 +76,30 @@ def _strict_up_sets(els, succ) -> tuple:
             for c in kids:
                 if c in open_:
                     raise CycleError(
-                        f"cycle through node {_first_on_cycle(els, succ)!r}"
+                        f"cycle through node {els[_first_on_cycle(succ)]!r}"
                     )
-                if c not in up:
+                if up[c] is None:
                     stack.append((c, iter(succ[c])))
                     open_.add(c)
                     break
             else:
                 stack.pop()
                 open_.discard(x)
-                reach: set = set()
+                reach = 0
                 for c in succ[x]:
-                    if c not in reach:
+                    if not reach >> c & 1:
                         reach |= up[c]
-                upper[x] = sorted(set(succ[x]) - reach, key=pos.__getitem__)
-                reach.update(succ[x])
-                up[x] = frozenset(reach)
+                succs = sorted(set(succ[x]))
+                upper[els[x]] = [els[c] for c in succs if not reach >> c & 1]
+                for c in succs:
+                    reach |= 1 << c
+                up[x] = reach
     return up, upper
 
 
-def _first_on_cycle(els, succ):
-    """The first node, in node order, that can reach itself."""
-    for x in els:
+def _first_on_cycle(succ):
+    """The first position, in node order, that can reach itself."""
+    for x in range(len(succ)):
         seen, todo = set(), list(succ[x])
         while todo:
             y = todo.pop()
@@ -111,14 +116,15 @@ class FinPoset:
     ``pairs`` may be any relation whose transitive closure is the order,
     such as its covering pairs.  Elements are kept in a canonical sorted
     order; construction rejects cycles.  The order is stored once per
-    direction, as strict up- and down-sets, each from one closure pass.
-    ``lt``, the set of all strict pairs, is built on each access in
-    O(pairs); it serves tests and oracles, not hot paths.
+    direction, as strict up- and down-sets, each an int bit mask over the
+    element positions.  ``down``/``up`` decode a mask on each call, and
+    ``lt``, the set of all strict pairs, is built on each access; they
+    serve tests and oracles, not hot paths.
     """
 
-    # _down/_up: strict down- and up-sets; _lower/_upper: covers, in node order
+    # _pos: node -> bit position; _down/_up: strict masks; _lower/_upper: covers
     __slots__ = (
-        "elements", "colour", "irrational", "_down", "_up", "_lower", "_upper"
+        "elements", "colour", "irrational", "_pos", "_down", "_up", "_lower", "_upper"
     )
 
     def __init__(
@@ -129,38 +135,46 @@ class FinPoset:
         irrational: Iterable | None = None,
     ):
         els = sorted(set(elements), key=node_key)
-        succ = {x: [] for x in els}
-        pred = {x: [] for x in els}
+        pos = {x: i for i, x in enumerate(els)}
+        succ = [[] for _ in els]
+        pred = [[] for _ in els]
         for a, b in pairs:
-            if a not in succ or b not in succ:
+            if a not in pos or b not in pos:
                 raise ParseError(f"edge references unknown node {a!r} or {b!r}")
-            succ[a].append(b)
-            pred[b].append(a)
+            succ[pos[a]].append(pos[b])
+            pred[pos[b]].append(pos[a])
         self._up, self._upper = _strict_up_sets(els, succ)
         self._down, self._lower = _strict_up_sets(els, pred)
         self.elements = tuple(els)
+        self._pos = pos
         self.colour = dict(colour or {})
         self.irrational = frozenset(irrational or ())
         for x in self.colour:
-            if x not in succ:
+            if x not in pos:
                 raise ParseError(f"colour given for unknown node {x!r}")
         for x in self.irrational:
-            if x not in succ:
+            if x not in pos:
                 raise ParseError(f"irrational flag for unknown node {x!r}")
+
+    def _decode(self, mask) -> list:
+        """The nodes whose bits are set in ``mask``, in node order."""
+        return [self.elements[i] for i in _bits(mask)]
 
     @property
     def lt(self) -> frozenset:
         """All strict pairs ``(a, b)`` with ``a < b``, built on each access."""
-        return frozenset((a, b) for a in self.elements for b in self._up[a])
+        return frozenset((a, b) for a in self.elements for b in self.up(a))
 
     # -- basic queries -----------------------------------------------------
 
     def __contains__(self, x) -> bool:
-        return x in self._up
+        return x in self._pos
 
     def less(self, a, b) -> bool:
-        up = self._up.get(a)
-        return up is not None and b in up
+        try:
+            return self._up[self._pos[a]] >> self._pos[b] & 1 == 1
+        except KeyError:  # a node not in the order
+            return False
 
     def leq(self, a, b) -> bool:
         return a == b or self.less(a, b)
@@ -170,11 +184,11 @@ class FinPoset:
 
     def down(self, x) -> frozenset:
         """Strict lower set of ``x``."""
-        return self._down[x]
+        return frozenset(self._decode(self._down[self._pos[x]]))
 
     def up(self, x) -> frozenset:
         """Strict upper set of ``x``."""
-        return self._up[x]
+        return frozenset(self._decode(self._up[self._pos[x]]))
 
     def label(self, x) -> tuple:
         return (self.colour.get(x), x in self.irrational)
@@ -183,7 +197,7 @@ class FinPoset:
         keep = set(keep)
         return FinPoset(
             keep,
-            [(a, b) for a in self.elements if a in keep for b in self._up[a] & keep],
+            [(a, b) for a in self.elements if a in keep for b in self.up(a) & keep],
             colour={x: c for x, c in self.colour.items() if x in keep},
             irrational=self.irrational & keep,
         )
@@ -192,7 +206,7 @@ class FinPoset:
         return len(self.elements)
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        pairs = sum(map(len, self._up.values()))
+        pairs = sum(m.bit_count() for m in self._up)
         return f"FinPoset({len(self.elements)} nodes, {pairs} pairs)"
 
 
@@ -218,46 +232,43 @@ def validate_tree(p: FinPoset) -> TreeReport:
 def _tree_violations(p: FinPoset):
     """The violations of :func:`validate_tree` in order, found lazily, so
     that callers needing only the first stop there."""
+    els, up, down = p.elements, p._up, p._down
     # a closed down-set is a chain iff none of its members has two lower
     # covers, so only nodes at or above such a fork can fail axiom 1
-    forks = [t for t in p.elements if len(p._lower[t]) > 1]
-    forked = set(forks).union(*(p._up[t] for t in forks))
-    for z in p.elements:
-        if z not in forked:
-            continue
-        below = p.down(z) | {z}
-        for x, y in itertools.combinations(sorted(below, key=node_key), 2):
-            if not p.comparable(x, y):
-                yield ("down-linearity", (x, y, z))
+    forks = sum(1 << t for t, x in enumerate(els) if len(p._lower[x]) > 1)
+    for z in range(len(els)):
+        below = down[z] | 1 << z
+        if below & forks:
+            for x, y in itertools.combinations(_bits(below), 2):
+                if not (up[x] | down[x]) >> y & 1:
+                    yield ("down-linearity", (els[x], els[y], els[z]))
     # a single minimal element is a common lower bound of every pair
-    if sum(1 for x in p.elements if not p.down(x)) != 1:
-        for x, y in itertools.combinations(p.elements, 2):
-            if (p.down(x) | {x}).isdisjoint(p.down(y) | {y}):
-                yield ("common-lower-bound", (x, y))
+    if sum(1 for m in down if not m) != 1:
+        for x, y in itertools.combinations(range(len(els)), 2):
+            if not (down[x] | 1 << x) & (down[y] | 1 << y):
+                yield ("common-lower-bound", (els[x], els[y]))
 
 
 # -------------------------------------------------------------- meets/cones
 
 
-def _common_bounds(cone, x, y):
-    """The common closed bounds of ``x`` and ``y`` and the one of them whose
-    closed cone holds all the others, or None.  ``cone`` is ``p.down`` for
-    lower bounds (whose greatest is the meet) or ``p.up`` for upper bounds
-    (whose least is the join)."""
-    common = (cone(x) | {x}) & (cone(y) | {y})
-    if common:
-        # the extremum, if any, has the strictly largest cone among them
-        best = max(common, key=lambda t: len(cone(t)))
-        if common <= cone(best) | {best}:
-            return common, best
-    return common, None
+def _common_bounds(p: FinPoset, cones, x, y):
+    """The extremum of the common closed bounds of ``x`` and ``y``, or None:
+    ``cones`` is ``p._down`` for the meet or ``p._up`` for the join.  The
+    bounds have an extremum iff they are its closed cone."""
+    i, j = p._pos[x], p._pos[y]
+    common = (cones[i] | 1 << i) & (cones[j] | 1 << j)
+    for t in _bits(common):
+        if cones[t] | 1 << t == common:
+            return p.elements[t]
+    return None
 
 
 def meet(p: FinPoset, x, y):
     """Maximum of the common lower bounds of x and y, or None."""
     if x not in p or y not in p:
         return None
-    return _common_bounds(p.down, x, y)[1]
+    return _common_bounds(p, p._down, x, y)
 
 
 def cones_above(p: FinPoset, t) -> tuple:
@@ -267,7 +278,7 @@ def cones_above(p: FinPoset, t) -> tuple:
     ``t``.  Requires tree-like input: every pair above ``t`` must have a
     meet.
     """
-    above = sorted(p.up(t), key=node_key)
+    above = p._decode(p._up[p._pos[t]])
     parent = {x: x for x in above}
 
     def find(x):
@@ -282,14 +293,11 @@ def cones_above(p: FinPoset, t) -> tuple:
             raise NotATreeError(f"no meet for {a!r}, {b!r} above {t!r}")
         if p.less(t, m):
             parent[find(a)] = find(b)
+    # ``above`` is in node order, and so are the groups and their members
     groups: dict = {}
     for x in above:
         groups.setdefault(find(x), []).append(x)
-    cones = sorted(
-        (tuple(sorted(g, key=node_key)) for g in groups.values()),
-        key=lambda c: node_key(c[0]),
-    )
-    return tuple(cones)
+    return tuple(map(tuple, groups.values()))
 
 
 def ramification_order(p: FinPoset, t) -> int:
@@ -426,8 +434,8 @@ def covers(p: FinPoset) -> tuple:
 def maximal_chains(p: FinPoset) -> tuple:
     """All maximal chains, each as a tuple from bottom to top, sorted."""
     chains = []
-    for m in p.elements:
-        if p._down[m]:
+    for m, down in zip(p.elements, p._down):
+        if down:
             continue
         # depth-first along upper covers: walks[i] runs over those of chain[i]
         chain, walks = [m], [iter(p._upper[m])]

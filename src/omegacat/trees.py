@@ -1171,7 +1171,7 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
             if annotations.get(a) != annotations.get(b):
                 return False, (("annotation-mismatch", a, b),)
 
-    rank = {v: len(p.down(v)) for v in p.elements}
+    rank = {v: m.bit_count() for v, m in zip(p.elements, p._down)}
     base0 = sorted(p.down(y0) | {y0}, key=lambda v: rank[v])
     base1 = sorted(p.down(y1) | {y1}, key=lambda v: rank[v])
     if len(base0) != len(base1):

@@ -147,6 +147,17 @@ def test_term_sample_too_large_to_hold_is_a_budget_error(capsys):
     assert err.startswith("error: budget:") and err.count("\n") == 1
 
 
+def test_term_sample_budget_boundary(capsys):
+    # 2 000 points hold 1 999 000 order pairs, within _MAX_SAMPLE_PAIRS;
+    # 2 001 points would hold 2 001 000
+    code, out, err = run(capsys, "term", "sample", "Q(1)", "--size", "2000")
+    assert (code, err) == (0, "")
+    assert sum(line.startswith("node ") for line in out.splitlines()) == 2000
+    code, out, err = run(capsys, "term", "sample", "Q(1)", "--size", "2001")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: budget:") and err.count("\n") == 1
+
+
 def test_term_sample_dot_format(capsys):
     code, out, _ = run(
         capsys, "term", "sample", "1^1", "--size", "2", "--format", "dot"

@@ -8,7 +8,6 @@ from omegacat.cfpo import (
     AMBIGUOUS,
     alt,
     alt_rank,
-    connecting_sets,
     path,
     path_completion,
     validate_cfpo,
@@ -40,7 +39,6 @@ show("The diamond is NOT cycle-free: two routes between the same points")
 diamond = FinPoset(
     ["a", "b", "r", "t"], [("r", "a"), ("r", "b"), ("a", "t"), ("b", "t")]
 )
-print(f"  connecting sets a..b: {[c.nodes for c in connecting_sets(path_completion(diamond), 'a', 'b')]}")
 result = path(path_completion(diamond), "a", "b")
 print(f"  path(a,b) = {'ambiguous' if result is AMBIGUOUS else result}")
 print(f"  verdict: validate -> {validate_cfpo(diamond)}")

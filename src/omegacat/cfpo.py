@@ -9,7 +9,8 @@ Hasse diagram: a path is a walk along covers that repeats no node and
 whose turning points form a connecting set.  Paths may pass through
 *irrational* points that only exist in the path completion: the smallest
 extension closing the order under meets of downward-bounded pairs and
-joins of upward-bounded pairs.
+joins of upward-bounded pairs.  An order is cycle-free exactly when the
+Hasse diagram of its path completion is a forest.
 
 The alternating zigzag on ``n`` points and its order reversal measure how
 far an order is from a tree: the rank of an order is the largest zigzag
@@ -22,18 +23,16 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .errors import BudgetError
-from .posets import FinPoset, _bits, _common_bounds, covers, node_key
+from .posets import FinPoset, _bits, _common_bounds, _find, covers, node_key
 
 __all__ = [
     "AMBIGUOUS",
-    "ConnectingSet",
     "AltPattern",
     "join",
     "path_completion",
-    "connecting_sets",
     "path",
     "validate_cfpo",
     "alt",
@@ -44,25 +43,6 @@ __all__ = [
 AMBIGUOUS = "ambiguous"
 
 _MAX_COMPLETION_POINTS = 4096
-
-
-@dataclass(frozen=True)
-class ConnectingSet:
-    """An alternating tuple of turning points linking two query points.
-
-    ``directions[k]`` is ``"up"`` when ``nodes[k] < nodes[k+1]`` and
-    ``"down"`` otherwise; interior nodes reverse direction, and nodes that
-    are not neighbours in the tuple are incomparable.
-    """
-
-    nodes: Tuple
-    directions: Tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.nodes) < 2:
-            raise ValueError("a connecting set needs at least two nodes")
-        if len(self.directions) != len(self.nodes) - 1:
-            raise ValueError("one direction per consecutive pair required")
 
 
 @dataclass(frozen=True)
@@ -175,51 +155,7 @@ def path_completion(p: FinPoset) -> FinPoset:
 
 
 # ---------------------------------------------------------------------------
-# connecting sets and paths
-
-
-def connecting_sets(p: FinPoset, a, b) -> List[ConnectingSet]:
-    """All alternating tuples linking ``a`` to ``b`` in ``p``.
-
-    Neighbouring members are strictly comparable, direction reverses at
-    every interior member, and non-neighbours are incomparable (which
-    forces all members distinct).  Run this on the path completion when
-    interior turning points may be irrational.  Result is sorted by
-    length, then by node order.  This is a query for users: ``path`` and
-    ``validate_cfpo`` walk the Hasse diagram instead of calling it.
-    """
-    _require(p, a, b)
-    out: List[ConnectingSet] = []
-    bound = 2 * len(p.elements)
-
-    def extend(tup, dirs):
-        if len(tup) >= bound:
-            return
-        last = tup[-1]
-        for z in p.elements:
-            if p.less(last, z):
-                d = "up"
-            elif p.less(z, last):
-                d = "down"
-            else:
-                continue
-            if dirs and d == dirs[-1]:
-                continue
-            if any(p.comparable(z, c) for c in tup[:-1]):
-                continue
-            if z == b:
-                out.append(ConnectingSet(tup + (z,), dirs + (d,)))
-            else:
-                extend(tup + (z,), dirs + (d,))
-
-    extend((a,), ())
-    out.sort(
-        key=lambda cs: (
-            len(cs.nodes),
-            tuple(node_key(x) for x in cs.nodes),
-        )
-    )
-    return out
+# paths
 
 
 def _paths(p: FinPoset, a, b, limit: int = 2) -> List[frozenset]:
@@ -266,12 +202,50 @@ def path(p: FinPoset, a, b):
 def validate_cfpo(p: FinPoset):
     """Check that every pair of original points has at most one path in
     the path completion.  Returns ``(True, None)`` or ``(False, pair)``
-    with the first offending pair in node order."""
+    with the first offending pair in node order.  One union-find pass over
+    the covers of the completion decides it; the pairs are searched only
+    for the witness."""
+    # A path repeats no node, so in a forest two points have at most one.
+    # Conversely, say the Hasse diagram of the completion q has a cycle;
+    # take one with the fewest turning points, 2k.  Of its two arcs between
+    # two turning points, the short one has at most k + 1 of them, ends
+    # included.  A walk of the diagram with the same ends as a short arc
+    # bounds, with it, a cycle from where the two part to where they next
+    # meet, turning only there or where one of them turns.  So when k > 1:
+    # (a) turning points that are not neighbours on the cycle are
+    #     incomparable, or a saturated chain between them would bound a
+    #     cycle with at most k + 1 < 2k turning points;
+    # (b) no point lies above a peak t and a turning point c other than t
+    #     and its valleys, or the saturated chains from t and c up to a
+    #     minimal such point (one turn, and they meet only there) would
+    #     bound one with the short arc from t to c, which leaves t down, so
+    #     that t is no turn: at most k + 1 again.
+    # Every point of q lies between original points: an added point lies
+    # below its bound set and above the far side, both nonempty and made of
+    # earlier points (dually for meets).  If k = 1, the cycle is two
+    # saturated chains from its valley r to its peak t; extended by chains
+    # down from r and up from t to original points, they are two paths.
+    # If k > 1, the peaks t, t' next to a valley v are incomparable by (a),
+    # so "t v t'" and the rest of the cycle are two paths, one through v.
+    # Extend both by saturated chains up from t and t' to original points
+    # s and s': by (a) and (b) the chains miss the cycle (each point on it
+    # lies below a peak) and each other, and s, s' are incomparable to the
+    # turning points that are not their neighbours, so the walks remain two
+    # paths, between s and s'.  The search below runs only on invalid input.
     q = path_completion(p)
-    for x, y in itertools.combinations(p.elements, 2):
-        if len(_paths(q, x, y)) > 1:
-            return False, (x, y)
-    return True, None
+    parent = {x: x for x in q.elements}
+    for a, b in covers(q):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            break
+        parent[ra] = rb
+    else:
+        return True, None
+    return False, next(
+        (x, y)
+        for x, y in itertools.combinations(p.elements, 2)
+        if len(_paths(q, x, y)) > 1
+    )
 
 
 # ---------------------------------------------------------------------------

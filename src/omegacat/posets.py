@@ -54,6 +54,15 @@ def _bits(mask) -> list:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
+def _find(parent: dict, x):
+    """Root of ``x`` in the union-find forest ``parent``, halving the path
+    on the way (Tarjan 1975)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _strict_up_sets(els, succ) -> tuple:
     """The strict up-set, a bit mask over positions, of every position of
     ``succ`` and the upper covers of every node, in node order.  On the
@@ -280,23 +289,16 @@ def cones_above(p: FinPoset, t) -> tuple:
     """
     above = p._decode(p._up[p._pos[t]])
     parent = {x: x for x in above}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in itertools.combinations(above, 2):
         m = meet(p, a, b)
         if m is None:
             raise NotATreeError(f"no meet for {a!r}, {b!r} above {t!r}")
         if p.less(t, m):
-            parent[find(a)] = find(b)
+            parent[_find(parent, a)] = _find(parent, b)
     # ``above`` is in node order, and so are the groups and their members
     groups: dict = {}
     for x in above:
-        groups.setdefault(find(x), []).append(x)
+        groups.setdefault(_find(parent, x), []).append(x)
     return tuple(map(tuple, groups.values()))
 
 

@@ -8,9 +8,9 @@
 - brute-force order queries (closure, down/up sets, covers, meets, joins,
   tree validation) that rescan the relation for every answer, the
   reference for the stored sets of ``FinPoset``
-- CFPO paths assembled from connecting sets and maximal chains of the
-  intervals between their members, the reference for the Hasse-diagram
-  walk of ``cfpo.path``
+- CFPO connecting sets, enumerated without a bound, and the paths
+  assembled from them and maximal chains of the intervals between their
+  members, the reference for the Hasse-diagram walk of ``cfpo.path``
 - path completion that rebuilds the order and rescans every pair after
   each added point, the reference for the in-place extension of
   ``cfpo.path_completion``
@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from omegacat.cfpo import connecting_sets
 from omegacat.errors import CycleError
 from omegacat.posets import FinPoset, maximal_chains, node_key
 from omegacat.terms import (
@@ -216,6 +217,71 @@ def naive_validate_tree(p):
 
 # ---------------------------------------------------------------------------
 # CFPO paths from connecting sets
+
+
+@dataclass(frozen=True)
+class ConnectingSet:
+    """An alternating tuple of turning points linking two query points.
+
+    ``directions[k]`` is ``"up"`` when ``nodes[k] < nodes[k+1]`` and
+    ``"down"`` otherwise; interior nodes reverse direction, and nodes that
+    are not neighbours in the tuple are incomparable.
+    """
+
+    nodes: Tuple
+    directions: Tuple[str, ...]
+
+    def __post_init__(self):
+        if len(self.nodes) < 2:
+            raise ValueError("a connecting set needs at least two nodes")
+        if len(self.directions) != len(self.nodes) - 1:
+            raise ValueError("one direction per consecutive pair required")
+
+
+def connecting_sets(p: FinPoset, a, b) -> List[ConnectingSet]:
+    """All alternating tuples linking ``a`` to ``b`` in ``p``.
+
+    Neighbouring members are strictly comparable, direction reverses at
+    every interior member, and non-neighbours are incomparable (which
+    forces all members distinct).  Run this on the path completion when
+    interior turning points may be irrational.  Result is sorted by
+    length, then by node order.  ``naive_paths`` reads it; ``cfpo.path``
+    and ``cfpo.validate_cfpo`` walk the Hasse diagram instead.
+    """
+    for x in (a, b):
+        if x not in p:
+            raise ValueError(f"unknown node {x!r}")
+    out: List[ConnectingSet] = []
+    bound = 2 * len(p.elements)
+
+    def extend(tup, dirs):
+        if len(tup) >= bound:
+            return
+        last = tup[-1]
+        for z in p.elements:
+            if p.less(last, z):
+                d = "up"
+            elif p.less(z, last):
+                d = "down"
+            else:
+                continue
+            if dirs and d == dirs[-1]:
+                continue
+            if any(p.comparable(z, c) for c in tup[:-1]):
+                continue
+            if z == b:
+                out.append(ConnectingSet(tup + (z,), dirs + (d,)))
+            else:
+                extend(tup + (z,), dirs + (d,))
+
+    extend((a,), ())
+    out.sort(
+        key=lambda cs: (
+            len(cs.nodes),
+            tuple(node_key(x) for x in cs.nodes),
+        )
+    )
+    return out
 
 
 def naive_paths(p, a, b, limit: int = 2) -> list:

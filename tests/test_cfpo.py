@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegacat.cfpo import (
     AMBIGUOUS,
     AltPattern,
-    ConnectingSet,
     alt,
     alt_rank,
-    connecting_sets,
     embeds_alt,
     join,
     path,
@@ -32,7 +31,13 @@ from omegacat.cfpo import (
 )
 from omegacat.errors import BudgetError
 from omegacat.posets import FinPoset, all_trees, meet, orbits
-from oracles import naive_path_completion, naive_paths
+from oracles import (
+    ConnectingSet,
+    connecting_sets,
+    naive_covers,
+    naive_path_completion,
+    naive_paths,
+)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -97,6 +102,48 @@ def small_dags(draw, max_nodes=8):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=16)) if pairs else []
     return FinPoset(names, [(names[i], names[j]) for i, j in edges])
+
+
+def natural_posets(max_points):
+    """Every order on ``1..max_points`` points whose node order extends it,
+    once each: 407 orders for 5 points, which covers every order on at
+    most 5 points up to isomorphism."""
+    seen = set()
+    for n in range(1, max_points + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            p = FinPoset(range(n), [e for k, e in enumerate(pairs) if mask >> k & 1])
+            if (n, p.lt) not in seen:
+                seen.add((n, p.lt))
+                yield p
+
+
+def with_examples(inputs):
+    """Add each of ``inputs`` as an explicit example of a hypothesis test."""
+
+    def add(test):
+        for x in inputs:
+            test = example(x)(test)
+        return test
+
+    return add
+
+
+def hasse_is_forest(p):
+    """Union-find over the brute-force covers: False at the first one that
+    closes a cycle of the undirected Hasse diagram."""
+    root = {x: x for x in p.elements}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in naive_covers(p):
+        if find(a) == find(b):
+            return False
+        root[find(a)] = find(b)
+    return True
 
 
 def same_shape(p, q):
@@ -380,9 +427,13 @@ def test_path_on_oriented_tree_is_the_tree_path():
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
+@with_examples(natural_posets(5))
 @given(small_dags())
 def test_path_and_validate_match_connecting_set_oracle(p):
+    # validate_cfpo holds exactly when the completion's Hasse diagram is a
+    # forest (the converse is argued at validate_cfpo)
     q = path_completion(p)
+    assert validate_cfpo(p)[0] == hasse_is_forest(q)
     for a, b in itertools.product(q.elements, repeat=2):
         ps = [frozenset({a})] if a == b else naive_paths(q, a, b)
         expected = None if not ps else AMBIGUOUS if len(ps) > 1 else ps[0]
@@ -418,6 +469,15 @@ def test_validate_alternating_posets():
 
 def test_validate_disjoint_chains():
     assert validate_cfpo(disjoint_chains()) == (True, None)
+
+
+def test_validate_oriented_tree_takes_one_forest_check():
+    # A walk search per pair takes seconds on this order (12 720 pairs); the
+    # forest check on the completion's Hasse diagram needs none.
+    p = FinPoset(range(160), oriented_tree(160, 160))
+    start = time.perf_counter()
+    assert validate_cfpo(p) == (True, None)
+    assert time.perf_counter() - start < 0.1
 
 
 # ------------------------------------------------------------------ alt

@@ -2,9 +2,10 @@
 ``ast`` only.
 
 Every import of a module must be used in it (or re-exported through its
-``__all__``), and every private module-level name (``_x``, not ``__x__``)
+``__all__``), every private module-level name (``_x``, not ``__x__``)
 must be referenced somewhere in ``src/`` outside its own definition: in
-another statement of its module, or by an import from another module.
+another statement of its module, or by an import from another module,
+and every name in a module's ``__all__`` must be bound at module level.
 """
 
 import ast
@@ -104,3 +105,15 @@ def test_every_private_module_level_name_is_referenced():
                 if not elsewhere and (mod, name) not in imported:
                     orphans.append(f"{mod}: {name}")
     assert orphans == []
+
+
+def test_every_exported_name_is_bound():
+    unbound = []
+    for mod, tree in _modules().items():
+        bound = set()
+        for stmt in tree.body:
+            bound |= _defined(stmt)
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound |= {(a.asname or a.name).split(".")[0] for a in stmt.names}
+        unbound += [f"{mod}: {name}" for name in sorted(_exported(tree) - bound)]
+    assert unbound == []

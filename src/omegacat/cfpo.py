@@ -158,8 +158,8 @@ def path_completion(p: FinPoset) -> FinPoset:
 # paths
 
 
-def _paths(p: FinPoset, a, b, limit: int = 2) -> List[frozenset]:
-    """Distinct path node-sets between ``a`` and ``b``, at most ``limit``:
+def _paths(p: FinPoset, a, b) -> List[frozenset]:
+    """Distinct path node-sets between ``a`` and ``b``, at most two:
     walks from ``a`` along covering pairs that repeat no node, whose turning
     points (``a``, each change of direction, then ``b``) are incomparable
     to every earlier turning point except the one just before."""
@@ -178,7 +178,7 @@ def _paths(p: FinPoset, a, b, limit: int = 2) -> List[frozenset]:
                     stack.append((y, step, ts, seen | {y}))
                 elif not any(p.comparable(b, t) for t in ts[:-1]):
                     found.add(seen | {b})
-                    if len(found) == limit:
+                    if len(found) == 2:
                         return list(found)
     return list(found)
 
@@ -204,7 +204,9 @@ def validate_cfpo(p: FinPoset):
     the path completion.  Returns ``(True, None)`` or ``(False, pair)``
     with the first offending pair in node order.  One union-find pass over
     the covers of the completion decides it; the pairs are searched only
-    for the witness."""
+    for the witness, and only inside a component whose diagram has a
+    cycle: points in different components have no path, and points in a
+    tree component have one."""
     # A path repeats no node, so in a forest two points have at most one.
     # Conversely, say the Hasse diagram of the completion q has a cycle;
     # take one with the fewest turning points, 2k.  Of its two arcs between
@@ -234,17 +236,20 @@ def validate_cfpo(p: FinPoset):
     # paths, between s and s'.  The search below runs only on invalid input.
     q = path_completion(p)
     parent = {x: x for x in q.elements}
+    closing = []  # an end of each cover that closes a cycle
     for a, b in covers(q):
         ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
-            break
+            closing.append(a)
         parent[ra] = rb
-    else:
+    if not closing:
         return True, None
+    cyclic = {_find(parent, a) for a in closing}
+    inside = [x for x in p.elements if _find(parent, x) in cyclic]
     return False, next(
         (x, y)
-        for x, y in itertools.combinations(p.elements, 2)
-        if len(_paths(q, x, y)) > 1
+        for x, y in itertools.combinations(inside, 2)
+        if _find(parent, x) == _find(parent, y) and len(_paths(q, x, y)) > 1
     )
 
 

@@ -22,6 +22,7 @@ baked into the :class:`Shuffle` constructor, the other two are
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -273,6 +274,12 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
     return tokens
 
 
+# Shuffles and concatenations nest at most this deep: parsing,
+# normalizing, hashing and printing a term spend a few Python frames per
+# level, and 248 levels can exhaust the default recursion limit of 1000.
+_MAX_NESTING = 200
+
+
 class _TermParser:
     def __init__(self, text: str, alphabet=None):
         self.text = text
@@ -300,14 +307,32 @@ class _TermParser:
             raise ParseError(f"expected {sym!r}", column=self.here())
         return self.take()
 
-    def term(self) -> Term:
-        parts = [self.factor()]
+    def concatenated(self) -> bool:
+        """Does the term starting at ``pos`` join factors with ``^``?"""
+        level = 0
+        for tok, _ in itertools.islice(self.tokens, self.pos, None):
+            if level == 0 and tok in "^,)]":
+                return tok == "^"
+            if tok == "(":
+                level += 1
+            elif tok == ")":
+                level -= 1
+        return False
+
+    def term(self, depth: int = 0) -> Term:
+        # ``depth`` shuffles and concatenations enclose the term, and its
+        # own concatenation nests its factors one level deeper
+        depth += self.concatenated()
+        if depth > _MAX_NESTING:
+            msg = f"term nested deeper than {_MAX_NESTING} levels"
+            raise ParseError(msg, column=self.here())
+        parts = [self.factor(depth)]
         while self.peek() == "^":
             self.take()
-            parts.append(self.factor())
+            parts.append(self.factor(depth))
         return concat(parts)
 
-    def factor(self) -> Term:
+    def factor(self, depth: int) -> Term:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a term", column=self.here())
@@ -319,10 +344,10 @@ class _TermParser:
                     column=self.here(),
                 )
             self.take()
-            cs = [self.term()]
+            cs = [self.term(depth + 1)]
             while self.peek() == ",":
                 self.take()
-                cs.append(self.term())
+                cs.append(self.term(depth + 1))
             self.expect(")")
             return shuffle(cs)
         if tok in "^(),[]*":

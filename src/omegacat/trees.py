@@ -987,118 +987,86 @@ def _word_key(word):
     )
 
 
-def _leaf_label(tag: str):
-    if tag == IRRATIONAL:
-        return (None, True)
-    if tag == UNCOLOURED:
-        return (None, False)
-    return (tag, False)
+def _member_table(t: NfSequence):
+    """One row per member of ``t``, prefix first and then period (a
+    ``"ones"`` tail is the period ``[1]``), and the index of the first
+    period row.  A row is (finite?, the leaf label word of a finite member
+    or the label -> first-leaf map of a dense one, base position)."""
+    period = (Singleton(UNCOLOURED),) if t.tail == "ones" else t.period
+    rows = []
+    base = 0
+    for member in t.prefix + period:
+        tags = [subterm_at(member, q).tag for q in orbit_paths(member)]
+        # each leaf's point label: (colour or None, irrational?)
+        data = [
+            (None if tag in (IRRATIONAL, UNCOLOURED) else tag, tag == IRRATIONAL)
+            for tag in tags
+        ]
+        finite = is_finite(member)
+        if not finite:  # each label to its first leaf
+            data = {lab: data.index(lab) for lab in data}
+        rows.append((finite, data, base))
+        base += len(tags)
+    return rows, len(t.prefix)
 
 
-def _member_leaf_info(member: Term):
-    paths = orbit_paths(member)
-    labels = [_leaf_label(subterm_at(member, p).tag) for p in paths]
-    if is_finite(member):
-        return ("finite", labels)
-    palette = {}
-    for idx, lab in enumerate(labels):
-        palette.setdefault(lab, idx)
-    return ("shuffle", palette)
-
-
-def _leaf_count(member: Term) -> int:
-    return len(orbit_paths(member))
-
-
-def _parse_chain_labels(labels, t: NfSequence, sparse: bool = False):
-    """Assign an orbit position of ``t`` to every token of a chain label
-    word, or None when the word is not a (possibly truncated) instance.
+def _parse_chain_labels(labels, members, sparse: bool = False):
+    """Assign an orbit position to every token of a chain label word, or
+    None when the word is not a (possibly truncated) instance of the chain
+    type whose :func:`_member_table` is ``members``.
 
     Finite members must appear in full, except at the end of the word where
     a sample may have been cut short.  A dense member absorbs one or more
     tokens drawn from its leaf labels, or also none when ``sparse``;
-    matches are resolved leftmost-shortest.  Tail members cycle, reusing
-    their position block.
+    matches are resolved leftmost-shortest.  Period members cycle, reusing
+    their position block.  The search runs depth first over states (token,
+    row), where the row index tells the prefix from the period; a state met
+    again fails, as it failed before or is on the current path.
     """
-    pre_members = list(t.prefix)
-    if t.tail == "none":
-        per_members: List[Term] = []
-    elif t.tail == "ones":
-        per_members = [Singleton(UNCOLOURED)]
-    else:
-        per_members = list(t.period)
-    pre_info = [_member_leaf_info(m) for m in pre_members]
-    per_info = [_member_leaf_info(m) for m in per_members]
-    pre_base = [0]
-    for m in pre_members:
-        pre_base.append(pre_base[-1] + _leaf_count(m))
-    per_base = [pre_base[-1]]
-    for m in per_members:
-        per_base.append(per_base[-1] + _leaf_count(m))
+    rows, period = members
     n_tokens = len(labels)
-    out = [None] * n_tokens
-    dead = set()
 
-    def solve(ti: int, phase: int, mi: int) -> bool:
-        if ti == n_tokens:
-            return True
-        key = (ti, phase, mi)
-        if key in dead:
-            return False
-        # marked on entry: a key met again below itself consumed nothing
-        dead.add(key)
-        if phase == 0 and mi == len(pre_info):
-            return bool(per_info) and solve(ti, 1, 0)
-        if phase == 1 and mi == len(per_info):
-            return solve(ti, 1, 0)
-        kind, data = (pre_info if phase == 0 else per_info)[mi]
-        base = pre_base[mi] if phase == 0 else per_base[mi]
-        if kind == "finite":
-            word = data
-            j = 0
-            while (
-                j < len(word)
-                and ti + j < n_tokens
-                and labels[ti + j] == word[j]
-            ):
-                j += 1
-            if j == len(word):
-                if solve(ti + j, phase, mi + 1):
-                    for jj in range(j):
-                        out[ti + jj] = base + jj
-                    return True
-            elif ti + j == n_tokens:
-                for jj in range(j):
-                    out[ti + jj] = base + jj
-                return True
-            return False
-        palette = data
-        if sparse and solve(ti, phase, mi + 1):
-            return True
+    def moves(ti, mi):
+        """(token, row, positions taken) after each way row ``mi`` can
+        absorb the tokens from ``ti`` on, in the order they are tried."""
+        if mi == len(rows):  # with no period, this is the state itself
+            yield ti, period, ()
+            return
+        finite, data, base = rows[mi]
+        if finite:  # whole, or cut short by the end of the word
+            end = min(ti + len(data), n_tokens)
+            if all(labels[k] == data[k - ti] for k in range(ti, end)):
+                yield end, mi + 1, range(base, base + end - ti)
+            return
+        if sparse:
+            yield ti, mi + 1, ()
         c = 0
-        while ti + c < n_tokens and labels[ti + c] in palette:
+        while ti + c < n_tokens and labels[ti + c] in data:
             c += 1
-            if solve(ti + c, phase, mi + 1):
-                for cc in range(c):
-                    out[ti + cc] = base + palette[labels[ti + cc]]
-                return True
-        if ti + c == n_tokens and c >= 1:
-            for cc in range(c):
-                out[ti + cc] = base + palette[labels[ti + cc]]
-            return True
-        return False
+            taken = (base + data[labels[k]] for k in range(ti, ti + c))
+            yield ti + c, mi + 1, taken  # read only on the accepted path
 
-    return out if solve(0, 0, 0) else None
+    seen = {(0, 0)}
+    stack = [(0, (), moves(0, 0))]  # (token, positions taken into it, moves)
+    while stack and stack[-1][0] < n_tokens:
+        for ti, mi, taken in stack[-1][2]:  # resumes where it stopped
+            if ti == n_tokens or (ti, mi) not in seen:
+                seen.add((ti, mi))
+                stack.append((ti, taken, moves(ti, mi)))
+                break
+        else:
+            stack.pop()
+    return [n for _, taken, _ in stack for n in taken] if stack else None
 
 
-def _chain_type(word, table: RamTable):
-    """The index of the first chain type of ``table`` that the label word
-    of a sampled maximal chain parses as, and its position assignment.  A
-    chain that fits no type with every dense member holding a sampled point
-    is parsed again letting them hold none: a sample can miss a dense
-    stretch, as below the lowest sampled point of a shuffle."""
+def _chain_type(word, members):
+    """The index of the first chain type (by its :func:`_member_table`) that
+    the label word of a sampled maximal chain parses as, and its position
+    assignment.  A chain that fits no type with every dense member holding
+    a sampled point is parsed again letting them hold none: a sample can
+    miss a dense stretch, as below the lowest sampled point of a shuffle."""
     for sparse in (False, True):
-        for m, t in enumerate(table.chain_types):
+        for m, t in enumerate(members):
             assignment = _parse_chain_labels(word, t, sparse)
             if assignment is not None:
                 return m, assignment
@@ -1125,7 +1093,8 @@ def annotate_R(p: FinPoset, table: Optional[RamTable] = None):
         typed = [(midx[w], range(len(w))) for w in words]
         cap = OMEGA  # exact counts: nothing saturates
     else:
-        typed = [_chain_type(w, table) for w in words]
+        members = [_member_table(t) for t in table.chain_types]
+        typed = [_chain_type(w, members) for w in words]
         cap = table.cap
     counts: Dict[object, Dict[Tuple[int, int], int]] = {
         x: {} for x in p.elements

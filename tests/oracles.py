@@ -14,6 +14,9 @@
 - path completion that rebuilds the order and rescans every pair after
   each added point, the reference for the in-place extension of
   ``cfpo.path_completion``
+- the recursive parse of a chain label word as a chain type, rebuilding
+  the member leaf tables at each call, the reference for the search of
+  ``trees._parse_chain_labels``
 """
 
 from __future__ import annotations
@@ -25,13 +28,20 @@ from typing import List, Tuple
 
 from omegacat.errors import CycleError
 from omegacat.posets import FinPoset, maximal_chains, node_key
+from omegacat.sequences import NfSequence
 from omegacat.terms import (
+    IRRATIONAL,
+    UNCOLOURED,
     Concat,
     Singleton,
+    Term,
     applicable_rewrites,
     concat,
+    is_finite,
     materialize,
+    orbit_paths,
     shuffle,
+    subterm_at,
 )
 
 
@@ -366,3 +376,111 @@ def naive_path_completion(p):
             colour=dict(cur.colour),
             irrational=set(cur.irrational) | {name},
         )
+
+
+# ---------------------------------------------------------------------------
+# chain label parsing by recursion
+
+
+def _leaf_label(tag: str):
+    if tag == IRRATIONAL:
+        return (None, True)
+    if tag == UNCOLOURED:
+        return (None, False)
+    return (tag, False)
+
+
+def _member_leaf_info(member: Term):
+    paths = orbit_paths(member)
+    labels = [_leaf_label(subterm_at(member, p).tag) for p in paths]
+    if is_finite(member):
+        return ("finite", labels)
+    palette = {}
+    for idx, lab in enumerate(labels):
+        palette.setdefault(lab, idx)
+    return ("shuffle", palette)
+
+
+def _leaf_count(member: Term) -> int:
+    return len(orbit_paths(member))
+
+
+def naive_parse_chain_labels(labels, t: NfSequence, sparse: bool = False):
+    """Assign an orbit position of ``t`` to every token of a chain label
+    word, or None when the word is not a (possibly truncated) instance.
+
+    Finite members must appear in full, except at the end of the word where
+    a sample may have been cut short.  A dense member absorbs one or more
+    tokens drawn from its leaf labels, or also none when ``sparse``;
+    matches are resolved leftmost-shortest.  Tail members cycle, reusing
+    their position block.
+    """
+    pre_members = list(t.prefix)
+    if t.tail == "none":
+        per_members: List[Term] = []
+    elif t.tail == "ones":
+        per_members = [Singleton(UNCOLOURED)]
+    else:
+        per_members = list(t.period)
+    pre_info = [_member_leaf_info(m) for m in pre_members]
+    per_info = [_member_leaf_info(m) for m in per_members]
+    pre_base = [0]
+    for m in pre_members:
+        pre_base.append(pre_base[-1] + _leaf_count(m))
+    per_base = [pre_base[-1]]
+    for m in per_members:
+        per_base.append(per_base[-1] + _leaf_count(m))
+    n_tokens = len(labels)
+    out = [None] * n_tokens
+    dead = set()
+
+    def solve(ti: int, phase: int, mi: int) -> bool:
+        if ti == n_tokens:
+            return True
+        key = (ti, phase, mi)
+        if key in dead:
+            return False
+        # marked on entry: a key met again below itself consumed nothing
+        dead.add(key)
+        if phase == 0 and mi == len(pre_info):
+            return bool(per_info) and solve(ti, 1, 0)
+        if phase == 1 and mi == len(per_info):
+            return solve(ti, 1, 0)
+        kind, data = (pre_info if phase == 0 else per_info)[mi]
+        base = pre_base[mi] if phase == 0 else per_base[mi]
+        if kind == "finite":
+            word = data
+            j = 0
+            while (
+                j < len(word)
+                and ti + j < n_tokens
+                and labels[ti + j] == word[j]
+            ):
+                j += 1
+            if j == len(word):
+                if solve(ti + j, phase, mi + 1):
+                    for jj in range(j):
+                        out[ti + jj] = base + jj
+                    return True
+            elif ti + j == n_tokens:
+                for jj in range(j):
+                    out[ti + jj] = base + jj
+                return True
+            return False
+        palette = data
+        if sparse and solve(ti, phase, mi + 1):
+            return True
+        c = 0
+        while ti + c < n_tokens and labels[ti + c] in palette:
+            c += 1
+            if solve(ti + c, phase, mi + 1):
+                for cc in range(c):
+                    out[ti + cc] = base + palette[labels[ti + cc]]
+                return True
+        if ti + c == n_tokens and c >= 1:
+            for cc in range(c):
+                out[ti + cc] = base + palette[labels[ti + cc]]
+            return True
+        return False
+
+    return out if solve(0, 0, 0) else None

@@ -480,6 +480,17 @@ def test_validate_oriented_tree_takes_one_forest_check():
     assert time.perf_counter() - start < 0.1
 
 
+def test_validate_searches_the_witness_only_in_components_with_a_cycle():
+    # The walk search over the 12 720 pairs of the tree takes seconds; no
+    # pair of the tree component can have two paths, nor a pair that spans
+    # two components, so only the diamond's pairs are searched.
+    diamond = [(160, 161), (160, 162), (161, 163), (162, 163)]
+    p = FinPoset(range(164), oriented_tree(160, 160) + diamond)
+    start = time.perf_counter()
+    assert validate_cfpo(p) == (False, (160, 163))
+    assert time.perf_counter() - start < 0.1
+
+
 # ------------------------------------------------------------------ alt
 
 

@@ -84,6 +84,31 @@ def test_term_normalize_parse_error(capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def nested(levels):
+    """Shuffles nested ``levels`` deep, alternating colours so that the
+    term is its own normal form."""
+    return "".join(f"Q({'ab'[i % 2]}," for i in range(levels)) + "c" + ")" * levels
+
+
+def test_term_normalize_nesting_limit_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "term", "normalize", nested(1000))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_term_normalize_at_the_nesting_limit(capsys):
+    code, out, err = run(capsys, "term", "normalize", nested(200))
+    assert (code, out, err) == (0, nested(200) + "\n", "")
+
+
+def test_term_eq_at_the_nesting_limit_with_concatenations(capsys):
+    # 100 shuffles, each around a concatenation: 200 levels, where 248
+    # overflow the recursion limit at the comparison
+    expr = "Q(a^" * 100 + "b" + ")" * 100
+    assert run(capsys, "term", "eq", expr, expr) == (0, "equivalent\n", "")
+
+
 def test_term_eq_equivalent(capsys):
     code, out, _ = run(capsys, "term", "eq", "Q(1)^Q(1)", "Q(1)")
     assert (code, out) == (0, "equivalent\n")
@@ -327,6 +352,14 @@ def test_tree_sample_deeper_than_the_recursion_limit(capsys, files):
     assert (code, err) == (0, "")
     assert out.count("node ") == 1101
     assert out.endswith("edge 1099 1100\n")
+
+
+def test_tree_check_spine_nesting_limit_is_a_parse_error(capsys, files):
+    f = files("deep.spec", "T = spine " + "Q(" * 1000 + "1" + ")" * 1000 + "\n")
+    code, out, err = run(capsys, "tree", "check", f)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse:")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize(

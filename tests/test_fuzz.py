@@ -6,18 +6,22 @@ rewrites) and definitions the root may not reach.  Every spec must be
 checked without an error; the verdict must not change under renaming,
 respelling ``Q(1)`` or adding a definition nothing reaches; and for a
 categorical spec every maximal chain of a small sample must parse as one
-of the symbolic chain types.
+of the symbolic chain types, with the same positions as the recursive
+reference parser.
 """
 
 import random
 import re
 import warnings
 
-from oracles import random_term
+from oracles import naive_parse_chain_labels, random_term
 
-from omegacat.errors import SpecError
+from omegacat.errors import BudgetError, SpecError
+from omegacat.posets import maximal_chains
 from omegacat.terms import factors, normalize, orbit_paths, render_term
 from omegacat.trees import (
+    _member_table,
+    _parse_chain_labels,
     annotate_R,
     check_categorical,
     materialize_tree,
@@ -107,3 +111,31 @@ def test_random_specs_check_without_error_and_keep_their_verdicts():
             annotate_R(sample, table=table)
     # both verdicts occur often enough for the checks above to mean much
     assert SPECS // 4 < categorical < 3 * SPECS // 4
+
+
+def test_chain_parse_matches_the_recursive_parser():
+    rng = random.Random(20261019)
+    parsed = 0
+    for _ in range(SPECS):
+        spec = parse(random_spec_text(rng))
+        if not check_categorical(spec).categorical:
+            continue
+        types = ramification_table(spec).chain_types
+        tables = [_member_table(t) for t in types]
+        for depth, width in ((1, 2), (2, 2), (2, 3)):
+            try:
+                sample = materialize_tree(spec, depth=depth, width=width)
+            except BudgetError:  # the spec nests deeper than ``depth``
+                continue
+            for chain in maximal_chains(sample):
+                word = tuple(sample.label(x) for x in chain)
+                i = rng.randrange(len(word) + 1)
+                j = rng.randrange(i, len(word) + 1)
+                for w in (word, word[i:j]):
+                    for t, members in zip(types, tables):
+                        for sparse in (False, True):
+                            expected = naive_parse_chain_labels(w, t, sparse)
+                            got = _parse_chain_labels(w, members, sparse)
+                            assert got == expected, (w, t, sparse)
+                            parsed += got is not None
+    assert parsed > 1000

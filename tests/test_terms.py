@@ -91,6 +91,21 @@ def test_parse_errors_carry_position():
         t("")
 
 
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "Q(" * n + "a" + ")" * n,  # shuffles only
+        lambda n: "Q(a^" * (n // 2) + "b" + ")" * (n // 2),  # both alternate
+        lambda n: "Q(" * (n // 2) + "b" + ")^a" * (n // 2),  # first factors
+        lambda n: "a^" + "Q(" * (n - 1) + "b" + ")" * (n - 1),
+    ],
+)
+def test_parse_counts_shuffles_and_concatenations_as_nesting(nest):
+    assert render_term(parse_term(nest(200))) == nest(200)
+    with pytest.raises(ParseError, match="nested deeper than 200"):
+        parse_term(nest(202))
+
+
 def test_parse_alphabet_check():
     assert t("Q(a,b)") is not None
     with pytest.raises(ParseError):

@@ -475,6 +475,14 @@ def test_annotate_with_table_parses_copies_below_the_lowest_sampled_point():
     assert all(ann[x] == frozenset({(1, (0, 2))}) for x in copies)
 
 
+def test_annotate_with_table_parses_chains_deeper_than_the_recursion_limit():
+    spec = parse_spec("T = spine 1 with 1 x T at orbit 0\n")
+    p = materialize_tree(spec, depth=1100, width=1)
+    assert len(p) == 1101
+    ann = annotate_R(p, table=ramification_table(spec))
+    assert set(ann.values()) == {frozenset({(1, (0, 0))})}
+
+
 def test_annotate_with_table_rejects_a_chain_of_no_type():
     table = ramification_table(parse_spec(VSPEC))
     p = FinPoset(range(2), [(0, 1)], colour={1: "c"})

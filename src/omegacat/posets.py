@@ -107,16 +107,45 @@ def _strict_up_sets(els, succ) -> tuple:
 
 
 def _first_on_cycle(succ):
-    """The first position, in node order, that can reach itself."""
-    for x in range(len(succ)):
-        seen, todo = set(), list(succ[x])
-        while todo:
-            y = todo.pop()
-            if y == x:
-                return x
-            if y not in seen:
-                seen.add(y)
-                todo.extend(succ[y])
+    """The first position, in node order, that can reach itself: the least
+    position of a strongly connected component with an edge inside it.
+
+    One Kosaraju pass (Sharir 1981): a depth-first search over ``succ``
+    lists the positions by finish time; searches over the reversed edges,
+    started in reverse finish order, then each collect one component.
+    """
+    pred = [[] for _ in succ]
+    for x, ys in enumerate(succ):
+        for y in ys:
+            pred[y].append(x)
+    finished, seen = [], [False] * len(succ)
+    for start in range(len(succ)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [(start, iter(succ[start]))]
+        while stack:
+            x, kids = stack[-1]
+            for y in kids:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append((y, iter(succ[y])))
+                    break
+            else:
+                stack.pop()
+                finished.append(x)
+    comp = [None] * len(succ)
+    for root in reversed(finished):
+        if comp[root] is None:
+            comp[root] = root
+            todo = [root]
+            while todo:
+                for y in pred[todo.pop()]:
+                    if comp[y] is None:
+                        comp[y] = root
+                        todo.append(y)
+    cyclic = {comp[x] for x, ys in enumerate(succ) for y in ys if comp[y] == comp[x]}
+    return next(x for x in range(len(succ)) if comp[x] in cyclic)
 
 
 class FinPoset:
@@ -131,9 +160,11 @@ class FinPoset:
     serve tests and oracles, not hot paths.
     """
 
-    # _pos: node -> bit position; _down/_up: strict masks; _lower/_upper: covers
+    # _pos: node -> bit position; _down/_up: strict masks; _lower/_upper: covers;
+    # _tree: _tree_view's result, safe to keep as nothing writes the labels
     __slots__ = (
-        "elements", "colour", "irrational", "_pos", "_down", "_up", "_lower", "_upper"
+        "elements", "colour", "irrational", "_pos", "_down", "_up", "_lower", "_upper",
+        "_tree",
     )
 
     def __init__(
@@ -156,6 +187,7 @@ class FinPoset:
         self._down, self._lower = _strict_up_sets(els, pred)
         self.elements = tuple(els)
         self._pos = pos
+        self._tree = None
         self.colour = dict(colour or {})
         self.irrational = frozenset(irrational or ())
         for x in self.colour:
@@ -258,6 +290,27 @@ def _tree_violations(p: FinPoset):
                 yield ("common-lower-bound", (els[x], els[y]))
 
 
+def _tree_view(p: FinPoset) -> tuple:
+    """``(depth, order, code)`` of the tree ``p``, built once: each point's
+    strict down-set size, the points by depth and then in node order, and
+    each point's Aho-Hopcroft-Ullman code over (label, sorted child codes),
+    equal exactly for isomorphic labelled subtrees.  Raises
+    :class:`NotATreeError`, naming the first violation, on a non-tree."""
+    if p._tree is None:
+        violation = next(_tree_violations(p), None)
+        if violation is not None:
+            raise NotATreeError(f"not a tree: {violation}")
+        depth = {v: m.bit_count() for v, m in zip(p.elements, p._down)}
+        order = sorted(p.elements, key=depth.__getitem__)
+        code: dict = {}
+        ids: dict = {}
+        for v in reversed(order):
+            key = (p.label(v), tuple(sorted(code[c] for c in p._upper[v])))
+            code[v] = ids.setdefault(key, len(ids))
+        p._tree = depth, order, code
+    return p._tree
+
+
 # -------------------------------------------------------------- meets/cones
 
 
@@ -281,25 +334,14 @@ def meet(p: FinPoset, x, y):
 
 
 def cones_above(p: FinPoset, t) -> tuple:
-    """Partition of the strict upper set of ``t`` into cones.
-
-    Two points above ``t`` share a cone iff their meet lies strictly above
-    ``t``.  Requires tree-like input: every pair above ``t`` must have a
-    meet.
-    """
-    above = p._decode(p._up[p._pos[t]])
-    parent = {x: x for x in above}
-    for a, b in itertools.combinations(above, 2):
-        m = meet(p, a, b)
-        if m is None:
-            raise NotATreeError(f"no meet for {a!r}, {b!r} above {t!r}")
-        if p.less(t, m):
-            parent[_find(parent, a)] = _find(parent, b)
-    # ``above`` is in node order, and so are the groups and their members
-    groups: dict = {}
-    for x in above:
-        groups.setdefault(_find(parent, x), []).append(x)
-    return tuple(map(tuple, groups.values()))
+    """Partition of the strict upper set of the tree point ``t`` into cones,
+    ordered by first member, each in node order: one per upper cover of
+    ``t``, its closed up-set.  Two points above ``t`` share a cone iff their
+    meet lies strictly above ``t``.  Raises :class:`NotATreeError` unless
+    ``p`` is a tree."""
+    _tree_view(p)
+    cones = [p._decode(p._up[p._pos[c]] | 1 << p._pos[c]) for c in p._upper[t]]
+    return tuple(map(tuple, sorted(cones, key=lambda c: p._pos[c[0]])))
 
 
 def ramification_order(p: FinPoset, t) -> int:

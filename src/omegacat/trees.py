@@ -31,12 +31,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     BudgetError,
-    NotATreeError,
     ParseError,
     SpecError,
     SpecWarning,
 )
-from .posets import FinPoset, _tree_violations, maximal_chains, node_key
+from .posets import FinPoset, _tree_view, maximal_chains
 from .sequences import (
     NfSequence,
     normalize_sequence,
@@ -1121,12 +1120,11 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     Returns ``(answer, trace)``.  On success the trace lists one entry
     ``(phase, a, b)`` per point of a full automorphism carrying ``pair0``
     to ``pair1``: the forced pinning of the base chains first, then the
-    remaining matches by level parity.  Optional ``annotations`` (from
-    :func:`annotate_R`) are used as an invariant filter.
+    remaining matches by level parity.  Optional ``annotations`` must be
+    automorphism-invariant, as :func:`annotate_R`'s are: they pre-filter
+    the pairs' points, and the matching ignores them.
     """
-    violation = next(_tree_violations(p), None)
-    if violation is not None:
-        raise NotATreeError(f"not a tree: {violation}")
+    depth, order, code = _tree_view(p)
     for a, b in (pair0, pair1):
         if a not in p or b not in p:
             raise ValueError(f"unknown point in pair ({a!r}, {b!r})")
@@ -1140,27 +1138,20 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
             if annotations.get(a) != annotations.get(b):
                 return False, (("annotation-mismatch", a, b),)
 
-    rank = {v: m.bit_count() for v, m in zip(p.elements, p._down)}
-    base0 = sorted(p.down(y0) | {y0}, key=lambda v: rank[v])
-    base1 = sorted(p.down(y1) | {y1}, key=lambda v: rank[v])
+    # the base chains run from the root up to y0 and y1
+    base0, base1 = [y0], [y1]
+    for chain in (base0, base1):
+        while p._lower[chain[-1]]:
+            chain.append(p._lower[chain[-1]][0])
+        chain.reverse()
     if len(base0) != len(base1):
         return False, ()
     pin = dict(zip(base0, base1))
     if pin[x0] != x1:
         return False, ()
-
-    # Aho-Hopcroft-Ullman codes: equal codes mark isomorphic labelled
-    # subtrees, so after pinning the base chains any match of equal codes
-    # extends to an automorphism and the matching needs no backtracking.
-    code: Dict[object, int] = {}
-    ids: Dict[tuple, int] = {}
-    for v in sorted(p.elements, key=lambda v: -rank[v]):
-        key = (
-            p.label(v),
-            None if annotations is None else annotations.get(v),
-            tuple(sorted(code[c] for c in p._upper[v])),
-        )
-        code[v] = ids.setdefault(key, len(ids))
+    # equal codes mark isomorphic labelled subtrees, so after pinning the
+    # base chains any match of equal codes extends to an automorphism and
+    # the matching needs no backtracking
     if any(code[a] != code[b] for a, b in pin.items()):
         return False, ()
 
@@ -1168,9 +1159,7 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     # node order, that is no pin target and has the same code
     pinned_targets = set(base1)
     assign = dict(pin)
-    stack = [base0[0]]
-    while stack:
-        u = stack.pop()
+    for u in order:
         free: Dict[int, List[object]] = {}
         for c in p._upper[assign[u]]:
             if c not in pinned_targets:
@@ -1178,7 +1167,6 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
         for c in p._upper[u]:
             if c not in pin:
                 assign[c] = free[code[c]].pop(0)
-            stack.append(c)
     # a bijection carrying the covers onto the covers is an automorphism,
     # since the order is the transitive closure of its covers
     if len(set(assign.values())) != len(p.elements) or any(
@@ -1187,12 +1175,9 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     ):
         return False, ()
 
-    base_set = set(base0)
     trace = tuple(("base", a, assign[a]) for a in base0) + tuple(
-        ("even" if rank[v] % 2 == 0 else "odd", v, assign[v])
-        for v in sorted(
-            (v for v in p.elements if v not in base_set),
-            key=lambda v: (rank[v], node_key(v)),
-        )
+        ("even" if depth[v] % 2 == 0 else "odd", v, assign[v])
+        for v in order
+        if v not in pin
     )
     return True, trace

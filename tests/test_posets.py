@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -110,6 +111,15 @@ def test_transitive_closure_and_elements_are_canonical():
 def test_cycle_rejected():
     with pytest.raises(CycleError):
         FinPoset([0, 1], [(0, 1), (1, 0)])
+
+
+def test_cycle_at_the_end_of_a_long_path_is_named_in_linear_time():
+    names = [f"v{i:05d}" for i in range(20_000)]
+    edges = list(zip(names, names[1:])) + [(names[-1], names[-2])]
+    start = time.perf_counter()
+    with pytest.raises(CycleError, match="cycle through node 'v19998'"):
+        FinPoset(names, edges)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_validate_tree_accepts_chains_and_v():
@@ -220,6 +230,10 @@ def test_cones_and_ramification_order():
 def test_cones_rejects_non_tree():
     with pytest.raises(NotATreeError):
         cones_above(bowtie(), "a")
+    # two minima below the chain 2 < 3 < 4: the pairs above 2 have meets
+    p = FinPoset(range(5), [(0, 2), (1, 2), (2, 3), (3, 4)])
+    with pytest.raises(NotATreeError):
+        cones_above(p, 2)
 
 
 # ---------------------------------------------------------------- automorphisms

@@ -12,6 +12,7 @@ import random
 import pytest
 from oracles import random_term
 
+from omegacat import posets
 from omegacat.errors import BudgetError, ParseError, SpecError, SpecWarning
 from omegacat.posets import (
     FinPoset,
@@ -441,6 +442,35 @@ def test_two_orbit_matches_brute_force_on_small_catalogue():
                         for a in p.elements
                         for b in p.elements
                     )
+
+
+def test_two_orbit_annotations_only_filter():
+    for p in all_trees(6):
+        ann = annotate_R(p)
+        pairs = [(a, b) for a in p.elements for b in p.elements if p.less(a, b)]
+        for q0 in pairs:
+            for q1 in pairs:
+                if all(ann[a] == ann[b] for a, b in zip(q0, q1)):
+                    assert two_orbit_equiv(
+                        p, q0, q1, annotations=ann
+                    ) == two_orbit_equiv(p, q0, q1), (p.lt, q0, q1)
+
+
+def test_two_orbit_builds_the_tree_once_per_sample(monkeypatch):
+    calls = []
+    real = posets._tree_violations
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(posets, "_tree_violations", counted)
+    p = materialize_tree(parse_spec(BINARY), depth=2, width=2, seed=0)
+    pairs = [(a, b) for a in p.elements for b in p.elements if p.less(a, b)]
+    rng = random.Random(0)
+    for _ in range(50):
+        two_orbit_equiv(p, rng.choice(pairs), rng.choice(pairs))
+    assert len(calls) == 1
 
 
 def test_two_orbit_symmetry():

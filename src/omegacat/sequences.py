@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BudgetError, ParseError
+from .errors import ParseError
 from .terms import (
     Shuffle,
     Singleton,
@@ -56,10 +56,6 @@ __all__ = [
 ]
 
 _ONE = Singleton(UNCOLOURED)
-
-# Most reduction steps one periodic normalization may take; beyond it the
-# pipeline raises BudgetError instead of looping.
-_MAX_PIPELINE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -148,37 +144,42 @@ def _periodic_pipeline(pre: List[Term], per: List[Term]):
 
     Returns ``(pre, per)`` with ``per = None`` when the repetition was
     absorbed into the prefix (the shuffle flanking each junction swallows
-    copy after copy, leaving a finite word).
+    copy after copy, leaving a finite word).  Only the first loop can empty
+    the period, and it never reads the prefix: whether the repetition is
+    absorbed depends on the period alone.
     """
-    for _ in range(_MAX_PIPELINE_STEPS):
+    # Measure: len(per).  A collapse (i, j) removes j - i factors of the
+    # period, all of them when j - i = k; j - i > k cannot happen, as the
+    # segment would then hold a copy of its own shuffle.  So the loop runs
+    # at most len(per) times.
+    per = _primitive_root(per)
+    while (r := _period_redex(per)) is not None:
+        i, j = r
+        k = len(per)
+        if j < k:
+            per = per[: i + 1] + per[j + 1 :]
+        else:
+            pre = pre + per[: i + 1]
+            per = per[j - k + 1 : i + 1]
+            if not per:
+                return pre, None
         per = _primitive_root(per)
-        r = _period_redex(per)
-        if r is not None:
-            i, j = r
-            k = len(per)
-            if j < k:
-                per = per[: i + 1] + per[j + 1 :]
-            else:
-                jp = j - k
-                pre = pre + per[: i + 1]
-                per = per[jp + 1 : i + 1]
-                if not per:
-                    return pre, None
-            continue
-        pre, per = _rotate_canonical(pre, per)
-        r = _prefix_redex(pre, per)
-        if r is None:
-            return pre, per
+    # From here the period's cyclic word is fixed and has no collapse.
+    # Measure: e, the length of the shortest prefix after which the word
+    # repeats the period.  Every collapse starts before e, and none raises
+    # e; one that keeps e starts at e - 1 and ends in the periodic part, so
+    # the next cannot start at e - 1 as well (it would repeat as a collapse
+    # of the period).  e drops at least every second round, so the loop
+    # runs at most 2 * len(pre) times.
+    pre, per = _rotate_canonical(pre, per)
+    while (r := _prefix_redex(pre, per)) is not None:
         i, j = r
         if j < len(pre):
             pre = pre[: i + 1] + pre[j + 1 :]
         else:
             m = (j - len(pre) + 1) % len(per)
-            pre = pre[: i + 1]
-            per = per[m:] + per[:m]
-    raise BudgetError(
-        f"periodic normalization did not stabilize in {_MAX_PIPELINE_STEPS} steps"
-    )
+            pre, per = _rotate_canonical(pre[: i + 1], per[m:] + per[:m])
+    return pre, per
 
 
 def normalize_sequence(

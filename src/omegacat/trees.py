@@ -416,9 +416,11 @@ class _Analysis:
 # the pump-cut walk
 
 # Most states one walk may push (a state met on several paths counts once
-# per path).  The walks of the perfbench specs push at most 8, and those of
-# 9 000 random specs drawn as in tests/test_fuzz.py at most 14; going past
-# this raises BudgetError instead of returning a family cut short.
+# per path).  The walk ends without it (see _walk); it bounds the work, which
+# can grow exponentially with the number of definitions.  The walks of the
+# perfbench specs push at most 8, and those of 9 000 random specs drawn as in
+# tests/test_fuzz.py at most 14; going past this raises BudgetError instead
+# of returning a family cut short.
 _WALK_BUDGET = 100_000
 
 
@@ -461,14 +463,43 @@ def _walk(analysis: _Analysis, start: str) -> _Walk:
     has a tail is a *cut*: pumping that cycle only lengthens the word, so
     the walk records the lasso and does not push it either.
 
-    Termination: within |definitions| + 1 edges a path meets a definition
-    again, and it goes on only where the cycle just closed is absorbed from
-    every earlier occurrence (its endless repetition collapses into a
-    shuffle of the word) while the collapsed word is new.  Each such step
-    leaves the word ending in an absorbing shuffle plus a short remainder,
-    so a path soon repeats a state or reaches a cut.  That is an argument,
-    not a proof, so ``_WALK_BUDGET`` caps the pushes and raises
-    :class:`BudgetError` rather than cut a family short.
+    Termination.  Over the edge words, let L be the most factors of one,
+    C the most factors of a shuffle constituent, and d the most shuffles
+    nested strictly inside one shuffle; B = (d + 1)(C + 1).  Collapse is
+    confluent (normal forms are canonical), so a state's word is the
+    collapse of its path's edge words, and collapsing a word in parts or
+    at once gives the same word.
+
+    (A) Edge words are never empty and their factors are subterms of a
+    normal spine, so a lasso's type has no tail exactly when the period loop
+    of ``sequences._periodic_pipeline`` empties the cycle word.  That loop
+    never reads the prefix: whether a cycle is absorbed is a property of the
+    cycle word alone.
+
+    (B) An absorbed word y collapses to at most B factors.  Let f be the
+    shuffle left in the period the loop empties.  Going back through the
+    loop's collapses and primitive roots, y's cyclic word is f G1 .. f Gm
+    with each block Gi collapsing to a constituent of f or to nothing: every
+    shuffle collapsed inside a block lies strictly inside f, so no collapse
+    crosses an f.  Collapses keep that form, so u = collapse(y) has it too.
+    A block lying inside u would give u the collapse f Gi f, so m = 1 and
+    u = G2 f G1, with G1 G2 collapsing to a constituent.  Neither G1 nor
+    G2 has a collapse, so each collapse of G1 G2 spans the shuffle the one
+    before it kept: the kept shuffles nest strictly inside one another and
+    inside f, at most d of them.  Each removes at most C + 1 factors, and
+    the constituent left has at most C, so u has at most
+    1 + C + d(C + 1) = B factors.
+
+    Induction.  Let (n, w) be a pushed state and w_f the word at the
+    path's first state of n.  The push was not a cut, so the cycle word y
+    from there is absorbed by (A), and w = collapse(w_f + y) has at most
+    |w_f| + B factors by (B).  A definition met for the first time adds
+    one edge word to such a word, so every state word has at most
+    |definitions| * (B + L) factors, each a factor of an edge word.  There
+    are finitely many such states, so the search over paths that repeat
+    no state ends.  It may still push exponentially many states, so
+    ``_WALK_BUDGET`` bounds the work and raises :class:`BudgetError`
+    rather than cut a family short.
     """
     if start in analysis.walks:
         return analysis.walks[start]

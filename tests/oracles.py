@@ -17,6 +17,9 @@
 - the recursive parse of a chain label word as a chain type, rebuilding
   the member leaf tables at each call, the reference for the search of
   ``trees._parse_chain_labels``
+- periodic normalization as one loop that retries the period's collapses
+  after every step, the reference for the two loops of
+  ``sequences._periodic_pipeline``
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from typing import List, Tuple
 
 from omegacat.errors import CycleError
 from omegacat.posets import FinPoset, maximal_chains, node_key
-from omegacat.sequences import NfSequence
+from omegacat.sequences import (
+    NfSequence,
+    _period_redex,
+    _prefix_redex,
+    _primitive_root,
+    _rotate_canonical,
+)
 from omegacat.terms import (
     IRRATIONAL,
     UNCOLOURED,
@@ -484,3 +493,33 @@ def naive_parse_chain_labels(labels, t: NfSequence, sparse: bool = False):
         return False
 
     return out if solve(0, 0, 0) else None
+
+
+def naive_periodic_pipeline(pre: List[Term], per: List[Term]):
+    """``(pre, per)`` in canonical form, ``per = None`` when absorbed: one
+    loop that looks for a collapse of the period before every step."""
+    while True:
+        per = _primitive_root(per)
+        r = _period_redex(per)
+        if r is not None:
+            i, j = r
+            k = len(per)
+            if j < k:
+                per = per[: i + 1] + per[j + 1 :]
+            else:
+                pre = pre + per[: i + 1]
+                per = per[j - k + 1 : i + 1]
+                if not per:
+                    return pre, None
+            continue
+        pre, per = _rotate_canonical(pre, per)
+        r = _prefix_redex(pre, per)
+        if r is None:
+            return pre, per
+        i, j = r
+        if j < len(pre):
+            pre = pre[: i + 1] + pre[j + 1 :]
+        else:
+            m = (j - len(pre) + 1) % len(per)
+            pre = pre[: i + 1]
+            per = per[m:] + per[:m]

@@ -546,14 +546,17 @@ def test_cfpo_path_completion_budget_is_exit_3(capsys, files, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_periodic_normalization_budget_is_exit_3(capsys, files, monkeypatch):
-    # the omega spec's chain type has a tail; a limit of no steps leaves it
-    monkeypatch.setattr("omegacat.sequences._MAX_PIPELINE_STEPS", 0)
-    f = files("omega.spec", OMEGA_SPEC)
+def test_a_ring_of_200_definitions_is_checked(capsys, files):
+    # the cycle word collapses once at every junction: 200 collapses
+    m = 200
+    text = "".join(
+        f"D{i} = spine Q(c{(i - 1) % m})^Q(c{i}) with 1 x D{(i + 1) % m} at orbit 1\n"
+        for i in range(m)
+    )
+    f = files("ring.spec", text)
     code, out, err = run(capsys, "tree", "check", f)
-    assert (code, out) == (3, "")
-    assert err.startswith("error: budget:")
-    assert err.count("\n") == 1
+    assert (code, err) == (1, "")
+    assert out.startswith("categorical: no — ")
 
 
 def test_chain_walk_budget_is_exit_3(capsys, files, monkeypatch):

@@ -7,7 +7,8 @@ checked without an error; the verdict must not change under renaming,
 respelling ``Q(1)`` or adding a definition nothing reaches; and for a
 categorical spec every maximal chain of a small sample must parse as one
 of the symbolic chain types, with the same positions as the recursive
-reference parser.
+reference parser.  Random factor words check step (B) of the chain walk's
+termination proof.
 """
 
 import random
@@ -18,7 +19,17 @@ from oracles import naive_parse_chain_labels, random_term
 
 from omegacat.errors import BudgetError, SpecError
 from omegacat.posets import maximal_chains
-from omegacat.terms import factors, normalize, orbit_paths, render_term
+from omegacat.sequences import normalize_sequence
+from omegacat.terms import (
+    Shuffle,
+    Singleton,
+    collapse_factors,
+    factors,
+    normalize,
+    orbit_paths,
+    parse_term,
+    render_term,
+)
 from omegacat.trees import (
     _member_table,
     _parse_chain_labels,
@@ -139,3 +150,41 @@ def test_chain_parse_matches_the_recursive_parser():
                             assert got == expected, (w, t, sparse)
                             parsed += got is not None
     assert parsed > 1000
+
+
+# normal single factors, shuffles nested up to three deep
+WORD_FACTORS = [
+    normalize(parse_term(x))
+    for x in (
+        "1 a b Q(1) Q(a) Q(b) Q(a,b) Q(a^b) Q(a,b^a) Q(b,Q(a)) Q(1,Q(a)^b) "
+        "Q(Q(a)^a,b) Q(a,Q(b,Q(a)))"
+    ).split()
+]
+
+
+def nesting(t):
+    """Most shuffles nested one inside another in ``t``."""
+    if isinstance(t, Singleton):
+        return 0
+    if isinstance(t, Shuffle):
+        return 1 + max(nesting(c) for c in t.constituents)
+    return max(nesting(f) for f in t.factors)
+
+
+def test_absorbed_words_collapse_to_boundedly_many_factors():
+    # step (B) at trees._walk: a word whose endless repetition a shuffle
+    # absorbs collapses to at most (d + 1)(C + 1) factors, d counting the
+    # shuffles nested strictly inside one of its shuffles and C the most
+    # factors of a shuffle constituent
+    rng = random.Random(20261020)
+    absorbed = 0
+    for _ in range(10_000):
+        word = rng.choices(WORD_FACTORS, k=rng.randint(1, 10))
+        if normalize_sequence([], word).tail != "none":
+            continue
+        absorbed += 1
+        shuffles = [f for f in word if isinstance(f, Shuffle)]
+        d = max(nesting(f) for f in shuffles) - 1
+        c = max(len(factors(x)) for f in shuffles for x in f.constituents)
+        assert len(collapse_factors(word)) <= (d + 1) * (c + 1), word
+    assert absorbed > 500

@@ -6,19 +6,31 @@ and the chain-categoricity test (no tail survives).
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_periodic_pipeline
+
 from omegacat.sequences import (
     NfSequence,
+    _periodic_pipeline,
     is_categorical_chain,
     normalize_sequence,
     parse_sequence,
     render_sequence,
 )
-from omegacat.terms import Singleton, is_finite, is_normal, parse_term, render_term
+from omegacat.terms import (
+    Singleton,
+    collapse_factors,
+    is_finite,
+    is_normal,
+    normalize,
+    parse_term,
+    render_term,
+)
 
 
 def t(text):
@@ -103,6 +115,36 @@ def test_collapse_of_a_period_is_invariant_under_rotation():
 @given(st.lists(st.sampled_from(FACTORS), min_size=4, max_size=6))
 def test_collapse_of_a_long_period_is_invariant_under_rotation(word):
     assert collapses_for_every_rotation_or_none(tuple(word))
+
+
+def test_a_period_of_200_collapses_needs_no_step_limit():
+    # each adjacent pair Q(ci)^Q(ci) collapses: 200 collapses in one period
+    shuffles = [t(f"Q(c{i})") for i in range(200)]
+    s = normalize_sequence([t("a")], [q for q in shuffles for _ in range(2)])
+    assert s == NfSequence((t("a"),), "periodic", tuple(shuffles))
+
+
+# normal single factors: nested shuffles and concatenated constituents
+PIPELINE_FACTORS = [
+    normalize(t(x))
+    for x in (
+        "1 a b Q(1) Q(a) Q(b) Q(1,a) Q(a,b) Q(a^b) Q(a,b^a) Q(Q(a),b) "
+        "Q(1,Q(a)^b) Q(Q(a)^a,b)"
+    ).split()
+]
+
+
+def test_two_loop_pipeline_matches_the_one_loop_reference():
+    rng = random.Random(14)
+    absorbed = 0
+    for _ in range(20_000):
+        pre = rng.choices(PIPELINE_FACTORS, k=rng.randint(0, 8))
+        per = rng.choices(PIPELINE_FACTORS, k=rng.randint(1, 8))
+        pre = collapse_factors(pre)  # as normalize_sequence passes it
+        got = _periodic_pipeline(pre, per)
+        assert got == naive_periodic_pipeline(pre, per), (pre, per)
+        absorbed += got[1] is None
+    assert absorbed > 1_000
 
 
 def test_finite_sequences_merge_finite_runs():

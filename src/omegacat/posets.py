@@ -291,11 +291,13 @@ def _tree_violations(p: FinPoset):
 
 
 def _tree_view(p: FinPoset) -> tuple:
-    """``(depth, order, code)`` of the tree ``p``, built once: each point's
-    strict down-set size, the points by depth and then in node order, and
-    each point's Aho-Hopcroft-Ullman code over (label, sorted child codes),
-    equal exactly for isomorphic labelled subtrees.  Raises
-    :class:`NotATreeError`, naming the first violation, on a non-tree."""
+    """``(depth, order, code, kids)`` of the tree ``p``, built once: each
+    point's strict down-set size, the points by depth and then in node
+    order, each point's Aho-Hopcroft-Ullman code over (label, sorted child
+    codes), equal exactly for isomorphic labelled subtrees, and each
+    point's children sorted by code, in node order within one code.
+    Raises :class:`NotATreeError`, naming the first violation, on a
+    non-tree."""
     if p._tree is None:
         violation = next(_tree_violations(p), None)
         if violation is not None:
@@ -303,11 +305,14 @@ def _tree_view(p: FinPoset) -> tuple:
         depth = {v: m.bit_count() for v, m in zip(p.elements, p._down)}
         order = sorted(p.elements, key=depth.__getitem__)
         code: dict = {}
+        kids: dict = {}
         ids: dict = {}
         for v in reversed(order):
-            key = (p.label(v), tuple(sorted(code[c] for c in p._upper[v])))
+            # a stable sort of the covers, which are in node order
+            kids[v] = sorted(p._upper[v], key=code.__getitem__)
+            key = (p.label(v), tuple(code[c] for c in kids[v]))
             code[v] = ids.setdefault(key, len(ids))
-        p._tree = depth, order, code
+        p._tree = depth, order, code, kids
     return p._tree
 
 
@@ -402,8 +407,11 @@ def automorphisms(p: FinPoset, bound: int = AUT_NODE_BOUND, invariants=None) -> 
     """All label- and order-preserving permutations, canonically sorted.
 
     ``invariants`` may map nodes to extra hashable labels that automorphisms
-    must additionally preserve.  Raises BudgetError beyond ``bound`` nodes.
+    must additionally preserve.  Raises BudgetError beyond ``bound`` nodes,
+    and ValueError when ``bound`` is negative.
     """
+    if bound < 0:
+        raise ValueError("the node bound must be >= 0")
     if len(p) > bound:
         raise BudgetError(f"automorphism search limited to {bound} nodes, got {len(p)}")
     maps = _search(p, p, find_all=True, invariants_p=invariants, invariants_q=invariants)
@@ -429,7 +437,10 @@ class OrbitReport:
 
 
 def orbits(p: FinPoset, n: int, budget: int = ORBIT_TUPLE_BUDGET, bound: int = AUT_NODE_BOUND) -> OrbitReport:
-    """Exhaustive n-tuple orbits under the full automorphism group."""
+    """Exhaustive n-tuple orbits under the full automorphism group.  Raises
+    ValueError when ``n`` is negative."""
+    if n < 0:
+        raise ValueError("the tuple length n must be >= 0")
     total = len(p) ** n
     if total > budget:
         raise BudgetError(f"{total} tuples exceed budget {budget}")

@@ -548,8 +548,10 @@ def materialize(t: Term, budget: int, seed: int = 0):
     and (given enough budget) every pair appears in both relative orders.
     Raises :class:`BudgetError` when ``budget`` cannot fit one point of every
     leaf, or when the sample may hold more than ``_MAX_SAMPLE_PAIRS`` order
-    pairs.
+    pairs, and :class:`ValueError` when ``budget`` is negative.
     """
+    if budget < 0:
+        raise ValueError("the sample size must be >= 0")
     most = min_size(t) if is_finite(t) else budget
     if most * (most - 1) // 2 > _MAX_SAMPLE_PAIRS:
         raise BudgetError(

@@ -137,8 +137,9 @@ class RamTable:
     exactly ``i`` chains of type ``m`` (index into ``chain_types``) at orbit
     position ``n`` — ``i`` is exact up to ``cap``, or infinity.  Cells whose
     exact finite count exceeded ``cap`` appear in ``indeterminate``; a type
-    whose tail region absorbs points at unboundedly many positions is listed
-    in ``unbounded``.
+    whose tail holds a point of one of the walk's states, at one of
+    unboundedly many positions, is listed in ``unbounded``.  Only a type
+    with a tail can be, but one need not be (see :func:`check_categorical`).
     """
 
     chain_types: Tuple[NfSequence, ...]
@@ -872,7 +873,20 @@ def check_categorical(spec: TreeSpec) -> Verdict:
             "predicate family cannot be finite",
         )
     else:
-        unbounded = _ram_table(analysis, types, 3).unbounded
+        # _class_cells puts only a type with a tail into ``unbounded`` (it
+        # raises for any other), so a tail-free family needs no table; the
+        # table's internal checks, which no spec is known to trip, then do
+        # not run.  The converse fails, so a family with a tailed type
+        # still builds the table: it examines only the points of the
+        # walk's states, and when the walk's one pass round a cut cycle
+        # lies wholly in the type's normal-form prefix, none of them sits
+        # in the tail.  For
+        #   A = spine Q(a^Q(b))^a with 1 x B at orbit 2
+        #   B = spine Q(b)^Q(a^Q(b))^c with 1 x B at orbit 3
+        # the pass's Q(b)^Q(a^Q(b)) collapses into A's Q(a^Q(b)), the only
+        # type [Q(a^Q(b)), c] * [Q(b), Q(a^Q(b)), c] w has a tail, and
+        # ``unbounded`` is empty.
+        unbounded = _ram_table(analysis, types, 3).unbounded if bad else ()
         r_ram = _report(
             "finite-ramification", bool(unbounded),
             unbounded and types[unbounded[0]],
@@ -1155,7 +1169,7 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     automorphism-invariant, as :func:`annotate_R`'s are: they pre-filter
     the pairs' points, and the matching ignores them.
     """
-    depth, order, code = _tree_view(p)
+    depth, order, code, kids = _tree_view(p)
     for a, b in (pair0, pair1):
         if a not in p or b not in p:
             raise ValueError(f"unknown point in pair ({a!r}, {b!r})")
@@ -1186,25 +1200,21 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     if any(code[a] != code[b] for a, b in pin.items()):
         return False, ()
 
-    # each unpinned child goes to the first free child of its image, in
-    # node order, that is no pin target and has the same code
+    # A point's children off the base chain go, in code order, to its
+    # image's children that are no pin targets.  Parents come first, and
+    # every pair matched so far has equal codes, so a point and its image
+    # have the same multiset of child codes; for a pinned point, its pinned
+    # child and that child's target have equal codes (checked above), so
+    # the two zipped lists hold the same codes in the same order.  The map
+    # thus sends the children of every point one to one onto the children
+    # of its image, keeping labels: starting from the root, it is a
+    # bijection carrying covers onto covers, an automorphism, since the
+    # order is the transitive closure of its covers.
     pinned_targets = set(base1)
     assign = dict(pin)
     for u in order:
-        free: Dict[int, List[object]] = {}
-        for c in p._upper[assign[u]]:
-            if c not in pinned_targets:
-                free.setdefault(code[c], []).append(c)
-        for c in p._upper[u]:
-            if c not in pin:
-                assign[c] = free[code[c]].pop(0)
-    # a bijection carrying the covers onto the covers is an automorphism,
-    # since the order is the transitive closure of its covers
-    if len(set(assign.values())) != len(p.elements) or any(
-        {assign[c] for c in p._upper[u]} != set(p._upper[assign[u]])
-        for u in p.elements
-    ):
-        return False, ()
+        free = [c for c in kids[assign[u]] if c not in pinned_targets]
+        assign.update(zip([c for c in kids[u] if c not in pin], free))
 
     trace = tuple(("base", a, assign[a]) for a in base0) + tuple(
         ("even" if depth[v] % 2 == 0 else "odd", v, assign[v])

@@ -163,6 +163,16 @@ def test_term_sample_budget_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_term_sample_negative_size_is_a_value_error(capsys):
+    # a size of 0 is still a budget too small for one point (exit 3)
+    code, out, err = run(capsys, "term", "sample", "Q(1)", "--size", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: value: the sample size must be >= 0\n"
+    code, out, err = run(capsys, "term", "sample", "Q(1)", "--size", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: budget:")
+
+
 def test_term_sample_too_large_to_hold_is_a_budget_error(capsys):
     # a chain of a million points would hold 5 * 10**11 order pairs
     start = time.perf_counter()
@@ -468,6 +478,20 @@ def test_poset_orbits_budget(capsys, files):
     )
     assert code == 3
     assert err.startswith("error: budget:")
+
+
+def test_poset_orbits_negative_arity_is_a_value_error(capsys, files):
+    f = files("chain3.poset", CHAIN3_POSET)
+    code, out, err = run(capsys, "poset", "orbits", f, "-n", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: value: the tuple length n must be >= 0\n"
+
+
+def test_poset_auts_negative_node_bound_is_a_value_error(capsys, files):
+    f = files("chain3.poset", CHAIN3_POSET)
+    code, out, err = run(capsys, "poset", "auts", f, "--budget-nodes", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: value: the node bound must be >= 0\n"
 
 
 def test_poset_auts_chain_golden(capsys, files):

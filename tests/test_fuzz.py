@@ -124,6 +124,27 @@ def test_random_specs_check_without_error_and_keep_their_verdicts():
     assert SPECS // 4 < categorical < 3 * SPECS // 4
 
 
+def test_finite_ramification_report_matches_the_table():
+    # the checker reads finite-ramification from a table only when the
+    # family is finite and has a tailed type: the report must be the one
+    # the table gives, which lists only tailed types as unbounded
+    rng = random.Random(20261021)
+    tailed = 0
+    for _ in range(SPECS):
+        spec = parse(random_spec_text(rng))
+        ram, chains, family = check_categorical(spec).condition_reports
+        if not family.passed:
+            assert (ram.passed, ram.witness) == (False, None)
+            continue
+        table = ramification_table(spec)
+        types, unbounded = table.chain_types, table.unbounded
+        assert all(types[m].tail != "none" for m in unbounded)
+        assert ram.passed == (not unbounded)
+        assert ram.witness == (types[unbounded[0]] if unbounded else None)
+        tailed += not chains.passed
+    assert tailed > SPECS // 10
+
+
 def test_chain_parse_matches_the_recursive_parser():
     rng = random.Random(20261019)
     parsed = 0

@@ -11,8 +11,9 @@ import random
 
 import pytest
 from oracles import random_term
+from test_fuzz import parse, random_spec_text
 
-from omegacat import posets
+from omegacat import posets, trees
 from omegacat.errors import BudgetError, ParseError, SpecError, SpecWarning
 from omegacat.posets import (
     FinPoset,
@@ -280,6 +281,50 @@ def test_checker_stable_under_equivalent_spine():
     alt = "T = spine Q(1,Q(1)) with omega x T at orbit 0\n"
     assert check_categorical(parse_spec(alt)) == check_categorical(
         parse_spec(DENSE)
+    )
+
+
+def test_checker_builds_a_table_only_for_a_finite_family_with_a_tail(
+    monkeypatch,
+):
+    # only a type with a tail can be unbounded, so a family without one
+    # needs no chain counts; an infinite family needs none either
+    rng = random.Random(20261021)
+    specs = [parse_spec(DENSE), parse_spec(OMEGA_SPEC)]
+    specs += [parse(random_spec_text(rng)) for _ in range(60)]
+    verdicts = [check_categorical(spec) for spec in specs]
+
+    def no_counts(*args):
+        raise AssertionError("chain counts built")
+
+    monkeypatch.setattr(trees, "_counts", no_counts)
+    tailed = 0
+    for spec, verdict in zip(specs, verdicts):
+        _, chains, family = verdict.condition_reports
+        if chains.passed or not family.passed:
+            assert check_categorical(spec) == verdict
+        else:
+            tailed += 1
+            with pytest.raises(AssertionError, match="chain counts built"):
+                check_categorical(spec)
+    assert 0 < tailed < len(specs) // 2
+
+
+def test_checker_keeps_the_table_where_a_first_pass_lies_in_the_prefix():
+    # The table examines only the points of the walk's states.  The walk
+    # goes round B's loop once, and that pass collapses into A's Q(a^Q(b)):
+    # it lies in the prefix of the only chain type, which has a tail, so
+    # the table lists no unbounded type and finite-ramification passes.
+    spec = parse_spec(
+        "A = spine Q(a^Q(b))^a with 1 x B at orbit 2\n"
+        "B = spine Q(b)^Q(a^Q(b))^c with 1 x B at orbit 3\n"
+    )
+    tau = parse_sequence("[Q(a^Q(b)), c] * [Q(b), Q(a^Q(b)), c] w")
+    table = ramification_table(spec)
+    assert (table.chain_types, table.unbounded) == ((tau,), ())
+    ram, chains, family = check_categorical(spec).condition_reports
+    assert (ram.passed, chains.passed, chains.witness, family.passed) == (
+        True, False, tau, True,
     )
 
 

@@ -136,10 +136,10 @@ class RamTable:
     ``realised`` holds triples-as-pairs ``(i, (m, n))``: some point lies on
     exactly ``i`` chains of type ``m`` (index into ``chain_types``) at orbit
     position ``n`` — ``i`` is exact up to ``cap``, or infinity.  Cells whose
-    exact finite count exceeded ``cap`` appear in ``indeterminate``; a type
-    whose tail holds a point of one of the walk's states, at one of
-    unboundedly many positions, is listed in ``unbounded``.  Only a type
-    with a tail can be, but one need not be (see :func:`check_categorical`).
+    exact finite count exceeded ``cap`` appear in ``indeterminate``.  The
+    cells cover the positions of each type's prefix; ``unbounded`` lists
+    the types with a tail, whose points sit at unboundedly many positions
+    (see :func:`check_categorical`).
     """
 
     chain_types: Tuple[NfSequence, ...]
@@ -730,7 +730,9 @@ def _counts(analysis: _Analysis, cap: int) -> Dict[str, Dict[NfSequence, object]
 
 def _class_cells(analysis, C, tindex, torbits, name, ctx, site, cap):
     """Cell counts for the points of ``site`` in a copy of ``name`` whose
-    word of points below the copy is ``ctx``."""
+    word of points below the copy is ``ctx``.  A point in the tail of a
+    type has no cell (the type is unbounded); any other point that matches
+    no position of its type raises."""
     info = analysis.infos[name]
     leaf = info.sites[site]
     d_word = list(ctx) + info.aug_down(site)
@@ -748,7 +750,6 @@ def _class_cells(analysis, C, tindex, torbits, name, ctx, site, cap):
                 options.append((_smul(w, c2, cap), list(between), t2))
 
     cells: Dict[Tuple[int, int], object] = {}
-    unbounded = set()
     for cnt, link, t2 in options:
         if cnt == 0:
             continue
@@ -771,13 +772,11 @@ def _class_cells(analysis, C, tindex, torbits, name, ctx, site, cap):
                 cells[(m, n_pos)] = _sadd(cells.get((m, n_pos), 0), cnt, cap)
                 break
         else:
-            if tailpos:
-                unbounded.add(m)
-            else:
+            if not tailpos:
                 raise SpecError(
                     "internal: a point matched no position of its chain type"
                 )
-    return cells, unbounded
+    return cells
 
 
 def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
@@ -792,23 +791,18 @@ def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
     walk = _walk(analysis, analysis.root)
     if _growth_pair(analysis, walk):
         raise SpecError("the family of maximal-chain types is not finite")
-    return _ram_table(analysis, walk.types(), cap)
-
-
-def _ram_table(analysis: _Analysis, types, cap: int) -> RamTable:
+    types = walk.types()
     tindex = {t: i for i, t in enumerate(types)}
     torbits = [sequence_orbits(t) for t in types]
     C = _counts(analysis, cap)
     realised = set()
-    unbounded = set()
     indeterminate = set()
     # every result is a set, sorted below, so the states go in any order
-    for name, ctx in _walk(analysis, analysis.root).states:
+    for name, ctx in walk.states:
         for site in analysis.infos[name].sites:
-            cells, unb = _class_cells(
+            cells = _class_cells(
                 analysis, C, tindex, torbits, name, ctx, site, cap
             )
-            unbounded |= unb
             for cell, cnt in cells.items():
                 if cnt == 0:
                     continue
@@ -823,7 +817,7 @@ def _ram_table(analysis: _Analysis, types, cap: int) -> RamTable:
         ),
         cap=cap,
         indeterminate=tuple(sorted(indeterminate)),
-        unbounded=tuple(sorted(unbounded)),
+        unbounded=tuple(i for i, t in enumerate(types) if t.tail != "none"),
     )
 
 
@@ -851,6 +845,22 @@ def check_categorical(spec: TreeSpec) -> Verdict:
     repetition is a chain type with a tail; the family is infinite when a
     cut cycle can be left, and going round it once or twice before leaving
     gives the two witness types.
+
+    The predicate family is finite exactly when the chain-type family is
+    finite and no type has a tail, so ``finite-ramification`` builds no
+    table and its witness is the first type with a tail.  A tail-free type
+    has only the positions of its prefix, so finitely many of them give
+    finitely many cells.  A type with a tail is a lasso's type (a terminal
+    type is a finite word), realised by the chain that descends round the
+    lasso's cycle forever; write it as ``pre`` followed by endless copies of
+    ``per``.  Fix a point of ``per`` and split ``per`` after it into ``s``
+    and ``s2``.  The point's copy after ``pre + per * k`` has the down-type
+    NF(``pre + s + (s2 + s) * k``), and these are pairwise distinct: were
+    the ones for j < k equal, the normal form for j would absorb
+    ``(s2 + s) * (k - j)`` (collapse is confluent), and so every later
+    repetition, and the type, also ``pre + s`` followed by endless copies
+    of ``s2 + s``, would have no tail.  So its points sit at unboundedly
+    many positions.
     """
     analysis = _Analysis(spec)
     walk = _walk(analysis, analysis.root)
@@ -873,23 +883,8 @@ def check_categorical(spec: TreeSpec) -> Verdict:
             "predicate family cannot be finite",
         )
     else:
-        # _class_cells puts only a type with a tail into ``unbounded`` (it
-        # raises for any other), so a tail-free family needs no table; the
-        # table's internal checks, which no spec is known to trip, then do
-        # not run.  The converse fails, so a family with a tailed type
-        # still builds the table: it examines only the points of the
-        # walk's states, and when the walk's one pass round a cut cycle
-        # lies wholly in the type's normal-form prefix, none of them sits
-        # in the tail.  For
-        #   A = spine Q(a^Q(b))^a with 1 x B at orbit 2
-        #   B = spine Q(b)^Q(a^Q(b))^c with 1 x B at orbit 3
-        # the pass's Q(b)^Q(a^Q(b)) collapses into A's Q(a^Q(b)), the only
-        # type [Q(a^Q(b)), c] * [Q(b), Q(a^Q(b)), c] w has a tail, and
-        # ``unbounded`` is empty.
-        unbounded = _ram_table(analysis, types, 3).unbounded if bad else ()
         r_ram = _report(
-            "finite-ramification", bool(unbounded),
-            unbounded and types[unbounded[0]],
+            "finite-ramification", bad is not None, bad,
             "points sit at unboundedly many positions inside a chain-type tail",
         )
     reports = (r_ram, r_chains, r_family)

@@ -23,6 +23,10 @@ OMEGA_SPEC = "T = spine 1 with omega x T at orbit 0\n"
 DENSE = "T = spine Q(1) with omega x T at orbit 0\n"
 VSPEC = "R = spine 1 with 2 x L at orbit 0\nL = spine 1\n"
 CHAIN3_SPEC = "T = spine 1^1^1\n"
+FIRST_PASS = (
+    "A = spine Q(a^Q(b))^a with 1 x B at orbit 2\n"
+    "B = spine Q(b)^Q(a^Q(b))^c with 1 x B at orbit 3\n"
+)
 
 CHAIN3_POSET = "node 0\nnode 1\nnode 2\nedge 0 1\nedge 1 2\n"
 V_POSET = "node a\nnode b\nnode r\nedge r a\nedge r b\n"
@@ -305,6 +309,17 @@ def test_tree_table_omega_reports_unbounded(capsys, files):
     code, out, _ = run(capsys, "tree", "table", f)
     assert code == 0
     assert "unbounded type=0\n" in out
+    # the walk's one pass round B's loop lies in the type's prefix
+    f = files("first_pass.spec", FIRST_PASS)
+    code, out, _ = run(capsys, "tree", "table", f)
+    assert code == 0
+    assert "unbounded type=0\n" in out
+    code, out, _ = run(capsys, "tree", "check", f)
+    assert code == 1
+    assert (
+        "condition finite-ramification: fail witness "
+        "[Q(a^Q(b)), c] * [Q(b), Q(a^Q(b)), c] w\n"
+    ) in out
 
 
 def test_tree_sample_v_golden(capsys, files):

@@ -19,7 +19,7 @@ from oracles import naive_parse_chain_labels, random_term
 
 from omegacat.errors import BudgetError, SpecError
 from omegacat.posets import maximal_chains
-from omegacat.sequences import normalize_sequence
+from omegacat.sequences import normalize_sequence, seq_factors
 from omegacat.terms import (
     Shuffle,
     Singleton,
@@ -125,14 +125,16 @@ def test_random_specs_check_without_error_and_keep_their_verdicts():
 
 
 def test_finite_ramification_report_matches_the_table():
-    # the checker reads finite-ramification from a table only when the
-    # family is finite and has a tailed type: the report must be the one
-    # the table gives, which lists only tailed types as unbounded
+    # finite-ramification fails exactly with one of the other two
+    # conditions (so the headline of ``tree check`` names one of those) and
+    # agrees with the table, which lists the tailed types as unbounded; the
+    # down-types NF(pre + per * k) that make them unbounded are distinct
     rng = random.Random(20261021)
     tailed = 0
     for _ in range(SPECS):
         spec = parse(random_spec_text(rng))
         ram, chains, family = check_categorical(spec).condition_reports
+        assert ram.passed == (chains.passed and family.passed)
         if not family.passed:
             assert (ram.passed, ram.witness) == (False, None)
             continue
@@ -141,6 +143,10 @@ def test_finite_ramification_report_matches_the_table():
         assert all(types[m].tail != "none" for m in unbounded)
         assert ram.passed == (not unbounded)
         assert ram.witness == (types[unbounded[0]] if unbounded else None)
+        for m in unbounded:
+            pre, per = seq_factors(types[m])
+            downs = {normalize_sequence(pre + per * k) for k in range(1, 7)}
+            assert len(downs) == 6, types[m]
         tailed += not chains.passed
     assert tailed > SPECS // 10
 

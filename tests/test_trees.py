@@ -52,6 +52,11 @@ DENSE = "T = spine Q(1) with omega x T at orbit 0\n"
 VSPEC = "R = spine 1 with 2 x L at orbit 0\nL = spine 1\n"
 CUT = "T = spine Q(1) with 2 x L at top\nL = spine 1\n"
 BINARY = "T = spine Q(1) with 2 x T at orbit 0\n"
+# the walk's one pass round B's loop lies in the prefix of the only type
+FIRST_PASS = (
+    "A = spine Q(a^Q(b))^a with 1 x B at orbit 2\n"
+    "B = spine Q(b)^Q(a^Q(b))^c with 1 x B at orbit 3\n"
+)
 
 
 def t(text):
@@ -284,48 +289,39 @@ def test_checker_stable_under_equivalent_spine():
     )
 
 
-def test_checker_builds_a_table_only_for_a_finite_family_with_a_tail(
-    monkeypatch,
-):
-    # only a type with a tail can be unbounded, so a family without one
-    # needs no chain counts; an infinite family needs none either
+def test_checker_builds_no_ramification_table(monkeypatch):
+    # finite-ramification is read from the chain types alone: no chain
+    # counts and no cells, for tailed families too
     rng = random.Random(20261021)
-    specs = [parse_spec(DENSE), parse_spec(OMEGA_SPEC)]
+    specs = [parse_spec(DENSE), parse_spec(OMEGA_SPEC), parse_spec(FIRST_PASS)]
     specs += [parse(random_spec_text(rng)) for _ in range(60)]
     verdicts = [check_categorical(spec) for spec in specs]
 
-    def no_counts(*args):
-        raise AssertionError("chain counts built")
+    def no_table(*args):
+        raise AssertionError("ramification table built")
 
-    monkeypatch.setattr(trees, "_counts", no_counts)
+    monkeypatch.setattr(trees, "_counts", no_table)
+    monkeypatch.setattr(trees, "_class_cells", no_table)
     tailed = 0
     for spec, verdict in zip(specs, verdicts):
+        assert check_categorical(spec) == verdict
         _, chains, family = verdict.condition_reports
-        if chains.passed or not family.passed:
-            assert check_categorical(spec) == verdict
-        else:
-            tailed += 1
-            with pytest.raises(AssertionError, match="chain counts built"):
-                check_categorical(spec)
+        tailed += family.passed and not chains.passed
     assert 0 < tailed < len(specs) // 2
 
 
-def test_checker_keeps_the_table_where_a_first_pass_lies_in_the_prefix():
-    # The table examines only the points of the walk's states.  The walk
-    # goes round B's loop once, and that pass collapses into A's Q(a^Q(b)):
-    # it lies in the prefix of the only chain type, which has a tail, so
-    # the table lists no unbounded type and finite-ramification passes.
-    spec = parse_spec(
-        "A = spine Q(a^Q(b))^a with 1 x B at orbit 2\n"
-        "B = spine Q(b)^Q(a^Q(b))^c with 1 x B at orbit 3\n"
-    )
+def test_table_lists_a_tailed_type_whose_first_pass_lies_in_the_prefix():
+    # The walk goes round B's loop once, and that pass collapses into A's
+    # Q(a^Q(b)), so none of the walk's states has a point in the tail of
+    # the only chain type.  The type has a tail all the same, so it is
+    # unbounded and finite-ramification fails with it as witness.
+    spec = parse_spec(FIRST_PASS)
     tau = parse_sequence("[Q(a^Q(b)), c] * [Q(b), Q(a^Q(b)), c] w")
     table = ramification_table(spec)
-    assert (table.chain_types, table.unbounded) == ((tau,), ())
+    assert (table.chain_types, table.unbounded) == ((tau,), (0,))
     ram, chains, family = check_categorical(spec).condition_reports
-    assert (ram.passed, chains.passed, chains.witness, family.passed) == (
-        True, False, tau, True,
-    )
+    assert (ram.passed, ram.witness) == (False, tau)
+    assert (chains.passed, chains.witness, family.passed) == (False, tau, True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ built from any generating relation, such as the covering pairs.  One
 closure pass over the successor lists stores every element's strict up-set,
 as an int bit mask over element positions, and its upper covers; the same
 pass over the predecessor lists stores the down-sets and lower covers.
-Every order query in the package reads them: covers, maximal chains,
-meets (and joins and paths in :mod:`omegacat.cfpo`), cones, tree
-validation, tuple completion under meets, and a small line-based file
-format plus DOT output.
+A forest given as a parent array, as the samplers build theirs, gets the
+same fields from one walk from its roots, with no closure pass.  Every
+order query in the package reads them: covers, maximal chains, meets (and
+joins and paths in :mod:`omegacat.cfpo`), cones, tree validation, tuple
+completion under meets, and a small line-based file format plus DOT
+output.
 
 The reference oracles are deliberately brute force and deterministic:
 exhaustive automorphism and orbit enumeration by backtracking
@@ -158,6 +160,14 @@ class FinPoset:
     element positions.  ``down``/``up`` decode a mask on each call, and
     ``lt``, the set of all strict pairs, is built on each access; they
     serve tests and oracles, not hot paths.
+
+    The private :meth:`_from_forest` builds the same fields for a forest
+    over positions ``0..n-1`` given as a parent array, with no closure
+    pass: each mask is its parent's or its children's plus one bit.  The
+    samplers use it: :func:`omegacat.trees.materialize_tree` for trees,
+    and :func:`omegacat.terms.materialize` for chains, whose points each
+    have the point before as parent.  The differential tests hold it
+    equal to the public constructor.
     """
 
     # _pos: node -> bit position; _down/_up: strict masks; _lower/_upper: covers;
@@ -196,6 +206,54 @@ class FinPoset:
         for x in self.irrational:
             if x not in pos:
                 raise ParseError(f"irrational flag for unknown node {x!r}")
+
+    @classmethod
+    def _from_forest(
+        cls,
+        parent: Sequence[int],
+        colour: Mapping | None = None,
+        irrational: Iterable | None = None,
+    ) -> "FinPoset":
+        """The forest over positions ``0..n-1`` in which ``parent[v]`` is the
+        lower cover of ``v``, or -1 for a root, equal field for field to
+        ``FinPoset(range(n), [(parent[v], v) ...], colour, irrational)``.
+
+        One breadth-first walk from the roots lists every point after its
+        parent, so ``down[v] = down[parent] | bit(parent)``, and in reverse
+        each up-set is the OR of ``up[c] | bit(c)`` over the children ``c``.
+        A point the walk misses lies on a cycle of ``parent``: that raises
+        :class:`CycleError` as the public constructor does.  The labels
+        must name positions; they are not checked.
+        """
+        n = len(parent)
+        kids: list = [[] for _ in range(n)]
+        order = []
+        for v, u in enumerate(parent):
+            (order if u < 0 else kids[u]).append(v)
+        down = [0] * n
+        for u in order:  # breadth first: the list grows as it is read
+            below = down[u] | 1 << u
+            for c in kids[u]:
+                down[c] = below
+            order.extend(kids[u])
+        if len(order) < n:
+            raise CycleError(f"cycle through node {_first_on_cycle(kids)!r}")
+        up = [0] * n
+        for u in reversed(order):
+            reach = 0
+            for c in kids[u]:
+                reach |= up[c] | 1 << c
+            up[u] = reach
+        p = cls.__new__(cls)
+        p.elements = tuple(range(n))
+        p._pos = {v: v for v in range(n)}
+        p._down, p._up = down, up
+        p._lower = {v: [] if u < 0 else [u] for v, u in enumerate(parent)}
+        p._upper = dict(enumerate(kids))
+        p._tree = None
+        p.colour = dict(colour or {})
+        p.irrational = frozenset(irrational or ())
+        return p
 
     def _decode(self, mask) -> list:
         """The nodes whose bits are set in ``mask``, in node order."""

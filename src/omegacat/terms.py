@@ -566,8 +566,8 @@ def materialize(t: Term, budget: int, seed: int = 0):
         for i, (_, tag) in enumerate(pts)
         if tag not in (IRRATIONAL, UNCOLOURED)
     }
-    successors = [(i, i + 1) for i in range(n - 1)]
-    poset = FinPoset(range(n), successors, colour=colour, irrational=irrational)
+    # a chain is a forest: each point's parent is the point before it
+    poset = FinPoset._from_forest(range(-1, n - 1), colour, irrational)
     return poset, {i: desc for i, (desc, _) in enumerate(pts)}
 
 

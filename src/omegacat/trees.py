@@ -954,6 +954,11 @@ def materialize_tree(
     denoted tree.  Raises :class:`BudgetError` when some definition cannot
     be reached at all within ``depth``, or when the sample may hold more
     than ``_MAX_SAMPLE_PAIRS`` order pairs.
+
+    Sibling copies share their seed, so a copy's whole subtree depends only
+    on its key ``(definition, depth left, seed)``.  Each key's layout is
+    built once per call and stamped for every copy at an offset; every
+    point has at most one lower cover, so the sample is a parent array.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -967,52 +972,67 @@ def materialize_tree(
         )
     _check_sample_size(analysis, depth, width)
 
-    pairs: List[Tuple[int, int]] = []  # spine successors and attachments
-    colour: Dict[int, str] = {}
-    irrational = set()
-    size = 0
-    # (definition, depth left, seed, attachment point or None); popping the
-    # children in order numbers the points in pre-order
-    stack = [(spec.root, depth, seed, None)]
-    while stack:
-        name, d, seedv, attach = stack.pop()
+    def layout(key):
+        """A copy's own points, numbered from 0: each one's parent (None for
+        the lowest, which hangs above the copy's attachment point), the
+        coloured and the irrational points, and the copies hung above
+        them in spec order, as ``(key, their attachment point)``."""
+        name, d, seedv = key
         info = analysis.infos[name]
         sp_seed = zlib.crc32(f"{seedv}|{name}|{d}|spine".encode())
         # a budget of at least min_size(spine) samples every orbit, so
         # ``at`` below holds the lowest sampled point of each orbit site
         budget = max(min_size(info.spine), width)
         pts = _sample_points(info.spine, budget, sp_seed)
-        first = size
         at: Dict[tuple, int] = {}  # site -> the point its copies hang above
-        for g, (desc, tag) in enumerate(pts, start=first):
+        coloured: List[Tuple[int, str]] = []
+        irrational: List[int] = []
+        for g, (desc, tag) in enumerate(pts):
             at.setdefault(("orbit", desc.index), g)
             if tag == IRRATIONAL:
-                irrational.add(g)
+                irrational.append(g)
             elif tag != UNCOLOURED:
-                colour[g] = tag
-        size += len(pts)
+                coloured.append((g, tag))
+        size = len(pts)
         k = len(info.fs)
         als: List[int] = []
         fac = [desc.path[0] if k > 1 else 0 for desc, _ in pts]
         for j in range(k):
-            als.extend(first + i for i, f in enumerate(fac) if f == j)
+            als.extend(i for i, f in enumerate(fac) if f == j)
             if d >= 1 and j in info.cut_positions:
-                irrational.add(size)
+                irrational.append(size)
                 at[("cut", j)] = size
                 als.append(size)
                 size += 1
-        if attach is not None:
-            pairs.append((attach, als[0]))
-        pairs.extend(zip(als, als[1:]))
-        if d == 0:
-            continue
-        children = []
-        for site, mult, child in info.attachments:
-            child_seed = zlib.crc32(f"{seedv}|{child}|{d - 1}".encode())
-            copy = (child, d - 1, child_seed, at[site])
-            children += [copy] * _copies(mult, width)
-        stack.extend(reversed(children))
-    return FinPoset(range(size), pairs, colour=colour, irrational=irrational)
+        up: List[Optional[int]] = [None] * size
+        for a, b in zip(als, als[1:]):
+            up[b] = a
+        copies = []
+        if d >= 1:
+            for site, mult, child in info.attachments:
+                child_seed = zlib.crc32(f"{seedv}|{child}|{d - 1}".encode())
+                copy = ((child, d - 1, child_seed), at[site])
+                copies += [copy] * _copies(mult, width)
+        return up, coloured, irrational, copies
+
+    layouts: Dict[tuple, tuple] = {}  # key -> its layout, built on first use
+    parent: List[int] = []
+    colour: Dict[int, str] = {}
+    irrational: List[int] = []
+    # (key, attachment point or -1 for none); popping the copies in order
+    # numbers the points in pre-order
+    stack = [((spec.root, depth, seed), -1)]
+    while stack:
+        key, attach = stack.pop()
+        if key not in layouts:
+            layouts[key] = layout(key)
+        up, coloured, irr, copies = layouts[key]
+        first = len(parent)
+        parent.extend(attach if u is None else first + u for u in up)
+        colour.update((first + g, tag) for g, tag in coloured)
+        irrational.extend(first + g for g in irr)
+        stack.extend((kid, first + at) for kid, at in reversed(copies))
+    return FinPoset._from_forest(parent, colour, irrational)
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,20 @@
 - periodic normalization as one loop that retries the period's collapses
   after every step, the reference for the two loops of
   ``sequences._periodic_pipeline``
+- tree samples that sample every copy's spine anew and close the order
+  from its covering pairs, the reference for the per-key layouts and the
+  forest constructor of ``trees.materialize_tree``
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import zlib
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from omegacat.errors import CycleError
+from omegacat.errors import BudgetError, CycleError
 from omegacat.posets import FinPoset, maximal_chains, node_key
 from omegacat.sequences import (
     NfSequence,
@@ -44,14 +48,17 @@ from omegacat.terms import (
     Concat,
     Singleton,
     Term,
+    _sample_points,
     applicable_rewrites,
     concat,
     is_finite,
     materialize,
+    min_size,
     orbit_paths,
     shuffle,
     subterm_at,
 )
+from omegacat.trees import TreeSpec, _Analysis, _check_sample_size, _copies
 
 
 def random_term(rng: random.Random, depth: int, colours=("a", "b", "c")):
@@ -162,6 +169,12 @@ def samples_agree(t1, t2, budget: int, seed: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # brute-force order queries
+
+
+def poset_fields(p) -> dict:
+    """Every stored field of a ``FinPoset``, to compare two builds of one
+    order field for field."""
+    return {s: getattr(p, s) for s in FinPoset.__slots__}
 
 
 def naive_closure(elements, pairs) -> frozenset:
@@ -523,3 +536,84 @@ def naive_periodic_pipeline(pre: List[Term], per: List[Term]):
             m = (j - len(pre) + 1) % len(per)
             pre = pre[: i + 1]
             per = per[m:] + per[:m]
+
+
+# ---------------------------------------------------------------------------
+# tree samples built copy by copy and closed from their pairs
+
+
+def naive_materialize_tree(
+    spec: TreeSpec, depth: int, width: int, seed: int = 0
+) -> FinPoset:
+    """Build a finite sample of the denoted tree.
+
+    ``depth`` bounds attachment nesting (copies at the deepest level render
+    their spines only), ``width`` sizes the dense spine samples and the
+    number of copies standing in for an ``omega`` multiplicity.  Sibling
+    copies are rendered identically so the sample keeps the symmetry of the
+    denoted tree.  Raises :class:`BudgetError` when some definition cannot
+    be reached at all within ``depth``, or when the sample may hold more
+    than ``_MAX_SAMPLE_PAIRS`` order pairs.
+
+    Samples every copy's spine anew and closes the order from its covering
+    pairs: the reference for the layouts and the forest constructor of
+    ``trees.materialize_tree``.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    analysis = _Analysis(spec)
+    deep = max(analysis.depth.values())
+    if deep > depth:
+        raise BudgetError(
+            f"nesting needs depth {deep} but only {depth} is available"
+        )
+    _check_sample_size(analysis, depth, width)
+
+    pairs: List[Tuple[int, int]] = []  # spine successors and attachments
+    colour: Dict[int, str] = {}
+    irrational = set()
+    size = 0
+    # (definition, depth left, seed, attachment point or None); popping the
+    # children in order numbers the points in pre-order
+    stack = [(spec.root, depth, seed, None)]
+    while stack:
+        name, d, seedv, attach = stack.pop()
+        info = analysis.infos[name]
+        sp_seed = zlib.crc32(f"{seedv}|{name}|{d}|spine".encode())
+        # a budget of at least min_size(spine) samples every orbit, so
+        # ``at`` below holds the lowest sampled point of each orbit site
+        budget = max(min_size(info.spine), width)
+        pts = _sample_points(info.spine, budget, sp_seed)
+        first = size
+        at: Dict[tuple, int] = {}  # site -> the point its copies hang above
+        for g, (desc, tag) in enumerate(pts, start=first):
+            at.setdefault(("orbit", desc.index), g)
+            if tag == IRRATIONAL:
+                irrational.add(g)
+            elif tag != UNCOLOURED:
+                colour[g] = tag
+        size += len(pts)
+        k = len(info.fs)
+        als: List[int] = []
+        fac = [desc.path[0] if k > 1 else 0 for desc, _ in pts]
+        for j in range(k):
+            als.extend(first + i for i, f in enumerate(fac) if f == j)
+            if d >= 1 and j in info.cut_positions:
+                irrational.add(size)
+                at[("cut", j)] = size
+                als.append(size)
+                size += 1
+        if attach is not None:
+            pairs.append((attach, als[0]))
+        pairs.extend(zip(als, als[1:]))
+        if d == 0:
+            continue
+        children = []
+        for site, mult, child in info.attachments:
+            child_seed = zlib.crc32(f"{seedv}|{child}|{d - 1}".encode())
+            copy = (child, d - 1, child_seed, at[site])
+            children += [copy] * _copies(mult, width)
+        stack.extend(reversed(children))
+    return FinPoset(range(size), pairs, colour=colour, irrational=irrational)

@@ -45,6 +45,7 @@ from oracles import (
     naive_meet,
     naive_up,
     naive_validate_tree,
+    poset_fields,
 )
 
 
@@ -201,6 +202,52 @@ def test_cycle_error_names_the_first_node_on_a_cycle(graph):
     assert outcome(lambda: FinPoset(names, edges).lt) == outcome(
         lambda: naive_closure(names, edges)
     )
+
+
+@st.composite
+def parent_arrays(draw, least: int = 0):
+    """A forest of up to 30 points as a parent array, -1 for a root.  Each
+    point in a hidden order hangs below an earlier one or starts a new
+    root; a random permutation names the points, so that children may be
+    numbered below their parents."""
+    n = draw(st.integers(least, 30))
+    names = draw(st.permutations(range(n)))
+    rng = draw(st.randoms(use_true_random=False))
+    parent = [-1] * n
+    for i in range(1, n):
+        j = rng.randrange(-1, i)
+        if j >= 0:
+            parent[names[i]] = names[j]
+    return parent
+
+
+def parent_pairs(parent):
+    return [(u, v) for v, u in enumerate(parent) if u >= 0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(parent_arrays(), st.data())
+def test_forest_constructor_equals_the_closure_of_its_parent_pairs(parent, data):
+    points = st.integers(0, len(parent) - 1) if parent else st.nothing()
+    colour = data.draw(st.dictionaries(points, st.sampled_from("ab")))
+    irrational = data.draw(st.sets(points))
+    want = FinPoset(range(len(parent)), parent_pairs(parent), colour, irrational)
+    got = FinPoset._from_forest(parent, colour, irrational)
+    assert poset_fields(got) == poset_fields(want)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(parent_arrays(least=1), st.data())
+def test_forest_constructor_rejects_a_cycle_as_the_public_one_does(parent, data):
+    # moving a point below itself or a point above it closes a cycle
+    v = data.draw(st.integers(0, len(parent) - 1))
+    above = FinPoset._from_forest(parent).up(v)
+    parent[v] = data.draw(st.sampled_from([v] + sorted(above)))
+    with pytest.raises(CycleError) as want:
+        FinPoset(range(len(parent)), parent_pairs(parent))
+    with pytest.raises(CycleError) as got:
+        FinPoset._from_forest(parent)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------- meet / cones

@@ -14,11 +14,14 @@ import random
 import pytest
 
 from omegacat.errors import BudgetError, ParseError
-from omegacat.posets import validate_tree
+from omegacat.posets import FinPoset, validate_tree
 from omegacat.terms import (
+    IRRATIONAL,
+    UNCOLOURED,
     Concat,
     Shuffle,
     Singleton,
+    _sample_points,
     applicable_rewrites,
     concat,
     equivalent,
@@ -34,7 +37,7 @@ from omegacat.terms import (
     term_key,
 )
 
-from oracles import random_term, reduce_random
+from oracles import poset_fields, random_term, reduce_random
 
 
 ONE = Singleton("1")
@@ -272,3 +275,21 @@ def test_materialize_concat_splits_budget():
 def test_materialize_marks_irrational_singletons():
     p, _ = materialize(t("1^I^Q(1)"), budget=5, seed=2)
     assert p.irrational == frozenset({1})
+
+
+def test_materialize_equals_the_closure_of_its_successor_pairs():
+    # the chain is built as a forest, each point the parent of the next
+    for term in (t("Q(1)"), t("Q(a,I)^b^Q(1)")):
+        for size in range(min_size(term), 301):
+            p, _ = materialize(term, budget=size, seed=size)
+            tags = [tag for _, tag in _sample_points(term, size, size)]
+            n = len(tags)
+            want = FinPoset(
+                range(n),
+                [(i, i + 1) for i in range(n - 1)],
+                colour={
+                    i: c for i, c in enumerate(tags) if c not in (IRRATIONAL, UNCOLOURED)
+                },
+                irrational={i for i, c in enumerate(tags) if c == IRRATIONAL},
+            )
+            assert poset_fields(p) == poset_fields(want), (term, size)

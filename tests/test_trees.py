@@ -8,9 +8,10 @@ the brute-force poset machinery where feasible.
 
 import math
 import random
+import re
 
 import pytest
-from oracles import random_term
+from oracles import naive_materialize_tree, poset_fields, random_term
 from test_fuzz import parse, random_spec_text
 
 from omegacat import posets, trees
@@ -366,6 +367,51 @@ def test_materialize_samples_validate_as_trees():
     for text in [Q1, OMEGA_SPEC, DENSE, VSPEC, CUT, BINARY]:
         p = materialize_tree(parse_spec(text), depth=2, width=2, seed=3)
         assert validate_tree(p).ok
+
+
+def test_materialize_equals_the_copy_by_copy_oracle():
+    # the dense, mixed and cut shapes of perfbench's tree-orbits workload
+    # at depth 4 and width 3, then 160 fuzz specs at three sizes each
+    shapes = [
+        DENSE,
+        "A = spine Q(a,b) with omega x B at orbit 0, 2 x A at orbit 1\n"
+        "B = spine c^Q(d)\n",
+        "A = spine Q(a)^Q(b) with 2 x B at cut 0, omega x A at orbit 1\n"
+        "B = spine c\n",
+    ]
+    cases = [(parse_spec(text), 4, 3, 0) for text in shapes]
+    rng = random.Random(20261019)
+    for i in range(160):
+        spec = parse(random_spec_text(rng))
+        cases += [(spec, d, w, i) for d, w in ((1, 1), (2, 2), (3, 3))]
+    compared = 0
+    for spec, depth, width, seed in cases:
+        try:
+            want = naive_materialize_tree(spec, depth, width, seed)
+        except BudgetError as e:
+            with pytest.raises(BudgetError, match=re.escape(str(e))):
+                materialize_tree(spec, depth, width, seed)
+            continue
+        got = materialize_tree(spec, depth, width, seed)
+        assert poset_fields(got) == poset_fields(want), (spec, depth, width)
+        compared += 1
+    assert compared >= 450
+
+
+def test_materialize_samples_each_copy_key_once(monkeypatch):
+    # sibling copies share their seed, so depth 4 has 5 keys, one per level,
+    # against 1 + 3 + 9 + 27 + 81 = 121 copies
+    calls = []
+    real = trees._sample_points
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trees, "_sample_points", counted)
+    p = materialize_tree(parse_spec(DENSE), depth=4, width=3)
+    assert len(calls) == 5
+    assert len(p) == 121 * 3
 
 
 def test_a_spine_sample_holds_a_point_of_every_orbit():

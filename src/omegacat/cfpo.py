@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .errors import BudgetError
-from .posets import FinPoset, _bits, _common_bounds, _find, covers, node_key
+from .posets import FinPoset, _bits, _common_bounds, _find, _forks, covers, node_key
 
 __all__ = [
     "AMBIGUOUS",
@@ -74,6 +74,44 @@ def join(p: FinPoset, x, y):
 # path completion
 
 
+def _candidates(p: FinPoset, k: int):
+    """The pairs ``(i, j)`` of positions of ``p``, ``i < j``, that can lack
+    their join (``k = 0``) or their meet (``k = 1``): every such pair is
+    among them.  For joins (meets are dual), say that the common upper
+    bounds U of ``i`` and ``j`` are nonempty and form no point's closed
+    up-cone.  Then:
+
+    (a) U has two incomparable minimal points, so neither point's closed
+        up-cone is a chain, and each holds a fork, a point with two or more
+        upper covers (see ``_forks``): both points lie in the closed
+        down-cone of a fork;
+    (b) ``j`` is incomparable to ``i``: if ``i < j``, U is ``j``'s closed
+        up-cone, and dually;
+    (c) ``j`` lies in the closed down-cone of a maximal point above ``i``:
+        any point of U lies below a maximal one.
+    """
+    els, pos = p.elements, p._pos
+    own, far, cover = (p._up, p._down, p._upper) if k == 0 else (p._down, p._up, p._lower)
+    shade = 0  # (a): the closed far cones of the forks
+    for f in _bits(_forks(p, cover)):
+        shade |= far[f] | 1 << f
+    if not shade:
+        return
+    # (c): reach[i] is the OR of the closed far cones of the extremal points
+    # beyond i, which is the OR of reach over i's covers; covers have
+    # smaller cones, so they come first in this order
+    reach = [0] * len(els)
+    for i in sorted(range(len(els)), key=lambda i: own[i].bit_count()):
+        r = 0 if cover[els[i]] else far[i] | 1 << i
+        for c in cover[els[i]]:
+            r |= reach[pos[c]]
+        reach[i] = r
+    for i in _bits(shade):
+        # (b): not i, nothing comparable to it, nothing before it
+        for j in _bits(reach[i] & shade & ~(own[i] | far[i] | (2 << i) - 1)):
+            yield i, j
+
+
 def path_completion(p: FinPoset) -> FinPoset:
     """Smallest extension of ``p`` with all forced meets and joins.
 
@@ -109,7 +147,8 @@ def path_completion(p: FinPoset) -> FinPoset:
             if (bound := cone[i] & cone[j]) and bound not in known[k]
         ]
 
-    heap = defects(itertools.combinations(range(len(els)), 2))
+    # only candidate pairs can lack a join or meet (see _candidates)
+    heap = defects({pair for k in (0, 1) for pair in _candidates(p, k)})
     heapq.heapify(heap)
     edges, taken, counter = list(covers(p)), set(els), 0
     while heap:
@@ -163,20 +202,31 @@ def _paths(p: FinPoset, a, b) -> List[frozenset]:
     walks from ``a`` along covering pairs that repeat no node, whose turning
     points (``a``, each change of direction, then ``b``) are incomparable
     to every earlier turning point except the one just before."""
-    found = set()
-    stack = [(a, None, (a,), frozenset({a}))]
+    pos, up, down = p._pos, p._up, p._down
+
+    def near(x):  # the positions comparable to x, x included
+        i = pos[x]
+        return up[i] | down[i] | 1 << i
+
+    found, near_b = set(), near(b)
+    # each entry: the node, its heading, the last turning point so far and
+    # the bit mask of the turning points before that one
+    stack = [(a, None, a, 0, frozenset({a}))]
     while stack:
-        x, heading, turns, seen = stack.pop()
+        x, heading, last, earlier, seen = stack.pop()
         for step, cover in enumerate((p._upper, p._lower)):  # 0 goes up, 1 down
-            ts = turns if heading in (None, step) else turns + (x,)
-            if ts is not turns and any(p.comparable(x, t) for t in turns[:-1]):
+            if heading in (None, step):
+                turn, before = last, earlier
+            elif near(x) & earlier:
                 continue
+            else:
+                turn, before = x, earlier | 1 << pos[last]
             for y in cover[x]:
                 if y in seen:
                     continue
                 if y != b:
-                    stack.append((y, step, ts, seen | {y}))
-                elif not any(p.comparable(b, t) for t in ts[:-1]):
+                    stack.append((y, step, turn, before, seen | {y}))
+                elif not near_b & before:
                     found.add(seen | {b})
                     if len(found) == 2:
                         return list(found)

@@ -328,13 +328,22 @@ def validate_tree(p: FinPoset) -> TreeReport:
     return TreeReport(ok=not bad, violations=bad)
 
 
+def _forks(p: FinPoset, covers: Mapping) -> int:
+    """The positions, as a bit mask, of the points with two or more covers
+    in ``covers`` (``p._lower`` or ``p._upper``).  A closed cone in that
+    direction is a chain exactly when none of its members is such a fork:
+    from a point with at most one cover at each step, every point beyond is
+    reached along that one run of covers."""
+    return sum(1 << t for t, x in enumerate(p.elements) if len(covers[x]) > 1)
+
+
 def _tree_violations(p: FinPoset):
     """The violations of :func:`validate_tree` in order, found lazily, so
     that callers needing only the first stop there."""
     els, up, down = p.elements, p._up, p._down
-    # a closed down-set is a chain iff none of its members has two lower
-    # covers, so only nodes at or above such a fork can fail axiom 1
-    forks = sum(1 << t for t, x in enumerate(els) if len(p._lower[x]) > 1)
+    # only nodes at or above a fork of lower covers have a closed down-set
+    # that is not a chain, so only they can fail axiom 1
+    forks = _forks(p, p._lower)
     for z in range(len(els)):
         below = down[z] | 1 << z
         if below & forks:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from omegacat.cfpo import (
     AMBIGUOUS,
     AltPattern,
+    _candidates,
     alt,
     alt_rank,
     embeds_alt,
@@ -293,6 +294,104 @@ def test_completion_matches_rebuild_oracle_on_random_dags(n, prob):
     p = FinPoset(names, edges, colour=colour)
     assert len(path_completion(p)) > n
     same_completion(p)
+
+
+def x_point_tree(seed, n, k):
+    """The shape of the benchmark's path posets: a random rooted tree on
+    ``n - k`` points, every edge pointing up from the root, in which ``k``
+    forks pairwise more than two edges apart get an extra minimal point
+    below their children, which makes them X-points (two lower and two
+    upper covers), and are then removed, so that the parent and the extra
+    point lie below the children.  Names interleave ``i<k>``, other strings
+    and ints, so fresh names must skip some."""
+    rng = random.Random(seed)
+    m = n - k
+    while True:
+        parent = {v: rng.randrange(v) for v in range(1, m)}
+        nbrs = {v: set() for v in range(m)}
+        for v, u in parent.items():
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        forks = [v for v in range(1, m) if len(nbrs[v]) > 2]
+        rng.shuffle(forks)
+        chosen, near = [], set()
+        for v in forks:
+            if v not in near and len(chosen) < k:
+                chosen.append(v)
+                near |= {v} | nbrs[v] | {w for u in nbrs[v] for w in nbrs[u]}
+        if len(chosen) == k:
+            break
+    edges = [(u, v) for v, u in parent.items() if u not in chosen and v not in chosen]
+    for extra, r in enumerate(chosen, start=m):
+        edges += [(low, v) for low in (parent[r], extra) for v in nbrs[r] - {parent[r]}]
+    ids = rng.sample(range(n), n)
+    names = {v: (f"i{i}", f"h{i}", f"j{i}", i)[i % 4] for v, i in enumerate(ids)}
+    keep = [names[v] for v in range(n) if v not in chosen]
+    return FinPoset(keep, [(names[a], names[b]) for a, b in edges])
+
+
+@pytest.mark.parametrize("n, k", [(40, 1), (60, 3), (90, 2), (120, 1)])
+def test_completion_matches_rebuild_oracle_on_x_point_trees(n, k):
+    p = x_point_tree(n, n, k)
+    assert len(path_completion(p)) == len(p) + k
+    same_completion(p)
+
+
+def all_pairs_defects(p):
+    """``(k, i, j)`` for each pair of positions ``i < j`` lacking its join
+    (``k = 0``) or meet (``k = 1``): the pairs with common bounds that form
+    no point's closed cone, found by testing every pair."""
+    out = set()
+    for k, strict in enumerate((p._up, p._down)):
+        cones = [m | 1 << i for i, m in enumerate(strict)]
+        for i, j in itertools.combinations(range(len(p)), 2):
+            if (bound := cones[i] & cones[j]) and bound not in cones:
+                out.add((k, i, j))
+    return out
+
+
+def candidates(p):
+    found = [(k, i, j) for k in (0, 1) for i, j in _candidates(p, k)]
+    assert len(found) == len(set(found))
+    assert all(i < j for _, i, j in found)
+    return set(found)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@with_examples([bowtie(), diamond(), n_poset(), alt(6), alt(5, True)])
+@given(small_dags())
+def test_candidates_hold_every_defect(p):
+    assert all_pairs_defects(p) <= candidates(p)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_candidates_hold_every_defect_on_random_dags(seed):
+    rng = random.Random(seed)
+    n = rng.randint(20, 60)
+    prob = rng.choice([0.03, 0.06, 0.1, 0.2])
+    names = rng.sample(range(n), n)
+    edges = [
+        (names[i], names[j])
+        for i, j in itertools.combinations(range(n), 2)
+        if rng.random() < prob
+    ]
+    p = FinPoset(names, edges)
+    assert all_pairs_defects(p) <= candidates(p)
+
+
+def test_completion_of_a_large_tree_scans_only_candidate_pairs():
+    # A heap-shaped rooted tree on 0..3999 whose fork 1998, just below the
+    # leaves 3997 and 3998, is an X-point through an extra minimal point
+    # 4000 and is removed.  Testing all 8 million pairs took seconds.
+    r, e = 1998, 4000
+    edges = [((v - 1) // 2, v) for v in range(1, e) if r not in ((v - 1) // 2, v)]
+    edges += [(low, c) for low in ((r - 1) // 2, e) for c in (2 * r + 1, 2 * r + 2)]
+    p = FinPoset([v for v in range(e + 1) if v != r], edges)
+    start = time.perf_counter()
+    q = path_completion(p)
+    assert set(q.elements) - set(p.elements) == {"i0"}
+    assert validate_cfpo(p) == (True, None)
+    assert time.perf_counter() - start < 2.0
 
 
 # ------------------------------------------------------- connecting sets

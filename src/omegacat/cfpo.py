@@ -136,19 +136,20 @@ def path_completion(p: FinPoset) -> FinPoset:
     )
     known = (set(cones[0]), set(cones[1]))
 
-    def defects(pairs):
-        """Heap entries ``(key, key, 0 join / 1 meet, position, position)``
-        of the pairs ``(i, j)``, ``i`` first in node order, that miss their
-        join or meet."""
+    def defects(k, pairs):
+        """Heap entries ``(key, key, k, position, position)`` of the pairs
+        ``(i, j)``, ``i`` first in node order, that miss their join
+        (``k = 0``) or meet (``k = 1``)."""
+        cone, seen = cones[k], known[k]
         return [
             (keys[i], keys[j], k, i, j)
             for i, j in pairs
-            for k, cone in enumerate(cones)
-            if (bound := cone[i] & cone[j]) and bound not in known[k]
+            if (bound := cone[i] & cone[j]) and bound not in seen
         ]
 
-    # only candidate pairs can lack a join or meet (see _candidates)
-    heap = defects({pair for k in (0, 1) for pair in _candidates(p, k)})
+    # only candidate pairs can lack a join or meet (see _candidates), and a
+    # pair lacking one of them is a candidate for that one
+    heap = defects(0, _candidates(p, 0)) + defects(1, _candidates(p, 1))
     heapq.heapify(heap)
     edges, taken, counter = list(covers(p)), set(els), 0
     while heap:
@@ -166,9 +167,6 @@ def path_completion(p: FinPoset) -> FinPoset:
         taken.add(name)
         els.append(name)
         keys.append(node_key(name))
-        lo, hi = (far, bound) if k == 0 else (bound, far)
-        edges += [(els[t], name) for t in _bits(lo)]
-        edges += [(name, els[t]) for t in _bits(hi)]
         # For a join, z enters the up-cones of the far side and the
         # down-cones of the bound set (dually for a meet).  No pair of old
         # points gets a new defect, so only the pairs with z are examined.
@@ -178,14 +176,22 @@ def path_completion(p: FinPoset) -> FinPoset:
         # m lies below the bound set, so below z, and its cone gains z too;
         # if U had none, only z's new cone can match, when U is the bound
         # set: then the defect is mended.  Dually for meets.
+        # Only z's covers become edges: the points of each side whose cone
+        # towards z holds no other point of that side, the maximal points
+        # below z and the minimal ones above.  Every point of a finite side
+        # lies beyond one of them, so they generate the same order as the
+        # whole sides.
         for side, mask, own in ((k, far, bound), (1 - k, bound, far)):
             for t in _bits(mask):
+                if cones[side][t] & mask == 1 << t:
+                    edges.append((els[t], name) if side == 0 else (name, els[t]))
                 known[side].remove(cones[side][t])
                 cones[side][t] |= 1 << z
                 known[side].add(cones[side][t])
             cones[side].append(own | 1 << z)
             known[side].add(own | 1 << z)
-        for entry in defects((t, z) if keys[t] < keys[z] else (z, t) for t in range(z)):
+        pairs = [(t, z) if keys[t] < keys[z] else (z, t) for t in range(z)]
+        for entry in defects(0, pairs) + defects(1, pairs):
             heapq.heappush(heap, entry)
     if len(els) == len(p):
         return p

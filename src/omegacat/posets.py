@@ -3,15 +3,15 @@
 A :class:`FinPoset` stores a finite strict order, transitively closed, with
 two optional node labels: a colour tag and an "irrational" flag.  It is
 built from any generating relation, such as the covering pairs.  One
-closure pass over the successor lists stores every element's strict up-set,
-as an int bit mask over element positions, and its upper covers; the same
-pass over the predecessor lists stores the down-sets and lower covers.
-A forest given as a parent array, as the samplers build theirs, gets the
-same fields from one walk from its roots, with no closure pass.  Every
-order query in the package reads them: covers, maximal chains, meets (and
-joins and paths in :mod:`omegacat.cfpo`), cones, tree validation, tuple
-completion under meets, and a small line-based file format plus DOT
-output.
+topological sort (Kahn 1962) orders the elements; a sweep against that
+order stores every element's strict up-set, as an int bit mask over
+element positions, and its upper covers, and a sweep along it stores the
+down-sets and lower covers.  A forest given as a parent array, as the
+samplers build theirs, gets the same fields from one walk from its roots,
+with no sort.  Every order query in the package reads them: covers,
+maximal chains, meets (and joins and paths in :mod:`omegacat.cfpo`),
+cones, tree validation, tuple completion under meets, and a small
+line-based file format plus DOT output.
 
 The reference oracles are deliberately brute force and deterministic:
 exhaustive automorphism and orbit enumeration by backtracking
@@ -51,9 +51,23 @@ def node_key(x):
     return (1, 0, str(x))
 
 
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask) -> list:
-    """Positions of the set bits of ``mask``, lowest first."""
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    """Positions of the set bits of ``mask``, lowest first.
+
+    With under one bit in eight set, one C-level ``find`` per set bit is
+    cheaper; above that, ``compress`` reads every bit position in C.
+    """
+    digits = bin(mask)[:1:-1]
+    if mask.bit_count() * 8 < len(digits):
+        out, i = [], digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
+    return list(itertools.compress(range(len(digits)), digits.encode().translate(_DIGITS)))
 
 
 def _find(parent: dict, x):
@@ -65,47 +79,36 @@ def _find(parent: dict, x):
     return x
 
 
-def _strict_up_sets(els, succ) -> tuple:
+def _closure(els, succ, order) -> tuple:
     """The strict up-set, a bit mask over positions, of every position of
-    ``succ`` and the upper covers of every node, in node order.  On the
-    predecessor lists the same pass gives the down-sets and lower covers.
+    ``succ``, and the upper covers of every node as a dict in node order.
+    ``order`` lists every position after all of its successors, as a
+    reversed topological order does.  On the predecessor lists, in
+    topological order, the same sweep gives the down-sets and lower covers.
 
-    One depth-first pass in node order.  When a node's last successor is
-    done, its up-set is the OR of its successors' strict up-sets, skipping
+    A node's up-set is the OR of its successors' strict up-sets, skipping
     successors already in it, and of the successors themselves.  Every
     cover is an edge of ``succ``, and ``x -> c`` is one exactly when ``c``
     lies in no other successor's up-set, that is outside that first OR.
     """
-    up: list = [None] * len(els)
-    upper: dict = {}
-    for start in range(len(els)):
-        if up[start] is not None:
-            continue
-        stack, open_ = [(start, iter(succ[start]))], {start}
-        while stack:
-            x, kids = stack[-1]
+    up = [0] * len(els)
+    upper: list = [[] for _ in els]
+    for x in order:
+        kids = succ[x]
+        if len(kids) == 1:  # most nodes of a sparse order: no other successor
+            (c,) = kids
+            up[x] = up[c] | 1 << c
+            upper[x].append(els[c])
+        elif kids:
+            reach = 0
             for c in kids:
-                if c in open_:
-                    raise CycleError(
-                        f"cycle through node {els[_first_on_cycle(succ)]!r}"
-                    )
-                if up[c] is None:
-                    stack.append((c, iter(succ[c])))
-                    open_.add(c)
-                    break
-            else:
-                stack.pop()
-                open_.discard(x)
-                reach = 0
-                for c in succ[x]:
-                    if not reach >> c & 1:
-                        reach |= up[c]
-                succs = sorted(set(succ[x]))
-                upper[els[x]] = [els[c] for c in succs if not reach >> c & 1]
-                for c in succs:
-                    reach |= 1 << c
-                up[x] = reach
-    return up, upper
+                if not reach >> c & 1:
+                    reach |= up[c]
+            upper[x] = [els[c] for c in sorted(set(kids)) if not reach >> c & 1]
+            for c in kids:
+                reach |= 1 << c
+            up[x] = reach
+    return up, dict(zip(els, upper))
 
 
 def _first_on_cycle(succ):
@@ -155,19 +158,21 @@ class FinPoset:
 
     ``pairs`` may be any relation whose transitive closure is the order,
     such as its covering pairs.  Elements are kept in a canonical sorted
-    order; construction rejects cycles.  The order is stored once per
-    direction, as strict up- and down-sets, each an int bit mask over the
-    element positions.  ``down``/``up`` decode a mask on each call, and
-    ``lt``, the set of all strict pairs, is built on each access; they
-    serve tests and oracles, not hot paths.
+    order; construction rejects cycles, which the topological sort finds
+    as the nodes it cannot order.  The order is stored once per direction,
+    as strict up- and down-sets, each an int bit mask over the element
+    positions, with the covers in each direction, each list in node
+    order.  ``down``/``up`` decode a mask on each call, and ``lt``, the
+    set of all strict pairs, is built on each access; they serve tests and
+    oracles, not hot paths.
 
     The private :meth:`_from_forest` builds the same fields for a forest
-    over positions ``0..n-1`` given as a parent array, with no closure
-    pass: each mask is its parent's or its children's plus one bit.  The
-    samplers use it: :func:`omegacat.trees.materialize_tree` for trees,
-    and :func:`omegacat.terms.materialize` for chains, whose points each
-    have the point before as parent.  The differential tests hold it
-    equal to the public constructor.
+    over positions ``0..n-1`` given as a parent array, with no sort: each
+    mask is its parent's or its children's plus one bit.  The samplers use
+    it: :func:`omegacat.trees.materialize_tree` for trees, and
+    :func:`omegacat.terms.materialize` for chains, whose points each have
+    the point before as parent.  The differential tests hold it equal to
+    the public constructor.
     """
 
     # _pos: node -> bit position; _down/_up: strict masks; _lower/_upper: covers;
@@ -193,8 +198,21 @@ class FinPoset:
                 raise ParseError(f"edge references unknown node {a!r} or {b!r}")
             succ[pos[a]].append(pos[b])
             pred[pos[b]].append(pos[a])
-        self._up, self._upper = _strict_up_sets(els, succ)
-        self._down, self._lower = _strict_up_sets(els, pred)
+        # Kahn's pass: a node joins the order once all its predecessors have
+        # (the list grows as it is read); a node it misses lies on a cycle
+        # or above one
+        indegree = [len(ys) for ys in pred]
+        order = [x for x, d in enumerate(indegree) if not d]
+        for x in order:
+            for c in succ[x]:
+                indegree[c] -= 1
+                if not indegree[c]:
+                    order.append(c)
+        if len(order) < len(els):
+            raise CycleError(f"cycle through node {els[_first_on_cycle(succ)]!r}")
+        self._down, self._lower = _closure(els, pred, order)
+        order.reverse()
+        self._up, self._upper = _closure(els, succ, order)
         self.elements = tuple(els)
         self._pos = pos
         self._tree = None

@@ -177,6 +177,12 @@ def poset_fields(p) -> dict:
     return {s: getattr(p, s) for s in FinPoset.__slots__}
 
 
+def naive_bits(mask) -> list:
+    """Positions of the set bits of ``mask``, lowest first, one shift and
+    test per bit position."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def naive_closure(elements, pairs) -> frozenset:
     """Strict pairs of the transitive closure, by Warshall iteration.
     Raises CycleError naming the first node, in node order, on a cycle."""

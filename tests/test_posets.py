@@ -14,13 +14,14 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegacat.cfpo import join
 from omegacat.errors import BudgetError, CycleError, NotATreeError, ParseError
 from omegacat.posets import (
     FinPoset,
+    _bits,
     all_trees,
     automorphisms,
     complete_tuple,
@@ -31,6 +32,7 @@ from omegacat.posets import (
     load_poset,
     maximal_chains,
     meet,
+    node_key,
     orbits,
     ramification_order,
     to_dot,
@@ -38,6 +40,7 @@ from omegacat.posets import (
 )
 
 from oracles import (
+    naive_bits,
     naive_closure,
     naive_covers,
     naive_down,
@@ -202,6 +205,67 @@ def test_cycle_error_names_the_first_node_on_a_cycle(graph):
     assert outcome(lambda: FinPoset(names, edges).lt) == outcome(
         lambda: naive_closure(names, edges)
     )
+
+
+@st.composite
+def redundant_dags(draw):
+    """An acyclic digraph whose edge list also repeats some of its edges
+    and holds some pairs of its closure that are no covers, shuffled."""
+    names, edges = draw(digraphs(acyclic=True))
+    closure = sorted(naive_closure(names, edges))
+    extra = draw(st.lists(st.sampled_from(edges + closure), max_size=15)) if edges else []
+    return names, draw(st.permutations(edges + extra))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(redundant_dags())
+@example(([2, 0, 1], [(0, 2), (0, 1), (1, 2), (0, 1), (0, 2)]))
+def test_stored_masks_and_covers_match_brute_force_with_redundant_edges(graph):
+    names, edges = graph
+    p = FinPoset(names, edges)
+    closure = naive_closure(names, edges)
+    hasse = naive_covers(p)
+    bit = {x: 1 << i for i, x in enumerate(p.elements)}
+    for i, x in enumerate(p.elements):
+        assert p._up[i] == sum(bit[b] for a, b in closure if a == x)
+        assert p._down[i] == sum(bit[a] for a, b in closure if b == x)
+        assert p._upper[x] == [b for a, b in hasse if a == x]
+        assert p._lower[x] == sorted((a for a, b in hasse if b == x), key=node_key)
+    assert list(p._upper) == list(p._lower) == list(p.elements)
+
+
+def random_mask(seed, width, density):
+    rng = random.Random(seed)
+    return sum(1 << i for i in range(width) if rng.random() < density)
+
+
+MASKS = {
+    "zero": 0,
+    "one": 1,
+    "top-of-80": 1 << 79,
+    "4-bit": 0b1011,
+    "full-80": (1 << 80) - 1,
+    "alternating-80": int("01" * 40, 2),
+    "sparse-200": random_mask(1, 200, 0.05),
+    "half-200": random_mask(2, 200, 0.5),
+    "12-of-4000": sum(1 << i for i in random.Random(3).sample(range(3999), 11)) | 1 << 3999,
+    "tenth-4000": random_mask(4, 4000, 0.1),
+    "dense-4000": random_mask(5, 4000, 0.9),
+    "full-4000": (1 << 4000) - 1,
+}
+
+
+@pytest.mark.parametrize("mask", MASKS.values(), ids=MASKS)
+def test_bits_decode_like_the_naive_loop(mask):
+    assert _bits(mask) == naive_bits(mask)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 600), st.integers(0, 2**600))
+def test_bits_decode_random_masks_like_the_naive_loop(shift, mask):
+    # the shift makes long masks with few bits set
+    assert _bits(mask << shift) == naive_bits(mask << shift)
+    assert _bits(1 << shift | 1) == naive_bits(1 << shift | 1)
 
 
 @st.composite

@@ -329,41 +329,42 @@ def alt(n: int, reversed: bool = False) -> FinPoset:
     return FinPoset(list(range(n)), pairs)
 
 
-def _tick(counter):
-    if counter["left"] is None:
-        return
-    counter["left"] -= 1
-    if counter["left"] < 0:
-        raise BudgetError("embedding search budget exhausted")
+def _zigzag(p: FinPoset, reversed: bool, cap: int, left):
+    """The first longest induced zigzag of one orientation and at most
+    ``cap`` points that a depth-first search meets, as positions, and the
+    budget left: a unit per candidate tried, negative if it ran out.
 
-
-def _embed(p: FinPoset, pattern: AltPattern, counter) -> Optional[Dict]:
-    """Backtracking search for an induced copy of the pattern zigzag."""
-    img: Dict[int, object] = {}
-
-    def place(i: int) -> bool:
-        if i == pattern.length:
-            return True
-        # Position i is related to i-1 only: the cone fixes that relation,
-        # and z must be incomparable to (so distinct from) earlier images.
-        # In alt(), an even position lies above its neighbours unless the
-        # pattern is reversed.
-        if i == 0:
-            cands = p.elements
-        else:
-            cones = p._up if (i % 2 == 0) != pattern.reversed else p._down
-            cands = p._decode(cones[p._pos[img[i - 1]]])
+    Position ``i`` takes, in node order, the points of image ``i - 1``'s
+    cone (up for even ``i`` unless ``reversed``) that are incomparable to
+    the images before it.  That reads only earlier positions, so prefixes
+    of zigzags are zigzags, and the search for ``n`` points alone walks
+    this tree cut at depth ``n`` in the same order: it returns the first
+    ``n``-point zigzag met here, and tries the same candidates if ``n = cap``."""
+    near = [u | d | 1 << i for i, (u, d) in enumerate(zip(p._up, p._down))]
+    img, best = [], []
+    # per position i: its untried candidates, and near's OR over images before i - 1
+    stack = [(iter(range(len(p))), 0)]
+    while stack:
+        i = len(stack) - 1
+        cands, before = stack[-1]
         for z in cands:
-            _tick(counter)
-            if any(p.comparable(z, img[j]) for j in range(i - 1)):
-                continue
-            img[i] = z
-            if place(i + 1):
-                return True
-            del img[i]
-        return False
-
-    return dict(img) if place(0) else None
+            left -= 1
+            if left < 0:
+                return best, left
+            if not before >> z & 1:
+                break
+        else:
+            stack.pop()
+            continue
+        del img[i:]
+        img.append(z)
+        if i == len(best):
+            best = img[:]
+            if i + 1 == cap:
+                break
+        cone = p._up if (i % 2 == 1) != reversed else p._down
+        stack.append((iter(_bits(cone[z])), before | near[img[i - 1]] if i else 0))
+    return best, left
 
 
 def embeds_alt(
@@ -373,31 +374,30 @@ def embeds_alt(
     from pattern position to node, or None.  Comparabilities and
     incomparabilities are both preserved.  ``budget`` bounds the number
     of candidate placements tried (BudgetError beyond it)."""
-    return _embed(p, pattern, {"left": budget})
+    left = float("inf") if budget is None else budget
+    best, left = _zigzag(p, pattern.reversed, pattern.length, left)
+    if left < 0:
+        raise BudgetError("embedding search budget exhausted")
+    if len(best) < pattern.length:
+        return None
+    return {i: p.elements[z] for i, z in enumerate(best)}
 
 
 def alt_rank(p: FinPoset, budget: int = 200_000) -> int:
     """Largest ``n`` such that the zigzag on ``n`` points (in either
     orientation) embeds into ``p``.  Raises ValueError on the empty
-    order and BudgetError (reporting the best lower bound) when the
-    search budget runs out."""
+    order and BudgetError (reporting the longest zigzag found so far)
+    when the search budget runs out.  The two searches share the budget,
+    trying at most the candidates of those for ``n + 1`` points alone."""
     if len(p) == 0:
         raise ValueError("the empty order has no zigzag rank")
-    counter = {"left": budget}
-    n = 1
-    while True:
-        nxt = n + 1
-        if nxt > len(p):
-            break
-        try:
-            found = _embed(p, AltPattern(nxt, False), counter) or _embed(
-                p, AltPattern(nxt, True), counter
-            )
-        except BudgetError as e:
-            raise BudgetError(
-                f"zigzag-rank search budget exhausted; best lower bound {n}"
-            ) from e
-        if found is None:
-            break
-        n = nxt
+    n, left = 1, budget
+    for reversed in (False, True):
+        if n < len(p):  # the reversed search is skipped once n = len(p)
+            best, left = _zigzag(p, reversed, len(p), left)
+            n = max(n, len(best))
+            if left < 0:
+                raise BudgetError(
+                    f"zigzag-rank search budget exhausted; best lower bound {n}"
+                )
     return n

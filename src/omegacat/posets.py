@@ -448,27 +448,36 @@ def _signature(p: FinPoset, x, invariants):
     return sig
 
 
-def _extend(p: FinPoset, q: FinPoset, order, images, assigned, used, sigs_q, sig_x, find_all, out):
-    if len(assigned) == len(order):
-        out.append(dict(assigned))
-        return not find_all
-    x = order[len(assigned)]
-    for y in images:
-        if y in used or sigs_q[y] != sig_x[x]:
-            continue
-        ok = True
-        for u, v in assigned.items():
-            if p.less(u, x) != q.less(v, y) or p.less(x, u) != q.less(y, v):
-                ok = False
-                break
-        if ok:
-            assigned[x] = y
-            used.add(y)
-            if _extend(p, q, order, images, assigned, used, sigs_q, sig_x, find_all, out):
-                return True
-            del assigned[x]
-            used.discard(y)
-    return False
+def _extend(p: FinPoset, q: FinPoset, order, images, sigs_q, sig_x, find_all, out):
+    """Backtracking over maps of ``order`` into ``images`` that keep the
+    signatures and the order both ways: append each to ``out``, stopping at
+    the first unless ``find_all``.  The stack holds one iterator of untried
+    images per point of ``order`` assigned so far, plus one."""
+    assigned: dict = {}
+    used: set = set()
+    stack = [iter(images)]
+    while stack:
+        k = len(stack) - 1
+        if k == len(order):
+            out.append(dict(assigned))
+            if not find_all:
+                return
+        else:
+            x = order[k]
+            for y in stack[-1]:
+                if y not in used and sigs_q[y] == sig_x[x] and all(
+                    p.less(u, x) == q.less(v, y) and p.less(x, u) == q.less(y, v)
+                    for u, v in assigned.items()
+                ):
+                    assigned[x] = y
+                    used.add(y)
+                    stack.append(iter(images))
+                    break
+            if len(stack) > k + 1:
+                continue
+        stack.pop()
+        if assigned:
+            used.discard(assigned.popitem()[1])
 
 
 def _search(p: FinPoset, q: FinPoset, find_all: bool, invariants_p=None, invariants_q=None):
@@ -484,7 +493,7 @@ def _search(p: FinPoset, q: FinPoset, find_all: bool, invariants_p=None, invaria
         freq[s] = freq.get(s, 0) + 1
     order = sorted(p.elements, key=lambda x: (freq[sig_p[x]], node_key(x)))
     out: list = []
-    _extend(p, q, order, q.elements, {}, set(), sig_q, sig_p, find_all, out)
+    _extend(p, q, order, q.elements, sig_q, sig_p, find_all, out)
     return out
 
 

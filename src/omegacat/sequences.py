@@ -206,11 +206,10 @@ def normalize_sequence(
             raise ValueError("empty sequence")
         word = collapse_factors(pre)
         return NfSequence(tuple(_members(word)), "none")
+    # for the period [1] this strips every trailing 1
     while len(pre) >= len(per) and pre[-len(per) :] == per:
         del pre[-len(per) :]
     if per == [_ONE]:
-        while pre and pre[-1] == _ONE:
-            pre.pop()
         return NfSequence(tuple(_members(pre)), "ones")
     return NfSequence(tuple(_members(pre)), "periodic", tuple(_members(per)))
 

@@ -147,9 +147,9 @@ def min_size(t: Term) -> int:
 
 
 def law4_redexes(fs: Sequence[Term]) -> List[Tuple[int, int]]:
-    """Positions ``(i, j)`` in the factor list where ``fs[i] == fs[j]`` is a
-    shuffle and the factors strictly between them are empty or concatenate to
-    a single constituent of that shuffle."""
+    """Positions ``(i, j)`` in the factor list, in increasing order, where
+    ``fs[i] == fs[j]`` is a shuffle and the factors strictly between them are
+    empty or concatenate to a single constituent of that shuffle."""
     out = []
     for i, f in enumerate(fs):
         if not isinstance(f, Shuffle):
@@ -163,7 +163,7 @@ def law4_redexes(fs: Sequence[Term]) -> List[Tuple[int, int]]:
             seg = fs[i + 1 : j]
             if not seg or concat(seg) in f.constituents:
                 out.append((i, j))
-    return sorted(out)
+    return out
 
 
 def collapse_factors(fs: Sequence[Term]) -> List[Term]:
@@ -203,22 +203,12 @@ def normalize(t: Term) -> Term:
 
 
 def is_normal(t: Term) -> bool:
-    """True iff no rewrite applies anywhere in ``t`` (including the
-    representational invariants of hand-built values)."""
-    if isinstance(t, Singleton):
-        return True
-    if isinstance(t, Shuffle):
-        if list(t.constituents) != sorted(set(t.constituents), key=term_key):
-            return False
-        if not all(is_normal(c) for c in t.constituents):
-            return False
-        return _absorbing_constituent(t) is None
-    fs = t.factors
-    if len(fs) < 2 or any(isinstance(f, Concat) for f in fs):
+    """True iff ``t`` is its own normal form; a value that ``normalize``
+    rejects, such as a hand-built empty shuffle, is not normal."""
+    try:
+        return normalize(t) == t
+    except ValueError:
         return False
-    if not all(is_normal(f) for f in fs):
-        return False
-    return not law4_redexes(fs)
 
 
 def equivalent(a: Term, b: Term) -> bool:
@@ -523,17 +513,15 @@ def _emit(t: Term, budget: int, rng: random.Random, path, out) -> None:
     cs = t.constituents
     mins = [min_size(c) for c in cs]
     remaining = budget
+    # each round places a smallest constituent, or the ones before it used
+    # up the room, so every round places one
     while remaining >= min(mins):
         order = list(range(len(cs)))
         rng.shuffle(order)
-        progressed = False
         for i in order:
             if mins[i] <= remaining:
                 _emit(cs[i], mins[i], rng, path + (i,), out)
                 remaining -= mins[i]
-                progressed = True
-        if not progressed:
-            break
 
 
 def materialize(t: Term, budget: int, seed: int = 0):

@@ -14,6 +14,9 @@
 - path completion that rebuilds the order and rescans every pair after
   each added point, the reference for the in-place extension of
   ``cfpo.path_completion``
+- zigzag embedding by a recursive search restarted for every length and
+  orientation, the reference for the one search per orientation of
+  ``cfpo.embeds_alt`` and ``cfpo.alt_rank``
 - the recursive parse of a chain label word as a chain type, rebuilding
   the member leaf tables at each call, the reference for the search of
   ``trees._parse_chain_labels``
@@ -33,6 +36,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from omegacat.cfpo import AltPattern
 from omegacat.errors import BudgetError, CycleError
 from omegacat.posets import FinPoset, maximal_chains, node_key
 from omegacat.sequences import (
@@ -404,6 +408,74 @@ def naive_path_completion(p):
             colour=dict(cur.colour),
             irrational=set(cur.irrational) | {name},
         )
+
+
+# ---------------------------------------------------------------------------
+# zigzag embedding by a recursive search per length
+
+
+def _tick(counter):
+    if counter["left"] is None:
+        return
+    counter["left"] -= 1
+    if counter["left"] < 0:
+        raise BudgetError("embedding search budget exhausted")
+
+
+def _naive_embed(p, pattern, counter):
+    """Backtracking search for an induced copy of the pattern zigzag."""
+    img = {}
+
+    def place(i):
+        if i == pattern.length:
+            return True
+        # position i is related to i - 1 only: the cone fixes that relation,
+        # and z must be incomparable to (so distinct from) earlier images;
+        # an even position lies above its neighbours unless reversed
+        if i == 0:
+            cands = p.elements
+        else:
+            cones = p._up if (i % 2 == 0) != pattern.reversed else p._down
+            cands = p._decode(cones[p._pos[img[i - 1]]])
+        for z in cands:
+            _tick(counter)
+            if any(p.comparable(z, img[j]) for j in range(i - 1)):
+                continue
+            img[i] = z
+            if place(i + 1):
+                return True
+            del img[i]
+        return False
+
+    return dict(img) if place(0) else None
+
+
+def naive_embeds_alt(p, pattern, budget=None):
+    """An induced embedding of the pattern zigzag into ``p``, or None; at
+    most ``budget`` candidates are tried (BudgetError beyond it)."""
+    return _naive_embed(p, pattern, {"left": budget})
+
+
+def naive_alt_rank(p, budget: int = 200_000) -> int:
+    """Largest ``n`` whose zigzag embeds in either orientation: a new
+    search for each length, the plain one first, sharing the budget."""
+    if len(p) == 0:
+        raise ValueError("the empty order has no zigzag rank")
+    counter = {"left": budget}
+    n = 1
+    while n < len(p):
+        try:
+            found = _naive_embed(p, AltPattern(n + 1, False), counter) or _naive_embed(
+                p, AltPattern(n + 1, True), counter
+            )
+        except BudgetError as e:
+            raise BudgetError(
+                f"zigzag-rank search budget exhausted; best lower bound {n}"
+            ) from e
+        if found is None:
+            break
+        n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------

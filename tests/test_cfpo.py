@@ -35,7 +35,9 @@ from omegacat.posets import FinPoset, all_trees, meet, orbits
 from oracles import (
     ConnectingSet,
     connecting_sets,
+    naive_alt_rank,
     naive_covers,
+    naive_embeds_alt,
     naive_path_completion,
     naive_paths,
     poset_fields,
@@ -734,6 +736,55 @@ def test_alt_rank_on_oriented_tree_within_budget():
     )
     assert embeds_alt(p, AltPattern(r + 1, False)) is None
     assert embeds_alt(p, AltPattern(r + 1, True)) is None
+
+
+def attempt(f, *args):
+    try:
+        return f(*args)
+    except BudgetError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_zigzag_search_matches_the_search_per_length(seed):
+    # one search per orientation meets, at each length, the zigzag that a
+    # search for that length alone returns, trying the same candidates
+    # when it stops at the pattern's length, and never more candidates
+    # than the searches per length for the rank
+    rng = random.Random(seed)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        names, prob = rng.sample(range(n), n), rng.random() * 0.6
+        edges = [
+            (names[i], names[j])
+            for i, j in itertools.combinations(range(n), 2)
+            if rng.random() < prob
+        ]
+        p = FinPoset(names, edges)
+        assert alt_rank(p) == naive_alt_rank(p)
+        for length in range(1, n + 2):
+            for reversed in (False, True):
+                pat = AltPattern(length, reversed)
+                assert embeds_alt(p, pat) == naive_embeds_alt(p, pat)
+        pat = AltPattern(rng.randint(1, n + 1), rng.random() < 0.5)
+        budget = rng.randrange(40)
+        want = attempt(naive_embeds_alt, p, pat, budget)
+        assert attempt(embeds_alt, p, pat, budget) == want
+        if isinstance(naive := attempt(naive_alt_rank, p, budget), int):
+            assert alt_rank(p, budget) == naive
+
+
+def test_zigzag_search_reaches_1100_points():
+    p = alt(1100)
+    assert embeds_alt(p, AltPattern(1100)) == {i: i for i in range(1100)}
+    assert alt_rank(p) == 1100
+
+
+def test_alt_rank_budget_reports_the_longest_zigzag_found():
+    # the 5 candidates 0, 1, 0, 2, 1 place 0, 1 and 2 of alt(10), the
+    # second 0 and 1 being images already; the 6th is over budget
+    with pytest.raises(BudgetError, match="best lower bound 3$"):
+        alt_rank(alt(10), budget=5)
 
 
 # ------------------------------------- pairs at different path lengths

@@ -522,6 +522,22 @@ def test_poset_auts_v_golden(capsys, files):
     assert out == "2 automorphisms\na->a b->b r->r\na->b b->a r->r\n"
 
 
+def test_poset_auts_and_orbits_on_a_1200_point_chain(capsys, files):
+    # the automorphism search goes 1 200 points deep, which recursion
+    # could not reach
+    text = "".join(f"node {v}\n" for v in range(1200))
+    text += "".join(f"edge {v} {v + 1}\n" for v in range(1199))
+    f = files("chain1200.poset", text)
+    code, out, err = run(capsys, "poset", "auts", f, "--budget-nodes", "2000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "1 automorphisms"
+    code, out, err = run(
+        capsys, "poset", "orbits", f, "-n", "1", "--budget-nodes", "2000"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "1200 orbits"
+
+
 # ---------------------------------------------------------------------------
 # cfpo subcommands
 
@@ -530,6 +546,12 @@ def test_cfpo_alt_rank_golden(capsys, files):
     f = files("alt6.poset", dump_poset(alt(6)))
     code, out, _ = run(capsys, "cfpo", "alt-rank", f)
     assert (code, out) == (0, "6\n")
+
+
+def test_cfpo_alt_rank_of_a_1100_point_zigzag(capsys, files):
+    f = files("alt1100.poset", dump_poset(alt(1100)))
+    code, out, err = run(capsys, "cfpo", "alt-rank", f)
+    assert (code, out, err) == (0, "1100\n", "")
 
 
 def test_cfpo_alt_rank_chain(capsys, files):

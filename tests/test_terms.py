@@ -169,6 +169,11 @@ def test_is_normal_matches_normalize_fixpoint():
         assert is_normal(normalize(x))
 
 
+def test_a_value_normalize_rejects_is_not_normal():
+    assert not is_normal(Shuffle(()))
+    assert not is_normal(Shuffle((Shuffle(()),)))
+
+
 def test_equivalent():
     assert equivalent(t("Q(1)^1^Q(1)"), t("Q(1,1)"))
     assert not equivalent(t("Q(1)"), t("1^Q(1)"))

@@ -139,13 +139,24 @@ def path_completion(p: FinPoset) -> FinPoset:
     def defects(k, pairs):
         """Heap entries ``(key, key, k, position, position)`` of the pairs
         ``(i, j)``, ``i`` first in node order, that miss their join
-        (``k = 0``) or meet (``k = 1``)."""
-        cone, seen = cones[k], known[k]
-        return [
-            (keys[i], keys[j], k, i, j)
-            for i, j in pairs
-            if (bound := cone[i] & cone[j]) and bound not in seen
-        ]
+        (``k = 0``) or meet (``k = 1``): for each bound set, only the first
+        such pair in node order.
+
+        That loses no defect.  For a join (meets are dual), an added point
+        z lies above a pair exactly when z's bound set lies inside the
+        pair's common upper bounds U, so pairs with equal U gain z together
+        and keep equal U, and whether a pair misses its join depends on U
+        alone.  So the first pair of each U, which the heap would pop before
+        the others, stands for them all: mending it mends them all.
+        """
+        cone, seen, first = cones[k], known[k], {}
+        for i, j in pairs:
+            bound = cone[i] & cone[j]
+            if bound and bound not in seen:
+                entry = (keys[i], keys[j], k, i, j)
+                if bound not in first or entry < first[bound]:
+                    first[bound] = entry
+        return list(first.values())
 
     # only candidate pairs can lack a join or meet (see _candidates), and a
     # pair lacking one of them is a candidate for that one
@@ -190,9 +201,17 @@ def path_completion(p: FinPoset) -> FinPoset:
                 known[side].add(cones[side][t])
             cones[side].append(own | 1 << z)
             known[side].add(own | 1 << z)
-        pairs = [(t, z) if keys[t] < keys[z] else (z, t) for t in range(z)]
-        for entry in defects(0, pairs) + defects(1, pairs):
-            heapq.heappush(heap, entry)
+        # A pair whose closed cone misses z's has an empty bound, so only the
+        # points on the far side of some point of z's cone are paired with z.
+        for side in (0, 1):
+            near = 0
+            for t in _bits(cones[side][z]):
+                near |= cones[1 - side][t]
+            pairs = [
+                (t, z) if keys[t] < keys[z] else (z, t) for t in _bits(near & ~(1 << z))
+            ]
+            for entry in defects(side, pairs):
+                heapq.heappush(heap, entry)
     if len(els) == len(p):
         return p
     irrational = set(p.irrational) | set(els[len(p) :])

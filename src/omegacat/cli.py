@@ -301,53 +301,68 @@ def _add_sample_shape(sp) -> None:
     sp.add_argument("--width", type=int, default=3)
 
 
+def _add_node_budget(sp) -> None:
+    sp.add_argument(
+        "--budget-nodes", type=int, default=AUT_NODE_BOUND,
+        dest="budget_nodes",
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
-    """The CLI parser, built once per process; parsing leaves it unchanged."""
+    """The CLI parser, built once per process; parsing leaves it unchanged.
+
+    Its ``commands`` maps each ``(group, command)`` pair to that command's
+    own parser, the one nested parsing would hand the rest of the line.
+    """
     parser = _Parser(
         prog="omegacat",
         description="Classification tools for categorical orders and trees.",
     )
+    parser.commands = {}
     groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
 
-    term = groups.add_parser("term", help="linear-order term algebra")
-    tsub = term.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    sp = tsub.add_parser("normalize", help="print the canonical normal form")
+    def group(name, help):
+        sub = groups.add_parser(name, help=help).add_subparsers(
+            dest="cmd", required=True, parser_class=_Parser
+        )
+
+        def command(cmd, help, func):
+            sp = sub.add_parser(cmd, help=help)
+            sp.set_defaults(func=func)
+            parser.commands[name, cmd] = sp
+            return sp
+
+        return command
+
+    command = group("term", "linear-order term algebra")
+    sp = command("normalize", "print the canonical normal form", _cmd_term_normalize)
     sp.add_argument("expr")
-    sp.set_defaults(func=_cmd_term_normalize)
-    sp = tsub.add_parser("eq", help="decide equivalence of two terms")
+    sp = command("eq", "decide equivalence of two terms", _cmd_term_eq)
     sp.add_argument("left")
     sp.add_argument("right")
-    sp.set_defaults(func=_cmd_term_eq)
-    sp = tsub.add_parser("orbits", help="list the one-element orbits")
+    sp = command("orbits", "list the one-element orbits", _cmd_term_orbits)
     sp.add_argument("expr")
-    sp.set_defaults(func=_cmd_term_orbits)
-    sp = tsub.add_parser("sample", help="materialize a finite sample")
+    sp = command("sample", "materialize a finite sample", _cmd_term_sample)
     sp.add_argument("expr")
     sp.add_argument("--size", type=int, default=8)
     _add_seed(sp)
     _add_format(sp)
-    sp.set_defaults(func=_cmd_term_sample)
 
-    tree = groups.add_parser("tree", help="recursive tree specifications")
-    rsub = tree.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    sp = rsub.add_parser("check", help="run the categoricity checker")
+    command = group("tree", "recursive tree specifications")
+    sp = command("check", "run the categoricity checker", _cmd_tree_check)
     sp.add_argument("file")
-    sp.set_defaults(func=_cmd_tree_check)
-    sp = rsub.add_parser("chains", help="list the maximal-chain types")
+    sp = command("chains", "list the maximal-chain types", _cmd_tree_chains)
     sp.add_argument("file")
-    sp.set_defaults(func=_cmd_tree_chains)
-    sp = rsub.add_parser("table", help="print the ramification table")
+    sp = command("table", "print the ramification table", _cmd_tree_table)
     sp.add_argument("file")
     sp.add_argument("--cap", type=int, default=3)
-    sp.set_defaults(func=_cmd_tree_table)
-    sp = rsub.add_parser("sample", help="materialize a finite sample")
+    sp = command("sample", "materialize a finite sample", _cmd_tree_sample)
     sp.add_argument("file")
     _add_sample_shape(sp)
     _add_format(sp)
-    sp.set_defaults(func=_cmd_tree_sample)
-    sp = rsub.add_parser(
-        "orbit2", help="test two comparable pairs for orbit equivalence"
+    sp = command(
+        "orbit2", "test two comparable pairs for orbit equivalence", _cmd_tree_orbit2
     )
     sp.add_argument("file")
     sp.add_argument("x0", type=int)
@@ -355,49 +370,56 @@ def build_parser() -> _Parser:
     sp.add_argument("x1", type=int)
     sp.add_argument("y1", type=int)
     _add_sample_shape(sp)
-    sp.set_defaults(func=_cmd_tree_orbit2)
 
-    poset = groups.add_parser("poset", help="finite poset files")
-    psub = poset.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    sp = psub.add_parser("validate", help="check tree or cycle-free axioms")
+    command = group("poset", "finite poset files")
+    sp = command("validate", "check tree or cycle-free axioms", _cmd_poset_validate)
     sp.add_argument("file")
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--tree", action="store_true")
     mode.add_argument("--cfpo", action="store_true")
-    sp.set_defaults(func=_cmd_poset_validate)
-    sp = psub.add_parser("orbits", help="brute-force n-tuple orbits")
+    sp = command("orbits", "brute-force n-tuple orbits", _cmd_poset_orbits)
     sp.add_argument("file")
     sp.add_argument("-n", type=int, default=1, dest="n")
-    sp.add_argument(
-        "--budget-nodes", type=int, default=AUT_NODE_BOUND,
-        dest="budget_nodes",
-    )
-    sp.set_defaults(func=_cmd_poset_orbits)
-    sp = psub.add_parser("auts", help="list all automorphisms")
+    _add_node_budget(sp)
+    sp = command("auts", "list all automorphisms", _cmd_poset_auts)
     sp.add_argument("file")
-    sp.add_argument(
-        "--budget-nodes", type=int, default=AUT_NODE_BOUND,
-        dest="budget_nodes",
-    )
-    sp.set_defaults(func=_cmd_poset_auts)
+    _add_node_budget(sp)
 
-    cfpo = groups.add_parser("cfpo", help="cycle-free partial orders")
-    csub = cfpo.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    sp = csub.add_parser("alt-rank", help="longest embedded zigzag")
+    command = group("cfpo", "cycle-free partial orders")
+    sp = command("alt-rank", "longest embedded zigzag", _cmd_cfpo_alt_rank)
     sp.add_argument("file")
-    sp.set_defaults(func=_cmd_cfpo_alt_rank)
-    sp = csub.add_parser("path", help="the unique path between two points")
+    sp = command("path", "the unique path between two points", _cmd_cfpo_path)
     sp.add_argument("file")
     sp.add_argument("a")
     sp.add_argument("b")
-    sp.set_defaults(func=_cmd_cfpo_path)
 
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv`` with the command's own parser when it starts with a
+    ``(group, command)`` pair, and with the whole parser otherwise.
+
+    Both give the same output.  Nested parsing hands the rest of the line
+    to that same parser object, so help and the messages for missing or
+    ill-typed arguments come from it either way; what it leaves over, the
+    whole parser reports as ``unrecognized arguments: ...``, as the
+    command's own ``parse_args`` does.  ``_Parser.error`` raises each
+    message as ``_UsageError``, and ``main`` prints only the message, not
+    the usage line of the parser that raised it.  The namespace lacks only
+    ``group`` and ``cmd``, which no command reads.
+    """
+    argv = list(argv)
+    parser = build_parser()
+    leaf = parser.commands.get(tuple(argv[:2]))
+    if leaf is None:
+        return parser.parse_args(argv)
+    return leaf.parse_args(argv[2:])
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         return _fail("usage", exc, 2)
     except SystemExit as exc:  # --help prints and exits

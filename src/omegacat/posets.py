@@ -10,8 +10,7 @@ down-sets and lower covers.  A forest given as a parent array, as the
 samplers build theirs, gets the same fields from one walk from its roots,
 with no sort.  Every order query in the package reads them: covers,
 maximal chains, meets (and joins and paths in :mod:`omegacat.cfpo`),
-cones, tree validation, tuple completion under meets, and a small
-line-based file format plus DOT output.
+tree validation, and a small line-based file format plus DOT output.
 
 The reference oracles are deliberately brute force and deterministic:
 exhaustive automorphism and orbit enumeration by backtracking
@@ -33,7 +32,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     BudgetError,
     CycleError,
-    MeetAbsentError,
     NotATreeError,
     ParseError,
 )
@@ -189,7 +187,11 @@ class FinPoset:
         colour: Mapping | None = None,
         irrational: Iterable | None = None,
     ):
-        els = sorted(set(elements), key=node_key)
+        nodes = set(elements)
+        # node_key orders a set of only ints (no bools) or only strs as
+        # plain comparison does, which sorts without a key per node
+        kinds = set(map(type, nodes))
+        els = sorted(nodes, key=None if kinds in ({int}, {str}) else node_key)
         pos = {x: i for i, x in enumerate(els)}
         succ = [[] for _ in els]
         pred = [[] for _ in els]
@@ -401,7 +403,7 @@ def _tree_view(p: FinPoset) -> tuple:
     return p._tree
 
 
-# -------------------------------------------------------------- meets/cones
+# -------------------------------------------------------------- meets
 
 
 def _common_bounds(p: FinPoset, cones, x, y):
@@ -421,21 +423,6 @@ def meet(p: FinPoset, x, y):
     if x not in p or y not in p:
         return None
     return _common_bounds(p, p._down, x, y)
-
-
-def cones_above(p: FinPoset, t) -> tuple:
-    """Partition of the strict upper set of the tree point ``t`` into cones,
-    ordered by first member, each in node order: one per upper cover of
-    ``t``, its closed up-set.  Two points above ``t`` share a cone iff their
-    meet lies strictly above ``t``.  Raises :class:`NotATreeError` unless
-    ``p`` is a tree."""
-    _tree_view(p)
-    cones = [p._decode(p._up[p._pos[c]] | 1 << p._pos[c]) for c in p._upper[t]]
-    return tuple(map(tuple, sorted(cones, key=lambda c: p._pos[c[0]])))
-
-
-def ramification_order(p: FinPoset, t) -> int:
-    return len(cones_above(p, t))
 
 
 # -------------------------------------------------------------- search core
@@ -549,25 +536,6 @@ def orbits(p: FinPoset, n: int, budget: int = ORBIT_TUPLE_BUDGET, bound: int = A
         orbs.append(tuple(sorted(orbit, key=lambda t: tuple(node_key(x) for x in t))))
     orbs.sort(key=lambda o: tuple(node_key(x) for x in o[0]))
     return OrbitReport(arity=n, orbits=tuple(orbs), count=len(orbs))
-
-
-def complete_tuple(p: FinPoset, t: Sequence) -> tuple:
-    """Close a tuple under meets; added points in ascending node order."""
-    have = list(t)
-    members = set(have)
-    added = set()
-    changed = True
-    while changed:
-        changed = False
-        for x, y in itertools.combinations(sorted(members, key=node_key), 2):
-            m = meet(p, x, y)
-            if m is None:
-                raise MeetAbsentError(f"no meet of {x!r} and {y!r} in the poset")
-            if m not in members:
-                members.add(m)
-                added.add(m)
-                changed = True
-    return tuple(have) + tuple(sorted(added, key=node_key))
 
 
 # -------------------------------------------------------------- chains

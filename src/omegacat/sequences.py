@@ -33,12 +33,12 @@ from .terms import (
     Term,
     UNCOLOURED,
     _TermParser,
+    _redexes_at,
     collapse_factors,
     concat,
     factors,
     final_segment,
     initial_segment,
-    law4_redexes,
     normalize,
     orbit_paths,
     render_term,
@@ -110,11 +110,7 @@ def _period_redex(per: List[Term]) -> Optional[Tuple[int, int]]:
     ``per``, located in the doubled word; start position is within the first
     copy."""
     doubled = per + per
-    k = len(per)
-    for i, j in law4_redexes(doubled):
-        if i < k:
-            return i, j
-    return None
+    return next((r for i in range(len(per)) for r in _redexes_at(doubled, i)), None)
 
 
 def _prefix_redex(pre: List[Term], per: List[Term]):
@@ -122,10 +118,7 @@ def _prefix_redex(pre: List[Term], per: List[Term]):
     extended by two period copies so redexes spanning the junction are
     seen."""
     word = pre + per + per
-    for i, j in law4_redexes(word):
-        if i < len(pre):
-            return i, j
-    return None
+    return next((r for i in range(len(pre)) for r in _redexes_at(word, i)), None)
 
 
 def _rotate_canonical(pre: List[Term], per: List[Term]):

@@ -146,35 +146,55 @@ def min_size(t: Term) -> int:
 # rewriting and normal form
 
 
+def _spans(f: Shuffle) -> List[int]:
+    """The lengths ``j - i`` a redex ``(i, j)`` of ``f`` can have, increasing:
+    one more than the factors of a constituent, or nothing, between."""
+    return sorted({1} | {1 + len(factors(c)) for c in f.constituents})
+
+
+def _is_redex(fs: Sequence[Term], i: int, j: int) -> bool:
+    seg = fs[i + 1 : j]
+    return fs[i] == fs[j] and (not seg or concat(seg) in fs[i].constituents)
+
+
+def _redexes_at(fs: Sequence[Term], i: int):
+    """The redexes ``(i, j)`` starting at position ``i``, ``j`` increasing."""
+    if isinstance(fs[i], Shuffle):
+        for d in _spans(fs[i]):
+            if i + d < len(fs) and _is_redex(fs, i, i + d):
+                yield i, i + d
+
+
 def law4_redexes(fs: Sequence[Term]) -> List[Tuple[int, int]]:
     """Positions ``(i, j)`` in the factor list, in increasing order, where
     ``fs[i] == fs[j]`` is a shuffle and the factors strictly between them are
     empty or concatenate to a single constituent of that shuffle."""
-    out = []
-    for i, f in enumerate(fs):
-        if not isinstance(f, Shuffle):
-            continue
-        js = {i + 1}
-        for c in f.constituents:
-            js.add(i + 1 + len(factors(c)))
-        for j in sorted(js):
-            if j >= len(fs) or fs[j] != f:
-                continue
-            seg = fs[i + 1 : j]
-            if not seg or concat(seg) in f.constituents:
-                out.append((i, j))
-    return out
+    return [r for i in range(len(fs)) for r in _redexes_at(fs, i)]
 
 
 def collapse_factors(fs: Sequence[Term]) -> List[Term]:
-    """Apply flanked-shuffle collapses until none remain."""
-    fs = list(fs)
-    while True:
-        rs = law4_redexes(fs)
-        if not rs:
-            return fs
-        i, j = rs[0]
-        fs = fs[: i + 1] + fs[j + 1 :]
+    """Apply flanked-shuffle collapses until none remain, in one pass from
+    left to right over a stack that holds no redex.
+
+    A redex left in the result would lie in the stack, so it would have
+    been found when its right end was pushed: pushing ``f`` at position
+    ``j`` can only create redexes ``(i, j)``, and collapsing one cuts the
+    stack back to its first ``i + 1`` factors, a prefix with no redex.  Each
+    collapse is one of the word's, so the result is a collapse of ``fs`` with
+    no redex left, and collapse is confluent (see ``trees._walk``): it is the
+    normal form that collapsing in any order reaches.
+    """
+    out: List[Term] = []
+    for f in fs:
+        out.append(f)
+        if not isinstance(f, Shuffle):
+            continue
+        j = len(out) - 1
+        for d in reversed(_spans(f)):
+            if d <= j and _is_redex(out, j - d, j):
+                del out[j - d + 1 :]
+                break
+    return out
 
 
 def _absorbing_constituent(s: Shuffle) -> Optional[Shuffle]:

@@ -2,12 +2,17 @@
 
 - random term generation with a seeded RNG
 - single-step random-order reduction (for confluence checks)
+- the redex scan of the flanked-shuffle law, and collapse that rescans the
+  word after every collapse, the references for ``terms.law4_redexes`` and
+  the one left-to-right pass of ``terms.collapse_factors``
 - a sampled back-and-forth soundness check: finite samples of either side
   of a rewrite must embed in the other side's order (equivalent terms
   denote the same order, so a sound step can never fail this)
 - brute-force order queries (closure, down/up sets, covers, meets, joins,
   tree validation) that rescan the relation for every answer, the
   reference for the stored sets of ``FinPoset``
+- the cones above a tree point and the closure of a tuple under meets,
+  which the package itself does not need
 - CFPO connecting sets, enumerated without a bound, and the paths
   assembled from them and maximal chains of the intervals between their
   members, the reference for the Hasse-diagram walk of ``cfpo.path``
@@ -34,11 +39,11 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from omegacat.cfpo import AltPattern
-from omegacat.errors import BudgetError, CycleError
-from omegacat.posets import FinPoset, maximal_chains, node_key
+from omegacat.errors import BudgetError, CycleError, MeetAbsentError
+from omegacat.posets import FinPoset, _tree_view, maximal_chains, meet, node_key
 from omegacat.sequences import (
     NfSequence,
     _period_redex,
@@ -50,11 +55,13 @@ from omegacat.terms import (
     IRRATIONAL,
     UNCOLOURED,
     Concat,
+    Shuffle,
     Singleton,
     Term,
     _sample_points,
     applicable_rewrites,
     concat,
+    factors,
     is_finite,
     materialize,
     min_size,
@@ -98,6 +105,37 @@ def rewrite_trace(t, rng: random.Random, max_steps: int = 200):
         trace.append((t, nxt))
         t = nxt
     raise AssertionError("reduction did not terminate")
+
+
+def naive_law4_redexes(fs) -> list:
+    """Every redex ``(i, j)`` of the factor list, in increasing order: one
+    scan over every start and every span a constituent allows."""
+    out = []
+    for i, f in enumerate(fs):
+        if not isinstance(f, Shuffle):
+            continue
+        js = {i + 1}
+        for c in f.constituents:
+            js.add(i + 1 + len(factors(c)))
+        for j in sorted(js):
+            if j >= len(fs) or fs[j] != f:
+                continue
+            seg = fs[i + 1 : j]
+            if not seg or concat(seg) in f.constituents:
+                out.append((i, j))
+    return out
+
+
+def naive_collapse_factors(fs):
+    """Apply flanked-shuffle collapses until none remain, rescanning the
+    whole word for its first redex after every collapse."""
+    fs = list(fs)
+    while True:
+        rs = naive_law4_redexes(fs)
+        if not rs:
+            return fs
+        i, j = rs[0]
+        fs = fs[: i + 1] + fs[j + 1 :]
 
 
 def _leaf_the_label(t):
@@ -255,6 +293,45 @@ def naive_validate_tree(p):
         if not any(p.leq(t, x) and p.leq(t, y) for t in els):
             bad.append(("common-lower-bound", (x, y)))
     return not bad, tuple(bad)
+
+
+# ---------------------------------------------------------------------------
+# cones above a tree point and closure under meets, which nothing in the
+# package needs; the tests read them
+
+
+def cones_above(p: FinPoset, t) -> tuple:
+    """Partition of the strict upper set of the tree point ``t`` into cones,
+    ordered by first member, each in node order: one per upper cover of
+    ``t``, its closed up-set.  Two points above ``t`` share a cone iff their
+    meet lies strictly above ``t``.  Raises :class:`NotATreeError` unless
+    ``p`` is a tree."""
+    _tree_view(p)
+    cones = [p._decode(p._up[p._pos[c]] | 1 << p._pos[c]) for c in p._upper[t]]
+    return tuple(map(tuple, sorted(cones, key=lambda c: p._pos[c[0]])))
+
+
+def ramification_order(p: FinPoset, t) -> int:
+    return len(cones_above(p, t))
+
+
+def complete_tuple(p: FinPoset, t: Sequence) -> tuple:
+    """Close a tuple under meets; added points in ascending node order."""
+    have = list(t)
+    members = set(have)
+    added = set()
+    changed = True
+    while changed:
+        changed = False
+        for x, y in itertools.combinations(sorted(members, key=node_key), 2):
+            m = meet(p, x, y)
+            if m is None:
+                raise MeetAbsentError(f"no meet of {x!r} and {y!r} in the poset")
+            if m not in members:
+                members.add(m)
+                added.add(m)
+                changed = True
+    return tuple(have) + tuple(sorted(added, key=node_key))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from omegacat.cfpo import alt
-from omegacat.cli import main
+from omegacat.cli import build_parser, main
 from omegacat.posets import dump_poset, load_poset, validate_tree
 
 Q1 = "T = spine Q(1)\n"
@@ -668,6 +668,78 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "usage" in out.lower()
+
+
+# each command's positional arguments, on the files ``routed_files`` writes
+COMMAND_ARGS = {
+    ("term", "normalize"): ["Q(1)^1^Q(1)"],
+    ("term", "eq"): ["Q(1,1)", "Q(1)"],
+    ("term", "orbits"): ["a^Q(b)"],
+    ("term", "sample"): ["Q(a,b)"],
+    ("tree", "check"): ["{spec}"],
+    ("tree", "chains"): ["{spec}"],
+    ("tree", "table"): ["{spec}"],
+    ("tree", "sample"): ["{spec}"],
+    ("tree", "orbit2"): ["{spec}", "0", "1", "0", "2"],
+    ("poset", "validate"): ["{poset}"],
+    ("poset", "orbits"): ["{poset}"],
+    ("poset", "auts"): ["{poset}"],
+    ("cfpo", "alt-rank"): ["{poset}"],
+    ("cfpo", "path"): ["{poset}", "a", "b"],
+}
+
+
+def test_every_command_is_routed():
+    assert set(build_parser().commands) == set(COMMAND_ARGS)
+
+
+def _routed_and_nested(capsys, monkeypatch, argv):
+    """``main``'s (exit, stdout, stderr) with the command table, and with
+    it emptied so that every line goes through nested parsing."""
+    routed = run(capsys, *argv)
+    with monkeypatch.context() as m:
+        m.setattr(build_parser(), "commands", {})
+        nested = run(capsys, *argv)
+    return routed, nested
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS), ids="-".join)
+def test_routing_matches_nested_parsing(capsys, monkeypatch, files, command):
+    names = {"spec": files("v.spec", VSPEC), "poset": files("v.poset", V_POSET)}
+    args = [a.format(**names) for a in COMMAND_ARGS[command]]
+    tails = [
+        [],
+        ["-h"],
+        args[:-1],  # a positional missing
+        args + ["extra"],
+        args + ["--bogus"],
+        args + ["--seed", "x"],
+        args + ["--format", "bad"],
+        ["--"],
+        ["--", *args],
+        args,
+    ]
+    for tail in tails:
+        argv = [*command, *tail]
+        routed, nested = _routed_and_nested(capsys, monkeypatch, argv)
+        assert routed == nested, argv
+
+
+@pytest.mark.parametrize("argv", [[], ["tree"], ["tree", "nope"], ["nope"]])
+def test_lines_without_a_command_are_parsed_whole(capsys, monkeypatch, argv):
+    routed, nested = _routed_and_nested(capsys, monkeypatch, argv)
+    assert routed == nested
+    assert routed[0] == 2
+
+
+def test_routed_usage_errors_and_help(capsys, files):
+    spec = files("omega.spec", OMEGA_SPEC)
+    assert run(capsys, "tree", "check", spec, "--bogus") == (
+        2, "", "error: usage: unrecognized arguments: --bogus\n"
+    )
+    code, out, err = run(capsys, "tree", "check", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: omegacat tree check")
 
 
 def test_module_entry_point():

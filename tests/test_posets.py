@@ -24,8 +24,6 @@ from omegacat.posets import (
     _bits,
     all_trees,
     automorphisms,
-    complete_tuple,
-    cones_above,
     covers,
     dump_poset,
     is_isomorphic,
@@ -34,12 +32,13 @@ from omegacat.posets import (
     meet,
     node_key,
     orbits,
-    ramification_order,
     to_dot,
     validate_tree,
 )
 
 from oracles import (
+    complete_tuple,
+    cones_above,
     naive_bits,
     naive_closure,
     naive_covers,
@@ -49,6 +48,7 @@ from oracles import (
     naive_up,
     naive_validate_tree,
     poset_fields,
+    ramification_order,
 )
 
 
@@ -110,6 +110,10 @@ def test_transitive_closure_and_elements_are_canonical():
     p = FinPoset([2, 0, 1], [(0, 1), (1, 2)])
     assert p.elements == (0, 1, 2)
     assert (0, 2) in p.lt  # closed transitively
+    # ints numerically, then strs, whether or not the two kinds mix
+    assert FinPoset([10, 9, -1], []).elements == (-1, 9, 10)
+    assert FinPoset(["b", "a10", "a9"], []).elements == ("a10", "a9", "b")
+    assert FinPoset(["b", 10, True, "a", 2], []).elements == (True, 2, 10, "a", "b")
 
 
 def test_cycle_rejected():

@@ -23,10 +23,13 @@ from omegacat.terms import (
     Singleton,
     _sample_points,
     applicable_rewrites,
+    collapse_factors,
     concat,
     equivalent,
+    factors,
     is_finite,
     is_normal,
+    law4_redexes,
     materialize,
     min_size,
     normalize,
@@ -37,7 +40,13 @@ from omegacat.terms import (
     term_key,
 )
 
-from oracles import poset_fields, random_term, reduce_random
+from oracles import (
+    naive_collapse_factors,
+    naive_law4_redexes,
+    poset_fields,
+    random_term,
+    reduce_random,
+)
 
 
 ONE = Singleton("1")
@@ -186,6 +195,25 @@ def test_applicable_rewrites_enumerates_redexes():
     steps = applicable_rewrites(t("Q(1)^1^Q(1)"))
     assert any(render_term(res) == "Q(1)" for _, res in steps)
     assert applicable_rewrites(t("Q(a,b)")) == []
+
+
+def test_collapse_factors_equals_the_rescanning_collapse():
+    # words over a few shuffles and their constituents, so that collapses
+    # overlap, nest and chain across one another
+    pool = [
+        factors(normalize(t(x)))
+        for x in ("Q(a,b)", "Q(a,b^c)", "Q(a,Q(a,b)^c)", "Q(b^c)", "a", "b", "c", "b^c", "Q(a,b)^c")
+    ]
+    rng = random.Random(21)
+    collapsed = 0
+    for _ in range(3000):
+        word = [f for _ in range(rng.randint(0, 14)) for f in rng.choice(pool)]
+        assert law4_redexes(word) == naive_law4_redexes(word), word
+        got = collapse_factors(word)
+        assert got == naive_collapse_factors(word), word
+        assert naive_law4_redexes(got) == []
+        collapsed += len(got) < len(word)
+    assert collapsed > 500
 
 
 def test_random_rule_orders_reach_the_same_normal_form():

@@ -11,7 +11,7 @@ import random
 import re
 
 import pytest
-from oracles import naive_materialize_tree, poset_fields, random_term
+from oracles import cones_above, naive_materialize_tree, poset_fields, random_term
 from test_fuzz import parse, random_spec_text
 
 from omegacat import posets, trees
@@ -20,7 +20,6 @@ from omegacat.posets import (
     FinPoset,
     all_trees,
     automorphisms,
-    cones_above,
     dump_poset,
     maximal_chains,
     orbits,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .errors import BudgetError
-from .posets import FinPoset, _bits, _common_bounds, _find, _forks, covers, node_key
+from .posets import FinPoset, _bits, _common_bounds, _forest_view, _forks, covers, node_key
 
 __all__ = [
     "AMBIGUOUS",
@@ -261,27 +261,46 @@ def _paths(p: FinPoset, a, b) -> List[frozenset]:
 def path(p: FinPoset, a, b):
     """The unique path between ``a`` and ``b`` as a frozenset of nodes,
     ``AMBIGUOUS`` when several distinct paths exist, or None when the two
-    points cannot be linked.  Paths are found by walking the Hasse diagram
-    of ``p``.  Run on the path completion."""
+    points cannot be linked.  Run on the path completion.
+
+    Points in different components of the Hasse diagram have no walk
+    between them.  Inside a tree component the path is the one simple
+    walk, read from the parent pointers of :func:`_forest_view`: in a
+    Hasse forest, ``x < y`` exactly when the forest path from ``x`` to
+    ``y`` only goes up (a saturated chain from ``x`` to ``y`` is such a
+    path, and there is one).  So turning points of the walk that are not
+    neighbours on it, whose forest path turns, are incomparable, and the
+    walk's turning points form a connecting set.  Only inside a component
+    with a cycle are walks searched (:func:`_paths`)."""
     _require(p, a, b)
     if a == b:
         return frozenset({a})
-    ps = _paths(p, a, b)
-    if not ps:
+    parent, comp, _, cyclic = _forest_view(p)
+    i, j = p._pos[a], p._pos[b]
+    if comp[i] != comp[j]:
         return None
-    if len(ps) > 1:
-        return AMBIGUOUS
-    return ps[0]
+    if comp[i] in cyclic:
+        ps = _paths(p, a, b)
+        return None if not ps else AMBIGUOUS if len(ps) > 1 else ps[0]
+    line = [i]  # a and its ancestors, up to the root
+    while parent[line[-1]] >= 0:
+        line.append(parent[line[-1]])
+    at = {x: k for k, x in enumerate(line)}
+    out = []  # b's ancestors below the first one on the line
+    while j not in at:
+        out.append(j)
+        j = parent[j]
+    return frozenset(p.elements[x] for x in out + line[: at[j] + 1])
 
 
 def validate_cfpo(p: FinPoset):
     """Check that every pair of original points has at most one path in
     the path completion.  Returns ``(True, None)`` or ``(False, pair)``
-    with the first offending pair in node order.  One union-find pass over
-    the covers of the completion decides it; the pairs are searched only
-    for the witness, and only inside a component whose diagram has a
-    cycle: points in different components have no path, and points in a
-    tree component have one."""
+    with the first offending pair in node order.  The completion's forest
+    view (:func:`omegacat.posets._forest_view`) decides it; the pairs are
+    searched only for the witness, and only inside a component whose
+    diagram has a cycle: points in different components have no path, and
+    points in a tree component have one."""
     # A path repeats no node, so in a forest two points have at most one.
     # Conversely, say the Hasse diagram of the completion q has a cycle;
     # take one with the fewest turning points, 2k.  Of its two arcs between
@@ -310,21 +329,14 @@ def validate_cfpo(p: FinPoset):
     # turning points that are not their neighbours, so the walks remain two
     # paths, between s and s'.  The search below runs only on invalid input.
     q = path_completion(p)
-    parent = {x: x for x in q.elements}
-    closing = []  # an end of each cover that closes a cycle
-    for a, b in covers(q):
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
-            closing.append(a)
-        parent[ra] = rb
-    if not closing:
+    _, comp, _, cyclic = _forest_view(q)
+    if not cyclic:
         return True, None
-    cyclic = {_find(parent, a) for a in closing}
-    inside = [x for x in p.elements if _find(parent, x) in cyclic]
+    inside = [x for x in p.elements if comp[q._pos[x]] in cyclic]
     return False, next(
         (x, y)
         for x, y in itertools.combinations(inside, 2)
-        if _find(parent, x) == _find(parent, y) and len(_paths(q, x, y)) > 1
+        if path(q, x, y) == AMBIGUOUS
     )
 
 
@@ -402,14 +414,91 @@ def embeds_alt(
     return {i: p.elements[z] for i, z in enumerate(best)}
 
 
+def _forest_rank(p: FinPoset, q: FinPoset) -> int:
+    """The zigzag rank of ``p`` when the Hasse diagram of its path
+    completion ``q`` is a forest: the most turning points, both ends
+    counted, on a path of that forest between points of ``p`` (a single
+    point counts 1).  In a Hasse forest ``x < y`` exactly when the forest
+    path from ``x`` to ``y`` only goes up (see :func:`path`).
+
+    A path gives a zigzag.  Take such a path with turning points
+    ``t_1 .. t_k``.  Neighbours are joined by monotone runs, so they are
+    comparable, alternately below and above; others are incomparable, as
+    the forest path between them turns.  An added turning point, say a
+    peak ``t``, lies below a point ``s`` of ``p`` (every point of ``q``
+    lies between points of ``p``; see :func:`validate_cfpo`), and the
+    forest path up from ``t`` to ``s`` leaves ``t`` by an upper cover,
+    where the path leaves it by lower ones.  Put ``s`` for ``t`` (for a
+    valley, a point of ``p`` below it).  The forest path between two new
+    points is then the segment between the old ones with such a run added
+    at an end, going on in the direction the segment arrives in, so it
+    turns exactly where the segment turns strictly inside.  So the new
+    points form a zigzag of ``q`` on points of ``p``, and of ``p``, whose
+    order ``q`` extends: the rank is at least ``k``.
+
+    A zigzag gives a path.  Take a zigzag ``z_1 .. z_k`` of ``p``,
+    ``k >= 3`` (one point, or two comparable ones, span a path).  The
+    forest paths ``P_i`` from ``z_i`` to ``z_{i+1}`` are monotone,
+    alternately up and down.  For ``1 < i < k`` let ``w_i`` be the last
+    point, going out from ``z_i``, that ``P_{i-1}`` and ``P_i`` share, and
+    let ``w_1 = z_1``, ``w_k = z_k``.  Along ``P_i``, ``w_i`` comes before
+    ``w_{i+1}``: a point of ``P_i`` on both ``P_{i-1}`` and ``P_{i+1}``
+    would lie above ``z_{i-1}`` and below ``z_{i+2}`` (or dually), which
+    are incomparable, and ``w_2`` is comparable to ``z_3``, which ``z_1``
+    is not (dually at the other end).  So the runs from ``w_i`` to
+    ``w_{i+1}`` along ``P_i`` form a walk that changes direction at every
+    inner ``w_i`` and, by the choice of ``w_i``, never steps back along the
+    edge it came by.  In a forest such a walk repeats no node: it is the
+    forest path from ``z_1`` to ``z_k``, and it has ``k`` turning points.
+
+    One pass finds the most.  Root each tree at its breadth-first root
+    (:func:`omegacat.posets._forest_view`).  ``half[x][d]`` is the most
+    turning points, ``x`` not counted, on a path to ``x`` from a point of
+    ``p`` among ``x`` and its descendants whose last step goes up
+    (``d = 0``) or down (``d = 1``): 0 both ways at a point of ``p``, for
+    the path of that point alone, and minus infinity at an added point
+    until a child reaches it.  In reverse breadth-first order each point
+    comes after its children.  A child ``c`` that steps to its parent
+    ``v`` in direction ``d`` carries ``g``: its best half-path going on in
+    direction ``d``, or turning at ``c``, which then counts (as does ``c``
+    when the path starts there).  Joined at ``v`` with the half-path of an
+    earlier child that arrived in direction ``e``, the path turns at ``v``
+    exactly when ``e = d``, both arriving from the same side; a point of
+    ``p`` ends the path there by its 0 for ``e = d``.  Every path has one
+    point nearest the root, where its two halves are joined, so the pass
+    meets each path's count."""
+    parent, _, order, _ = _forest_view(q)
+    missing = float("-inf")
+    half = [[0, 0] if x in p else [missing, missing] for x in q.elements]
+    best = 1
+    for c in reversed(order):
+        v = parent[c]
+        if v >= 0:
+            d = 0 if q._up[c] >> v & 1 else 1
+            g = max(half[c][d], half[c][1 - d] + 1)
+            best = max(best, g + half[v][d] + 1, g + half[v][1 - d])
+            half[v][d] = max(half[v][d], g)
+    return best
+
+
 def alt_rank(p: FinPoset, budget: int = 200_000) -> int:
     """Largest ``n`` such that the zigzag on ``n`` points (in either
-    orientation) embeds into ``p``.  Raises ValueError on the empty
-    order and BudgetError (reporting the longest zigzag found so far)
-    when the search budget runs out.  The two searches share the budget,
-    trying at most the candidates of those for ``n + 1`` points alone."""
+    orientation) embeds into ``p``.  Raises ValueError on the empty order.
+
+    When the Hasse diagram of the path completion is a forest, one pass
+    over it gives the rank exactly (:func:`_forest_rank`).  Otherwise,
+    and when the completion runs out of points to add, a search runs and
+    raises BudgetError (reporting the longest zigzag found so far) when
+    its budget runs out.  Its two searches share the budget, trying at
+    most the candidates of those for ``n + 1`` points alone."""
     if len(p) == 0:
         raise ValueError("the empty order has no zigzag rank")
+    try:
+        q = path_completion(p)
+    except BudgetError:
+        q = None
+    if q is not None and not _forest_view(q)[3]:
+        return _forest_rank(p, q)
     n, left = 1, budget
     for reversed in (False, True):
         if n < len(p):  # the reversed search is skipped once n = len(p)

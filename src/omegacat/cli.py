@@ -24,7 +24,6 @@ from .cfpo import AMBIGUOUS, alt_rank, path, path_completion, validate_cfpo
 from .errors import (
     BudgetError,
     CycleError,
-    MeetAbsentError,
     NotATreeError,
     ParseError,
     SpecError,
@@ -433,7 +432,7 @@ def main(argv=None) -> int:
         return _fail("spec", exc, 2)
     except BudgetError as exc:
         return _fail("budget", exc, 3)
-    except (CycleError, NotATreeError, MeetAbsentError, ValueError) as exc:
+    except (CycleError, NotATreeError, ValueError) as exc:
         return _fail("value", exc, 2)
     except OSError as exc:
         return _fail("io", exc, 2)

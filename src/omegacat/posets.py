@@ -68,15 +68,6 @@ def _bits(mask) -> list:
     return list(itertools.compress(range(len(digits)), digits.encode().translate(_DIGITS)))
 
 
-def _find(parent: dict, x):
-    """Root of ``x`` in the union-find forest ``parent``, halving the path
-    on the way (Tarjan 1975)."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def _closure(els, succ, order) -> tuple:
     """The strict up-set, a bit mask over positions, of every position of
     ``succ``, and the upper covers of every node as a dict in node order.
@@ -174,10 +165,11 @@ class FinPoset:
     """
 
     # _pos: node -> bit position; _down/_up: strict masks; _lower/_upper: covers;
-    # _tree: _tree_view's result, safe to keep as nothing writes the labels
+    # _tree, _forest: _tree_view's and _forest_view's results, safe to keep
+    # as nothing writes the order or the labels
     __slots__ = (
         "elements", "colour", "irrational", "_pos", "_down", "_up", "_lower", "_upper",
-        "_tree",
+        "_tree", "_forest",
     )
 
     def __init__(
@@ -217,7 +209,7 @@ class FinPoset:
         self._up, self._upper = _closure(els, succ, order)
         self.elements = tuple(els)
         self._pos = pos
-        self._tree = None
+        self._tree = self._forest = None
         self.colour = dict(colour or {})
         self.irrational = frozenset(irrational or ())
         for x in self.colour:
@@ -270,7 +262,7 @@ class FinPoset:
         p._down, p._up = down, up
         p._lower = {v: [] if u < 0 else [u] for v, u in enumerate(parent)}
         p._upper = dict(enumerate(kids))
-        p._tree = None
+        p._tree = p._forest = None
         p.colour = dict(colour or {})
         p.irrational = frozenset(irrational or ())
         return p
@@ -401,6 +393,34 @@ def _tree_view(p: FinPoset) -> tuple:
             code[v] = ids.setdefault(key, len(ids))
         p._tree = depth, order, code, kids
     return p._tree
+
+
+def _forest_view(p: FinPoset) -> tuple:
+    """``(parent, comp, order, cyclic)`` of the Hasse diagram of ``p``,
+    covers taken in both directions, built once: each position's parent in
+    a breadth-first search from the least position of its component (-1
+    at that root), its component as that root, the positions in the
+    order the search reached them, each after its parent, and the set of
+    components that hold a cycle.  A cover that reaches a point already
+    seen, other than the parent, closes a cycle: a tree component has only
+    the covers the search followed."""
+    if p._forest is None:
+        els, pos = p.elements, p._pos
+        parent, comp, order, cyclic = [-1] * len(els), [-1] * len(els), [], set()
+        for root in range(len(els)):
+            if comp[root] < 0:
+                comp[root], queue = root, [root]
+                for x in queue:  # breadth first: the list grows as it is read
+                    for y in p._upper[els[x]] + p._lower[els[x]]:
+                        j = pos[y]
+                        if comp[j] < 0:
+                            comp[j], parent[j] = root, x
+                            queue.append(j)
+                        elif j != parent[x]:
+                            cyclic.add(root)
+                order += queue
+        p._forest = parent, comp, order, cyclic
+    return p._forest
 
 
 # -------------------------------------------------------------- meets

@@ -18,10 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from omegacat import cfpo
 from omegacat.cfpo import (
     AMBIGUOUS,
     AltPattern,
     _candidates,
+    _forest_rank,
     alt,
     alt_rank,
     embeds_alt,
@@ -31,7 +33,7 @@ from omegacat.cfpo import (
     validate_cfpo,
 )
 from omegacat.errors import BudgetError
-from omegacat.posets import FinPoset, all_trees, meet, orbits
+from omegacat.posets import FinPoset, all_trees, covers, meet, orbits
 from oracles import (
     ConnectingSet,
     connecting_sets,
@@ -706,9 +708,17 @@ def test_alt_rank_empty_rejected():
         alt_rank(FinPoset([], []))
 
 
+def alt_beside_diamond(n):
+    """``alt(n)`` and, after it in node order, a diamond: not cycle-free, so
+    ``alt_rank`` searches it under its budget, with the candidates of
+    ``alt(n)`` first."""
+    d = [(n, n + 1), (n, n + 2), (n + 1, n + 3), (n + 2, n + 3)]
+    return FinPoset(range(n + 4), covers(alt(n)) + tuple(d))
+
+
 def test_alt_rank_budget():
     with pytest.raises(BudgetError):
-        alt_rank(alt(10), budget=5)
+        alt_rank(alt_beside_diamond(10), budget=5)
 
 
 def is_induced_zigzag(p, emb, pattern):
@@ -784,7 +794,59 @@ def test_alt_rank_budget_reports_the_longest_zigzag_found():
     # the 5 candidates 0, 1, 0, 2, 1 place 0, 1 and 2 of alt(10), the
     # second 0 and 1 being images already; the 6th is over budget
     with pytest.raises(BudgetError, match="best lower bound 3$"):
-        alt_rank(alt(10), budget=5)
+        alt_rank(alt_beside_diamond(10), budget=5)
+
+
+def forest_rank_is_the_rank(p):
+    """On an order whose completion's Hasse diagram is a forest, the pass
+    over that forest gives the search oracle's rank, and ``alt_rank``
+    takes it."""
+    q = path_completion(p)
+    assert hasse_is_forest(q)
+    assert alt_rank(p) == _forest_rank(p, q) == naive_alt_rank(p, budget=10**7)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@with_examples([p for p in natural_posets(5) if hasse_is_forest(path_completion(p))])
+@given(small_dags())
+def test_forest_rank_matches_the_search_oracle(p):
+    if hasse_is_forest(path_completion(p)):
+        forest_rank_is_the_rank(p)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_forest_rank_matches_the_search_oracle_on_oriented_trees(n):
+    for seed in range(30):
+        forest_rank_is_the_rank(FinPoset(range(n), oriented_tree(seed, n)))
+
+
+def test_alt_rank_of_a_120_node_oriented_tree_is_exact():
+    # the search ran out of its default budget here with lower bound 8
+    assert alt_rank(FinPoset(range(120), oriented_tree(0, 120))) == 9
+
+
+def test_alt_rank_searches_when_the_completion_runs_out(monkeypatch):
+    # the bowtie's completion needs one point; with none allowed, the
+    # search runs on the bowtie itself
+    monkeypatch.setattr("omegacat.cfpo._MAX_COMPLETION_POINTS", 0)
+    assert alt_rank(bowtie()) == 3
+
+
+def test_path_queries_on_one_completion_build_the_forest_once(monkeypatch):
+    builds = []
+    real = cfpo._forest_view
+
+    def counted(p):
+        if p._forest is None:
+            builds.append(p)
+        return real(p)
+
+    monkeypatch.setattr(cfpo, "_forest_view", counted)
+    q = path_completion(x_point_tree(60, 60, 3))
+    rng = random.Random(0)
+    for _ in range(50):
+        assert path(q, *rng.sample(q.elements, 2)) not in (None, AMBIGUOUS)
+    assert builds == [q]
 
 
 # ------------------------------------- pairs at different path lengths

@@ -13,10 +13,11 @@ import sys
 import time
 
 import pytest
+from test_cfpo import oriented_tree
 
 from omegacat.cfpo import alt
 from omegacat.cli import build_parser, main
-from omegacat.posets import dump_poset, load_poset, validate_tree
+from omegacat.posets import FinPoset, dump_poset, load_poset, validate_tree
 
 Q1 = "T = spine Q(1)\n"
 OMEGA_SPEC = "T = spine 1 with omega x T at orbit 0\n"
@@ -552,6 +553,14 @@ def test_cfpo_alt_rank_of_a_1100_point_zigzag(capsys, files):
     f = files("alt1100.poset", dump_poset(alt(1100)))
     code, out, err = run(capsys, "cfpo", "alt-rank", f)
     assert (code, out, err) == (0, "1100\n", "")
+
+
+def test_cfpo_alt_rank_of_a_120_node_oriented_tree(capsys, files):
+    # a cycle-free order: its rank is read off the completion's Hasse
+    # forest, where the search ran out of its budget
+    f = files("otree120.poset", dump_poset(FinPoset(range(120), oriented_tree(0, 120))))
+    code, out, err = run(capsys, "cfpo", "alt-rank", f)
+    assert (code, out, err) == (0, "9\n", "")
 
 
 def test_cfpo_alt_rank_chain(capsys, files):

@@ -18,6 +18,21 @@ baked into the :class:`Shuffle` constructor, the other two are
   siblings, and
 - collapsing ``S ^ t ^ S`` to ``S`` when ``S`` is a shuffle and ``t`` is
   empty or a single constituent of ``S``.
+
+Each node computes what it derives from its value at most once and keeps
+it in a slot, as hash-consing does (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006), but with no table of nodes shared between terms:
+
+- its hash, at construction, from its children's stored hashes, so hashing
+  never recurses;
+- on first use, its :func:`term_key`, its normal form, :func:`min_size`,
+  :func:`is_finite`, a shuffle's redex spans and its :func:`render_term`
+  text.  :func:`normalize` marks the normal form it returns as its own.
+
+Keeping them is safe because a term is immutable: its children are fixed
+at construction, so each stored fact stays the fact of the node's value.
+The facts take no part in ``==``, ``hash`` or ``repr``.  Two equal terms
+built apart are two nodes, each computing its facts once.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetError, ParseError
@@ -64,19 +79,81 @@ UNCOLOURED = "1"
 IRRATIONAL = "I"
 
 
-@dataclass(frozen=True)
-class Singleton:
+# Writes a derived fact onto a node past the frozen dataclass's guard.
+_store = object.__setattr__
+
+
+class _Node:
+    """The slots in which a term node keeps the facts it derives (see the
+    module docstring).  Each kind compares its one field after the hashes,
+    so unequal terms rarely get past the hashes, and children that are the
+    same node are not compared at all."""
+
+    __slots__ = ("_hash", "_key", "_nf", "_size", "_finite", "_spans", "_text")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # copies and pickles are built by the constructor, which computes
+        # the hash afresh: string hashes differ between processes
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Singleton(_Node):
+    __slots__ = ("tag",)
     tag: str
 
+    def __init__(self, tag: str):
+        _store(self, "tag", tag)
+        _store(self, "_hash", hash((0, tag)))
 
-@dataclass(frozen=True)
-class Shuffle:
+    def __eq__(self, other):
+        if other.__class__ is not Singleton:
+            return NotImplemented
+        return self is other or self.tag == other.tag
+
+    __hash__ = _Node.__hash__
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Shuffle(_Node):
+    __slots__ = ("constituents",)
     constituents: Tuple["Term", ...]
 
+    def __init__(self, constituents: Tuple["Term", ...]):
+        _store(self, "constituents", constituents)
+        # a child's hash is its stored one, so this reads one level only
+        _store(self, "_hash", hash((1, constituents)))
 
-@dataclass(frozen=True)
-class Concat:
+    def __eq__(self, other):
+        if other.__class__ is not Shuffle:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash and self.constituents == other.constituents
+        )
+
+    __hash__ = _Node.__hash__
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Concat(_Node):
+    __slots__ = ("factors",)
     factors: Tuple["Term", ...]
+
+    def __init__(self, factors: Tuple["Term", ...]):
+        _store(self, "factors", factors)
+        _store(self, "_hash", hash((2, factors)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Concat:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash and self.factors == other.factors
+        )
+
+    __hash__ = _Node.__hash__
 
 
 Term = Union[Singleton, Shuffle, Concat]
@@ -87,9 +164,14 @@ def term_key(t: Term):
     recursively lexicographic within each kind."""
     if isinstance(t, Singleton):
         return (0, t.tag)
-    if isinstance(t, Shuffle):
-        return (1, tuple(term_key(c) for c in t.constituents))
-    return (2, tuple(term_key(f) for f in t.factors))
+    key = getattr(t, "_key", None)
+    if key is None:
+        if isinstance(t, Shuffle):
+            key = (1, tuple(term_key(c) for c in t.constituents))
+        else:
+            key = (2, tuple(term_key(f) for f in t.factors))
+        _store(t, "_key", key)
+    return key
 
 
 def shuffle(constituents: Iterable[Term]) -> Shuffle:
@@ -129,7 +211,11 @@ def is_finite(t: Term) -> bool:
         return True
     if isinstance(t, Shuffle):
         return False
-    return all(is_finite(f) for f in t.factors)
+    finite = getattr(t, "_finite", None)
+    if finite is None:
+        finite = all(is_finite(f) for f in t.factors)
+        _store(t, "_finite", finite)
+    return finite
 
 
 def min_size(t: Term) -> int:
@@ -137,19 +223,26 @@ def min_size(t: Term) -> int:
     For a finite term this is its exact size."""
     if isinstance(t, Singleton):
         return 1
-    if isinstance(t, Shuffle):
-        return sum(min_size(c) for c in t.constituents)
-    return sum(min_size(f) for f in t.factors)
+    size = getattr(t, "_size", None)
+    if size is None:
+        parts = t.constituents if isinstance(t, Shuffle) else t.factors
+        size = sum(min_size(p) for p in parts)
+        _store(t, "_size", size)
+    return size
 
 
 # ---------------------------------------------------------------------------
 # rewriting and normal form
 
 
-def _spans(f: Shuffle) -> List[int]:
+def _spans(f: Shuffle) -> Tuple[int, ...]:
     """The lengths ``j - i`` a redex ``(i, j)`` of ``f`` can have, increasing:
     one more than the factors of a constituent, or nothing, between."""
-    return sorted({1} | {1 + len(factors(c)) for c in f.constituents})
+    spans = getattr(f, "_spans", None)
+    if spans is None:
+        spans = tuple(sorted({1} | {1 + len(factors(c)) for c in f.constituents}))
+        _store(f, "_spans", spans)
+    return spans
 
 
 def _is_redex(fs: Sequence[Term], i: int, j: int) -> bool:
@@ -207,19 +300,44 @@ def _absorbing_constituent(s: Shuffle) -> Optional[Shuffle]:
     return None
 
 
+# Kept as the normal form of a node that is its own: a reference to the node
+# itself would be a cycle, which only the garbage collector frees.
+_SELF = object()
+
+
 def normalize(t: Term) -> Term:
     """The canonical normal form; two terms denote isomorphic orders iff
-    their normal forms are equal."""
+    their normal forms are equal.
+
+    The result is kept on ``t``, and on the result as its own normal form,
+    so each node is normalised at most once and a normal subterm returns at
+    once.  Marking the result relies on ``normalize`` being idempotent: the
+    normal form denotes the same order as ``t`` (every step is sound), and
+    isomorphic orders have one normal form.  A normal ``t`` is returned
+    itself, so its normal subterms stay shared.
+    """
     if isinstance(t, Singleton):
         return t
+    nf = getattr(t, "_nf", None)
+    if nf is not None:
+        return t if nf is _SELF else nf
     if isinstance(t, Shuffle):
         s = shuffle(normalize(c) for c in t.constituents)
-        inner = _absorbing_constituent(s)
-        return inner if inner is not None else s
-    fs: List[Term] = []
-    for f in t.factors:
-        fs.extend(factors(normalize(f)))
-    return concat(collapse_factors(fs))
+        nf = _absorbing_constituent(s)
+        if nf is None:
+            nf = t if s == t else s
+    else:
+        fs: List[Term] = []
+        for f in t.factors:
+            fs.extend(factors(normalize(f)))
+        word = collapse_factors(fs)
+        # no factor of a normal form is a concatenation, so a word of two or
+        # more factors equal to t's would concatenate to t
+        nf = t if len(word) > 1 and tuple(word) == t.factors else concat(word)
+    _store(t, "_nf", _SELF if nf is t else nf)
+    if nf is not t and not isinstance(nf, Singleton):
+        _store(nf, "_nf", _SELF)
+    return nf
 
 
 def is_normal(t: Term) -> bool:
@@ -285,8 +403,9 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
 
 
 # Shuffles and concatenations nest at most this deep: parsing,
-# normalizing, hashing and printing a term spend a few Python frames per
-# level, and 248 levels can exhaust the default recursion limit of 1000.
+# normalizing, keying and printing a term spend a few Python frames per
+# level (hashing spends none, as each node stores its hash), and 331 levels
+# can exhaust the default recursion limit of 1000.
 _MAX_NESTING = 200
 
 
@@ -383,9 +502,14 @@ def render_term(t: Term) -> str:
     """Inverse of :func:`parse_term` (up to whitespace)."""
     if isinstance(t, Singleton):
         return t.tag
-    if isinstance(t, Shuffle):
-        return "Q(" + ",".join(render_term(c) for c in t.constituents) + ")"
-    return "^".join(render_term(f) for f in t.factors)
+    text = getattr(t, "_text", None)
+    if text is None:
+        if isinstance(t, Shuffle):
+            text = "Q(" + ",".join(render_term(c) for c in t.constituents) + ")"
+        else:
+            text = "^".join(render_term(f) for f in t.factors)
+        _store(t, "_text", text)
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Independent test oracles shared across the suite.
 
 - random term generation with a seeded RNG
+- fresh structural copies of terms, and the normal form computed afresh
+  at every node, the reference for the normal forms ``terms.normalize``
+  keeps on its nodes
 - single-step random-order reduction (for confluence checks)
 - the redex scan of the flanked-shuffle law, and collapse that rescans the
   word after every collapse, the references for ``terms.law4_redexes`` and
@@ -82,6 +85,35 @@ def random_term(rng: random.Random, depth: int, colours=("a", "b", "c")):
         return shuffle([random_term(rng, depth - 1, colours) for _ in range(k)])
     k = rng.randint(2, 3)
     return concat([random_term(rng, depth - 1, colours) for _ in range(k)])
+
+
+def rebuild(t: Term) -> Term:
+    """A structural copy of ``t`` made of fresh nodes, which hold none of
+    the facts that ``t``'s nodes may have stored."""
+    if isinstance(t, Singleton):
+        return Singleton(t.tag)
+    if isinstance(t, Shuffle):
+        return Shuffle(tuple(rebuild(c) for c in t.constituents))
+    return Concat(tuple(rebuild(f) for f in t.factors))
+
+
+def naive_normalize(t: Term) -> Term:
+    """The normal form with no stored result: every node is normalised
+    afresh, absorption is tested on the spot and the factor word collapses
+    by rescanning."""
+    if isinstance(t, Singleton):
+        return t
+    if isinstance(t, Shuffle):
+        s = shuffle(naive_normalize(c) for c in t.constituents)
+        cs = set(s.constituents)
+        for c in s.constituents:
+            if isinstance(c, Shuffle) and cs - {c} <= set(c.constituents):
+                return c
+        return s
+    fs: List[Term] = []
+    for f in t.factors:
+        fs.extend(factors(naive_normalize(f)))
+    return concat(naive_collapse_factors(fs))
 
 
 def reduce_random(t, rng: random.Random, max_steps: int = 200):

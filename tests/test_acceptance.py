@@ -37,7 +37,7 @@ from omegacat.trees import (
     parse_spec,
     two_orbit_equiv,
 )
-from oracles import chain_embeds, random_term, reduce_random, samples_agree
+from oracles import chain_embeds, random_term, rebuild, reduce_random, samples_agree
 
 DENSE = "T = spine Q(1) with omega x T at orbit 0\n"
 OMEGA_SPEC = "T = spine 1 with omega x T at orbit 0\n"
@@ -112,7 +112,9 @@ def test_criterion_02_confluence_and_idempotence():
         for _ in range(100):
             t = random_term(rng, depth=4, colours=("a", "b", "c"))
             want = normalize(t)
-            assert normalize(want) == want
+            # a fresh copy, so that normalize works rather than reading
+            # the normal form it stored on want
+            assert normalize(rebuild(want)) == want
             for k in range(1000):
                 assert reduce_random(t, random.Random(k)) == want
 

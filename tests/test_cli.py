@@ -108,8 +108,8 @@ def test_term_normalize_at_the_nesting_limit(capsys):
 
 
 def test_term_eq_at_the_nesting_limit_with_concatenations(capsys):
-    # 100 shuffles, each around a concatenation: 200 levels, where 248
-    # overflow the recursion limit at the comparison
+    # 100 shuffles, each around a concatenation: 200 levels, where about
+    # 330 overflow the recursion limit
     expr = "Q(a^" * 100 + "b" + ")" * 100
     assert run(capsys, "term", "eq", expr, expr) == (0, "equivalent\n", "")
 
@@ -627,6 +627,29 @@ def test_a_ring_of_200_definitions_is_checked(capsys, files):
     code, out, err = run(capsys, "tree", "check", f)
     assert (code, err) == (1, "")
     assert out.startswith("categorical: no — ")
+
+
+def nested_spine(levels):
+    """``Q(b,Q(a,...Q(a,c)...))``, shuffles nested ``levels - 1`` deep
+    around ``c``: a term that is its own normal form."""
+    term = "c"
+    for i in range(levels - 1):
+        term = f"Q({'ab'[i % 2]},{term})"
+    return term
+
+
+def test_tree_table_on_a_48_level_spine(capsys, files):
+    # one chain type, with one point of each of its 48 orbits on a chain;
+    # every normalisation there reads the nodes' stored normal forms
+    term = nested_spine(48)
+    f = files("spine.spec", f"T = spine {term}\n")
+    start = time.monotonic()
+    code, out, err = run(capsys, "tree", "table", f)
+    assert (code, err) == (0, "")
+    assert out == f"cap: 3\ntype 0: [{term}]\n" + "".join(
+        f"cell type=0 pos={i} count=1\n" for i in range(48)
+    )
+    assert time.monotonic() - start < 5.0
 
 
 def test_chain_walk_budget_is_exit_3(capsys, files, monkeypatch):

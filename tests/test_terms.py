@@ -9,6 +9,9 @@ oracles.py during fuzzing.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -43,8 +46,10 @@ from omegacat.terms import (
 from oracles import (
     naive_collapse_factors,
     naive_law4_redexes,
+    naive_normalize,
     poset_fields,
     random_term,
+    rebuild,
     reduce_random,
 )
 
@@ -69,6 +74,26 @@ def test_shuffle_dedups_and_sorts():
     s = shuffle([Singleton("b"), Singleton("a"), Singleton("b")])
     assert s.constituents == (Singleton("a"), Singleton("b"))
     assert render_term(s) == "Q(a,b)"
+
+
+def test_terms_keep_their_value_contract():
+    x = t("Q(a)^b")
+    assert repr(x) == (
+        "Concat(factors=(Shuffle(constituents=(Singleton(tag='a'),)), "
+        "Singleton(tag='b')))"
+    )
+    a = Shuffle(constituents=(Singleton(tag="a"),))
+    assert Concat(factors=(a, Singleton(tag="b"))) == x
+    for node, field in ((x, "factors"), (x.factors[0], "constituents"), (ONE, "tag")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, None)
+    # equal terms built apart, one of them after computing its facts
+    normalize(x), render_term(x), term_key(x), min_size(x), is_finite(x)
+    for y in (rebuild(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y is not x and y == x and hash(y) == hash(x)
+    assert x != t("Q(a)^c") and x != ONE and x != "Q(a)^b"
+    assert repr(normalize(x)) == repr(x)
+    assert not is_normal(Shuffle(()))
 
 
 def test_term_total_order():
@@ -167,7 +192,7 @@ def test_normalize_idempotent_on_random_terms():
     for _ in range(300):
         x = random_term(rng, depth=4, colours=("a", "b", "c"))
         nx = normalize(x)
-        assert normalize(nx) == nx
+        assert normalize(rebuild(nx)) == nx
 
 
 def test_is_normal_matches_normalize_fixpoint():
@@ -175,7 +200,25 @@ def test_is_normal_matches_normalize_fixpoint():
     for _ in range(300):
         x = random_term(rng, depth=4, colours=("a", "b"))
         assert is_normal(x) == (normalize(x) == x)
-        assert is_normal(normalize(x))
+        assert is_normal(rebuild(normalize(x)))
+
+
+def test_normalize_equals_the_normal_form_computed_afresh():
+    # terms share subterms, so stored normal forms are read as well as
+    # made; each copy starts with none
+    rng = random.Random(37)
+    pool = []
+    for _ in range(400):
+        x = random_term(rng, depth=4, colours=("a", "b", "c"))
+        if pool and rng.random() < 0.5:
+            x = concat([x, rng.choice(pool)])
+        pool.append(x)
+        assert normalize(x) == naive_normalize(rebuild(x))
+        assert normalize(rebuild(x)) == naive_normalize(rebuild(x))
+    # hand-built nodes that the smart constructors never make
+    a, b = Singleton("a"), Singleton("b")
+    for x in (Concat((a,)), Concat((Concat((a, b)), a)), Shuffle((b, a, b))):
+        assert normalize(x) == naive_normalize(rebuild(x)) != x
 
 
 def test_a_value_normalize_rejects_is_not_normal():

@@ -33,12 +33,12 @@ from .terms import (
     Term,
     UNCOLOURED,
     _TermParser,
+    _down_word,
     _redexes_at,
+    _up_word,
     collapse_factors,
     concat,
     factors,
-    final_segment,
-    initial_segment,
     normalize,
     orbit_paths,
     render_term,
@@ -235,16 +235,15 @@ def sequence_orbits(s: NfSequence):
     enumerated here.
     """
     orbits = []
-    pre_factors = [list(factors(m)) for m in s.prefix]
-    period = seq_factors(s)[1]
-    for i, member in enumerate(s.prefix):
-        before = [f for fs in pre_factors[:i] for f in fs]
-        after = [f for fs in pre_factors[i + 1 :] for f in fs]
+    pre, period = seq_factors(s)
+    start = 0  # where the member's factors begin in the prefix word
+    for member in s.prefix:
+        before = pre[:start]
+        start += len(factors(member))
+        after = pre[start:]
         for path in orbit_paths(member):
-            down_t = initial_segment(member, path)
-            down = normalize(concat(before + list(factors(down_t))))
-            up_t = final_segment(member, path)
-            up_word = (list(factors(up_t)) if up_t is not None else []) + after
+            down = normalize(concat(before + _down_word(member, path)))
+            up_word = _up_word(member, path) + after
             if up_word or period is not None:
                 up = normalize_sequence(up_word, period)
             else:

@@ -70,8 +70,6 @@ __all__ = [
     "one_orbits",
     "orbit_paths",
     "subterm_at",
-    "initial_segment",
-    "final_segment",
     "materialize",
 ]
 
@@ -556,69 +554,68 @@ def subterm_at(t: Term, path: Sequence[int]) -> Term:
     return t
 
 
-def initial_segment(t: Term, path: Sequence[int]) -> Term:
-    """Term for the set of points at or before a point in the leaf at
-    ``path``."""
-    if isinstance(t, Singleton):
-        return t
-    if isinstance(t, Shuffle):
-        return concat([t, initial_segment(t.constituents[path[0]], path[1:])])
-    j = path[0]
-    sub = initial_segment(t.factors[j], path[1:])
-    return concat(list(t.factors[:j]) + [sub])
+def _down_word(t: Term, path: Sequence[int]) -> List[Term]:
+    """Factor word of the points at or before a point in the leaf at
+    ``path``: each level adds what precedes the path there (a shuffle
+    itself, or a concatenation's earlier factors), then the leaf."""
+    word: List[Term] = []
+    for i in path:
+        if isinstance(t, Shuffle):
+            word.append(t)
+            t = t.constituents[i]
+        else:
+            word += t.factors[:i]
+            t = t.factors[i]
+    word.append(t)
+    return word
 
 
-def final_segment(t: Term, path: Sequence[int]) -> Optional[Term]:
-    """Term for the set of points strictly after a point in the leaf at
-    ``path``.  None denotes the empty segment."""
-    if isinstance(t, Singleton):
-        return None
-    if isinstance(t, Shuffle):
-        sub = final_segment(t.constituents[path[0]], path[1:])
-        parts = ([sub] if sub is not None else []) + [t]
-        return concat(parts)
-    j = path[0]
-    sub = final_segment(t.factors[j], path[1:])
-    parts = ([sub] if sub is not None else []) + list(t.factors[j + 1 :])
-    return concat(parts) if parts else None
-
-
-def _factor_list(t: Optional[Term]) -> List[Term]:
-    return list(factors(t)) if t is not None else []
+def _up_word(t: Term, path: Sequence[int]) -> List[Term]:
+    """Factor word of the points strictly after a point in the leaf at
+    ``path``, empty for none: what follows the path at each level (a
+    shuffle itself, or a concatenation's later factors), deepest first."""
+    parts = []
+    for i in path:
+        if isinstance(t, Shuffle):
+            parts.append((t,))
+            t = t.constituents[i]
+        else:
+            parts.append(t.factors[i + 1 :])
+            t = t.factors[i]
+    return [f for part in reversed(parts) for f in part]
 
 
 def _later_points(t: Term, p, q) -> List[Tuple[Union[int, float], List[Term]]]:
     """The points of leaf ``q`` of ``t`` strictly above a point of leaf
-    ``p``, as ``(count, connecting word)`` pairs: the count is 1 or
-    ``math.inf``, and the word runs from just above the source to the
-    target included.  Inside a shuffle they lie in the source's own copy of
-    its constituent and in the dense set of later copies, where the word
-    runs through the rest of the source's copy, the shuffle, and the
-    target's copy up to the target."""
-    if isinstance(t, Singleton):
-        return []
-    i, k = p[0], q[0]
-    if isinstance(t, Shuffle):
-        word = (
-            _factor_list(final_segment(t.constituents[i], p[1:]))
-            + [t]
-            + list(factors(initial_segment(t.constituents[k], q[1:])))
-        )
-        own = _later_points(t.constituents[i], p[1:], q[1:]) if i == k else []
-        return own + [(math.inf, word)]
-    if k <= i:
-        return _later_points(t.factors[i], p[1:], q[1:]) if k == i else []
-    target = t.factors[k]
-    word = (
-        _factor_list(final_segment(t.factors[i], p[1:]))
-        + list(t.factors[i + 1 : k])
-        + list(factors(initial_segment(target, q[1:])))
-    )
-    dense = any(
-        isinstance(subterm_at(target, q[1 : d + 1]), Shuffle)
-        for d in range(len(q))
-    )
-    return [(math.inf if dense else 1, word)]
+    ``p``, deepest level first, as ``(count, connecting word)`` pairs: the
+    count is 1 or ``math.inf``, and the word runs from just above the
+    source to the target included.  Inside a shuffle they lie in the
+    source's own copy of its constituent and in the dense set of later
+    copies, where the word runs through the rest of the source's copy, the
+    shuffle, and the target's copy up to the target."""
+    later = []
+    for d, (i, k) in enumerate(zip(p, q)):
+        below_p, below_q = p[d + 1 :], q[d + 1 :]
+        if isinstance(t, Shuffle):
+            cs = t.constituents
+            word = _up_word(cs[i], below_p) + [t] + _down_word(cs[k], below_q)
+            later.append((math.inf, word))
+        elif i < k:
+            fs = t.factors
+            dense = any(
+                isinstance(subterm_at(fs[k], below_q[:e]), Shuffle)
+                for e in range(len(below_q))
+            )
+            word = (
+                _up_word(fs[i], below_p)
+                + list(fs[i + 1 : k])
+                + _down_word(fs[k], below_q)
+            )
+            later.append((math.inf if dense else 1, word))
+        if i != k:
+            break
+        t = subterm_at(t, (i,))
+    return later[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,13 @@ from .terms import (
     Singleton,
     Term,
     UNCOLOURED,
-    _factor_list,
+    _down_word,
     _later_points,
     _sample_points,
+    _up_word,
     collapse_factors,
     concat,
     factors,
-    final_segment,
-    initial_segment,
     is_finite,
     min_size,
     normalize,
@@ -324,8 +323,10 @@ class _Info:
     resolved to the cut after the last factor.  ``chain`` is the spine with
     a cut point after each cut position, and ``sites`` maps every site to
     its leaf in ``chain``: orbit sites by index, then cut sites by
-    position.  Spec order numbers a sample's points; site order is the
-    order of the walk's edges, which picks the chain-family witness.
+    position.  ``down`` maps every site to the word of the points at or
+    below one of its points, cut points of earlier positions included.
+    Spec order numbers a sample's points; site order is the order of the
+    walk's edges, which picks the chain-family witness.
     """
 
     def __init__(self, dfn: TreeDef):
@@ -355,6 +356,10 @@ class _Info:
         }
         for p in self.cut_positions:
             self.sites[("cut", p)] = (slot_of[p] + 1,)
+        self.down: Dict[tuple, Tuple[Term, ...]] = {
+            site: tuple(_down_word(self.chain, leaf))
+            for site, leaf in self.sites.items()
+        }
         # a copy's chain ends in its spine only when nothing hangs above the
         # spine's greatest point
         top = (len(slots) - 1,)
@@ -363,11 +368,6 @@ class _Info:
         )
         self.terminal_word = slots
         self.edges: List[_Edge] = []
-
-    def aug_down(self, site: tuple) -> List[Term]:
-        """Word of the points at or below one point of ``site`` (the point
-        included), cut points of earlier positions included."""
-        return list(factors(initial_segment(self.chain, self.sites[site])))
 
 
 class _Analysis:
@@ -407,7 +407,7 @@ class _Analysis:
                         site=site,
                         mult=mult,
                         npoints=OMEGA if isinstance(slot, Shuffle) else 1,
-                        word=tuple(info.aug_down(site)),
+                        word=info.down[site],
                     )
                 )
         self.walks: Dict[str, "_Walk"] = {}
@@ -735,11 +735,11 @@ def _class_cells(analysis, C, tindex, torbits, name, ctx, site, cap):
     no position of its type raises."""
     info = analysis.infos[name]
     leaf = info.sites[site]
-    d_word = list(ctx) + info.aug_down(site)
+    d_word = [*ctx, *info.down[site]]
     down_x = normalize(concat(d_word))
     options = []  # (count, connecting word, tail type or None)
     if info.terminal_valid:  # the spine strictly above the point
-        options.append((1, _factor_list(final_segment(info.chain, leaf)), None))
+        options.append((1, _up_word(info.chain, leaf), None))
     for e in info.edges:
         if e.site == site:
             for t2, c2 in C[e.child].items():

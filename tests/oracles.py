@@ -5,6 +5,10 @@
   at every node, the reference for the normal forms ``terms.normalize``
   keeps on its nodes
 - single-step random-order reduction (for confluence checks)
+- the segments before and after a leaf as terms, rebuilt at every level
+  of its address, and the later points of one leaf above another found by
+  recursion on both addresses, the references for the one-descent words
+  of ``terms._down_word``, ``terms._up_word`` and ``terms._later_points``
 - the redex scan of the flanked-shuffle law, and collapse that rescans the
   word after every collapse, the references for ``terms.law4_redexes`` and
   the one left-to-right pass of ``terms.collapse_factors``
@@ -42,7 +46,8 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from omegacat.cfpo import AltPattern
 from omegacat.errors import BudgetError, CycleError, MeetAbsentError
@@ -137,6 +142,65 @@ def rewrite_trace(t, rng: random.Random, max_steps: int = 200):
         trace.append((t, nxt))
         t = nxt
     raise AssertionError("reduction did not terminate")
+
+
+def naive_initial_segment(t: Term, path: Sequence[int]) -> Term:
+    """Term for the set of points at or before a point in the leaf at
+    ``path``."""
+    if isinstance(t, Singleton):
+        return t
+    if isinstance(t, Shuffle):
+        return concat([t, naive_initial_segment(t.constituents[path[0]], path[1:])])
+    j = path[0]
+    sub = naive_initial_segment(t.factors[j], path[1:])
+    return concat(list(t.factors[:j]) + [sub])
+
+
+def naive_final_segment(t: Term, path: Sequence[int]) -> Optional[Term]:
+    """Term for the set of points strictly after a point in the leaf at
+    ``path``.  None denotes the empty segment."""
+    if isinstance(t, Singleton):
+        return None
+    if isinstance(t, Shuffle):
+        sub = naive_final_segment(t.constituents[path[0]], path[1:])
+        return concat(([sub] if sub is not None else []) + [t])
+    j = path[0]
+    sub = naive_final_segment(t.factors[j], path[1:])
+    parts = ([sub] if sub is not None else []) + list(t.factors[j + 1 :])
+    return concat(parts) if parts else None
+
+
+def _segment_word(t: Optional[Term]) -> List[Term]:
+    return list(factors(t)) if t is not None else []
+
+
+def naive_later_points(t: Term, p, q) -> list:
+    """The ``(count, connecting word)`` pairs of the points of leaf ``q``
+    strictly above a point of leaf ``p``, deepest level first, by recursion
+    on both addresses."""
+    if isinstance(t, Singleton):
+        return []
+    i, k = p[0], q[0]
+    if isinstance(t, Shuffle):
+        word = (
+            _segment_word(naive_final_segment(t.constituents[i], p[1:]))
+            + [t]
+            + _segment_word(naive_initial_segment(t.constituents[k], q[1:]))
+        )
+        own = naive_later_points(t.constituents[i], p[1:], q[1:]) if i == k else []
+        return own + [(math.inf, word)]
+    if k <= i:
+        return naive_later_points(t.factors[i], p[1:], q[1:]) if k == i else []
+    target = t.factors[k]
+    word = (
+        _segment_word(naive_final_segment(t.factors[i], p[1:]))
+        + list(t.factors[i + 1 : k])
+        + _segment_word(naive_initial_segment(target, q[1:]))
+    )
+    dense = any(
+        isinstance(subterm_at(target, q[1 : d + 1]), Shuffle) for d in range(len(q))
+    )
+    return [(math.inf if dense else 1, word)]
 
 
 def naive_law4_redexes(fs) -> list:

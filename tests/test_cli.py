@@ -638,16 +638,17 @@ def nested_spine(levels):
     return term
 
 
-def test_tree_table_on_a_48_level_spine(capsys, files):
-    # one chain type, with one point of each of its 48 orbits on a chain;
+@pytest.mark.parametrize("levels", [48, 200])
+def test_tree_table_on_a_deep_spine(capsys, files, levels):
+    # one chain type, with one point of each of its orbits on a chain;
     # every normalisation there reads the nodes' stored normal forms
-    term = nested_spine(48)
+    term = nested_spine(levels)
     f = files("spine.spec", f"T = spine {term}\n")
     start = time.monotonic()
     code, out, err = run(capsys, "tree", "table", f)
     assert (code, err) == (0, "")
     assert out == f"cap: 3\ntype 0: [{term}]\n" + "".join(
-        f"cell type=0 pos={i} count=1\n" for i in range(48)
+        f"cell type=0 pos={i} count=1\n" for i in range(levels)
     )
     assert time.monotonic() - start < 5.0
 

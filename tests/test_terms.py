@@ -24,7 +24,10 @@ from omegacat.terms import (
     Concat,
     Shuffle,
     Singleton,
+    _down_word,
+    _later_points,
     _sample_points,
+    _up_word,
     applicable_rewrites,
     collapse_factors,
     concat,
@@ -37,14 +40,19 @@ from omegacat.terms import (
     min_size,
     normalize,
     one_orbits,
+    orbit_paths,
     parse_term,
     render_term,
     shuffle,
+    subterm_at,
     term_key,
 )
 
 from oracles import (
     naive_collapse_factors,
+    naive_final_segment,
+    naive_initial_segment,
+    naive_later_points,
     naive_law4_redexes,
     naive_normalize,
     poset_fields,
@@ -293,6 +301,44 @@ def test_one_orbits_requires_normal_form():
 def test_one_orbits_on_finite_terms_is_one_per_point():
     x = t("a^b^a")
     assert len(one_orbits(x)) == 3
+
+
+def check_segment_words(x) -> int:
+    """Assert that the one-descent words of ``x`` equal the factors of the
+    term segments at every leaf, and its later points those of the
+    recursive search, in order, at every pair of leaves; return how many
+    pairs had later points."""
+    leaves = orbit_paths(x)
+    found = 0
+    for p in leaves:
+        down = naive_initial_segment(x, p)
+        up = naive_final_segment(x, p)
+        assert _down_word(x, p) == list(factors(down)), (x, p)
+        assert _up_word(x, p) == (list(factors(up)) if up is not None else []), (x, p)
+        for q in leaves:
+            later = _later_points(x, p, q)
+            assert later == naive_later_points(x, p, q), (x, p, q)
+            found += bool(later)
+    return found
+
+
+def test_segment_words_equal_the_term_segments():
+    # as built, shuffles may hold concatenations and shuffles of one
+    # constituent; normalised, they may not
+    rng = random.Random(17)
+    pairs = concat_constituents = 0
+    for _ in range(150):
+        raw = random_term(rng, depth=4)
+        concat_constituents += any(
+            isinstance(subterm_at(raw, p[:d]), Shuffle)
+            and isinstance(subterm_at(raw, p[: d + 1]), Concat)
+            for p in orbit_paths(raw)
+            for d in range(len(p))
+        )
+        for x in (raw, normalize(raw)):
+            pairs += check_segment_words(x)
+    assert concat_constituents > 40
+    assert pairs > 20000
 
 
 # ---------------------------------------------------------------- materialize

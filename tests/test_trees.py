@@ -11,8 +11,15 @@ import random
 import re
 
 import pytest
-from oracles import cones_above, naive_materialize_tree, poset_fields, random_term
+from oracles import (
+    cones_above,
+    naive_initial_segment,
+    naive_materialize_tree,
+    poset_fields,
+    random_term,
+)
 from test_fuzz import parse, random_spec_text
+from test_terms import check_segment_words
 
 from omegacat import posets, trees
 from omegacat.errors import BudgetError, ParseError, SpecError, SpecWarning
@@ -28,10 +35,12 @@ from omegacat.posets import (
 from omegacat.sequences import NfSequence, parse_sequence
 from omegacat.terms import (
     _sample_points,
+    factors,
     min_size,
     normalize,
     orbit_paths,
     parse_term,
+    render_term,
 )
 from omegacat.trees import (
     OMEGA,
@@ -226,6 +235,26 @@ def test_table_rejects_infinite_type_family():
     )
     with pytest.raises(SpecError):
         ramification_table(spec)
+
+
+def test_site_words_of_a_chain_with_cut_slots():
+    # each site's stored down word, which the walk's edges and the table
+    # read, and the later points between its leaves, against the term
+    # segments of the chain that holds a cut point after each cut position
+    for text, chain in [
+        ("T = spine Q(a)^Q(b) with omega x L at cut 0\nL = spine a\n", "Q(a)^I^Q(b)"),
+        (
+            "T = spine Q(a^Q(b))^Q(c)^Q(b) with omega x L at cut 0, 2 x L at cut 1\n"
+            "L = spine a\n",
+            "Q(a^Q(b))^I^Q(c)^I^Q(b)",
+        ),
+    ]:
+        info = trees._Analysis(parse_spec(text)).infos["T"]
+        assert render_term(info.chain) == chain
+        assert check_segment_words(info.chain) > 0
+        for site, leaf in info.sites.items():
+            want = factors(naive_initial_segment(info.chain, leaf))
+            assert info.down[site] == want, site
 
 
 # ---------------------------------------------------------------------------

@@ -100,13 +100,14 @@ def _closure(els, succ, order) -> tuple:
     return up, dict(zip(els, upper))
 
 
-def _first_on_cycle(succ):
-    """The first position, in node order, that can reach itself: the least
-    position of a strongly connected component with an edge inside it.
+def _components(succ):
+    """Each position's strongly connected component over ``succ``, numbered
+    in topological order: an edge ``x -> y`` has ``comp[x] <= comp[y]``.
 
     One Kosaraju pass (Sharir 1981): a depth-first search over ``succ``
     lists the positions by finish time; searches over the reversed edges,
-    started in reverse finish order, then each collect one component.
+    started in reverse finish order, then each collect one component, a
+    source of what is left first.
     """
     pred = [[] for _ in succ]
     for x, ys in enumerate(succ):
@@ -129,15 +130,24 @@ def _first_on_cycle(succ):
                 stack.pop()
                 finished.append(x)
     comp = [None] * len(succ)
+    k = 0
     for root in reversed(finished):
         if comp[root] is None:
-            comp[root] = root
+            comp[root] = k
             todo = [root]
             while todo:
                 for y in pred[todo.pop()]:
                     if comp[y] is None:
-                        comp[y] = root
+                        comp[y] = k
                         todo.append(y)
+            k += 1
+    return comp
+
+
+def _first_on_cycle(succ):
+    """The first position, in node order, that can reach itself: the least
+    position of a strongly connected component with an edge inside it."""
+    comp = _components(succ)
     cyclic = {comp[x] for x, ys in enumerate(succ) for y in ys if comp[y] == comp[x]}
     return next(x for x in range(len(succ)) if comp[x] in cyclic)
 

@@ -35,7 +35,7 @@ from .errors import (
     SpecError,
     SpecWarning,
 )
-from .posets import FinPoset, _tree_view, maximal_chains
+from .posets import FinPoset, _components, _tree_view, maximal_chains
 from .sequences import (
     NfSequence,
     normalize_sequence,
@@ -134,11 +134,11 @@ class RamTable:
 
     ``realised`` holds triples-as-pairs ``(i, (m, n))``: some point lies on
     exactly ``i`` chains of type ``m`` (index into ``chain_types``) at orbit
-    position ``n`` — ``i`` is exact up to ``cap``, or infinity.  Cells whose
-    exact finite count exceeded ``cap`` appear in ``indeterminate``.  The
-    cells cover the positions of each type's prefix; ``unbounded`` lists
-    the types with a tail, whose points sit at unboundedly many positions
-    (see :func:`check_categorical`).
+    position ``n`` — ``i`` is exact, a natural number or infinity.  A cell
+    whose count is finite and above ``cap`` appears in ``indeterminate``
+    instead.  The cells cover the positions of each type's prefix;
+    ``unbounded`` lists the types with a tail, whose points sit at
+    unboundedly many positions (see :func:`check_categorical`).
     """
 
     chain_types: Tuple[NfSequence, ...]
@@ -311,7 +311,7 @@ class _Edge:
     child: str
     site: tuple
     mult: Union[int, float]
-    npoints: Union[int, float]
+    weight: Union[int, float]  # points at the site times mult
     word: Tuple[Term, ...]
 
 
@@ -406,7 +406,7 @@ class _Analysis:
                         child=child,
                         site=site,
                         mult=mult,
-                        npoints=OMEGA if isinstance(slot, Shuffle) else 1,
+                        weight=(OMEGA if isinstance(slot, Shuffle) else 1) * mult,
                         word=info.down[site],
                     )
                 )
@@ -629,36 +629,12 @@ def _exits(analysis: _Analysis, name: str, cycle):
 
 
 # ---------------------------------------------------------------------------
-# saturating counts
-
-# Count lattice: exact integers 0..cap, then cap+1 meaning "finite but more
-# than cap (or not resolved)", then infinity.
+# chain counts
 
 
-def _lat(v, cap):
-    if v == OMEGA:
-        return OMEGA
-    return v if v <= cap else cap + 1
-
-
-def _sadd(a, b, cap):
-    if a == OMEGA or b == OMEGA:
-        return OMEGA
-    s = a + b
-    return s if s <= cap else cap + 1
-
-
-def _smul(a, b, cap):
-    if a == 0 or b == 0:
-        return 0
-    if a == OMEGA or b == OMEGA:
-        return OMEGA
-    m = a * b
-    return m if m <= cap else cap + 1
-
-
-def _edge_weight(e: _Edge, cap):
-    return _smul(_lat(e.npoints, cap), _lat(e.mult, cap), cap)
+def _mul(a, b):
+    """Product over the naturals and omega, with ``0 * omega = 0``."""
+    return a * b if a and b else 0
 
 
 def _seq_prepend(word, t: NfSequence) -> NfSequence:
@@ -666,69 +642,81 @@ def _seq_prepend(word, t: NfSequence) -> NfSequence:
     return normalize_sequence(list(word) + pre, per)
 
 
-def _counts(analysis: _Analysis, cap: int) -> Dict[str, Dict[NfSequence, object]]:
+def _counts(analysis: _Analysis) -> Dict[str, Dict[NfSequence, object]]:
     """Per definition, the number of maximal chains of each type in the
-    denoted tree of that definition, in the saturating lattice.
+    denoted tree of that definition: a natural number or omega.
 
-    Chains that decompose through finitely many attachment steps are counted
-    by a least fixpoint; chains that keep descending forever are floored by
-    the lassos of the walk from that definition (one per forced cycle,
-    infinitely many as soon as a cycle step branches).  The two are joined
-    by maximum, so degenerate overlaps under-approximate rather than double
-    count.  The rounds run to the least fixpoint: every key of a definition
-    is a type its walk found (anything else raises), every entry lives in
-    the finite lattice ``0..cap+1, omega``, and each change raises an entry,
-    so the loop ends.
+    A key is a definition and a type its walk found.  Chains that
+    decompose through finitely many attachment steps give the linear
+    system ``C = base + sum w * C[child]``: an edge ``e`` and a type ``t2``
+    of its child make the key edge ``(name, e.word + t2) -> (e.child, t2)``
+    of weight ``e.weight >= 1``, and a sum that leaves the walk's
+    types raises.  Chains that keep descending forever are floored by the
+    lassos of the walk from that definition (one per forced cycle,
+    infinitely many as soon as a cycle step branches), joined by maximum,
+    so degenerate overlaps under-approximate rather than double count.
+
+    The least solution over the naturals and omega comes from one pass
+    over the strongly connected components of the key graph, callees
+    first.  Within a component, let ``a`` be a key's base plus its edges
+    into solved components.  With no edge inside, a key is
+    ``max(a, floor)``.  Otherwise every key lies on a cycle of weights
+    ``>= 1`` and reaches every other, so one key with ``a > 0`` gains ``a``
+    each time round and all are omega (the star ``a* = omega``).  With
+    ``a = 0`` only the floors are positive: a single cycle of weight-1
+    edges carries the largest floor round unchanged, while any other
+    component doubles a positive value round some cycle, so it is omega.
     """
-    base: Dict[str, Dict[NfSequence, object]] = {}
-    floor: Dict[str, Dict[NfSequence, object]] = {}
-    keys: Dict[str, set] = {}
+    types = {name: _walk(analysis, name).types() for name in analysis.infos}
+    keys = [(name, t) for name, ts in types.items() for t in ts]
+    index = {key: i for i, key in enumerate(keys)}
+    base, floor = [0] * len(keys), [0] * len(keys)
+    succ: List[List[Tuple[int, Union[int, float]]]] = [[] for _ in keys]
     for name, info in analysis.infos.items():
-        b: Dict[NfSequence, object] = {}
         if info.terminal_valid:
-            b[normalize_sequence(info.terminal_word)] = _sadd(0, 1, cap)
-        base[name] = b
-        fl: Dict[NfSequence, object] = {}
-        walk = _walk(analysis, name)
-        keys[name] = set(walk.types())
-        for lasso in walk.lassos:
-            weights = [_edge_weight(e, cap) for e in lasso.cycle]
-            val = 1 if all(w == 1 for w in weights) else OMEGA
-            for e in lasso.pre:
-                val = _smul(val, _edge_weight(e, cap), cap)
-            if fl.get(lasso.type, 0) < val:
-                fl[lasso.type] = val
-        floor[name] = fl
+            base[index[name, normalize_sequence(info.terminal_word)]] = 1
+        for lasso in analysis.walks[name].lassos:
+            val = math.prod(e.weight for e in lasso.pre)
+            if any(e.weight > 1 for e in lasso.cycle):
+                val = OMEGA
+            i = index[name, lasso.type]
+            floor[i] = max(floor[i], val)
+        for e in info.edges:
+            for t2 in types[e.child]:
+                i = index.get((name, _seq_prepend(e.word, t2)))
+                if i is None:
+                    raise SpecError(
+                        "internal: a chain count escaped the walk's chain types"
+                    )
+                succ[i].append((index[e.child, t2], e.weight))
 
-    C: Dict[str, Dict[NfSequence, object]] = {n: {} for n in analysis.infos}
-    changed = True
-    while changed:
-        changed = False
-        for name, info in analysis.infos.items():
-            new = dict(base[name])
-            for e in info.edges:
-                w = _edge_weight(e, cap)
-                for t2, c2 in C[e.child].items():
-                    t = _seq_prepend(e.word, t2)
-                    new[t] = _sadd(new.get(t, 0), _smul(w, c2, cap), cap)
-            for t, v in floor[name].items():
-                if new.get(t, 0) < v:
-                    new[t] = v
-            if not keys[name].issuperset(new):
-                raise SpecError(
-                    "internal: a chain count escaped the walk's chain types"
-                )
-            if new != C[name]:
-                C[name] = new
-                changed = True
-    return C
+    comp = _components([[j for j, _ in out] for out in succ])
+    groups: Dict[int, List[int]] = {}
+    for i, c in enumerate(comp):
+        groups.setdefault(c, []).append(i)
+    count: List[Union[int, float]] = [0] * len(keys)
+    for c in sorted(groups, reverse=True):
+        group = groups[c]
+        inner = [w for i in group for j, w in succ[i] if comp[j] == c]
+        a = [
+            base[i] + sum(_mul(w, count[j]) for j, w in succ[i] if comp[j] != c)
+            for i in group
+        ]
+        val = max(floor[i] for i in group)
+        if not inner:
+            val = max(a[0], val)
+        elif any(a) or (val and (len(inner) > len(group) or max(inner) > 1)):
+            val = OMEGA
+        for i in group:
+            count[i] = val
+    return {name: {t: count[index[name, t]] for t in ts} for name, ts in types.items()}
 
 
 # ---------------------------------------------------------------------------
 # realised predicate table
 
 
-def _class_cells(analysis, C, tindex, torbits, name, ctx, site, cap):
+def _class_cells(analysis, C, tindex, torbits, name, ctx, site):
     """Cell counts for the points of ``site`` in a copy of ``name`` whose
     word of points below the copy is ``ctx``.  A point in the tail of a
     type has no cell (the type is unbounded); any other point that matches
@@ -743,11 +731,10 @@ def _class_cells(analysis, C, tindex, torbits, name, ctx, site, cap):
     for e in info.edges:
         if e.site == site:
             for t2, c2 in C[e.child].items():
-                options.append((_smul(_lat(e.mult, cap), c2, cap), [], t2))
+                options.append((_mul(e.mult, c2), [], t2))
         for n, between in _later_points(info.chain, leaf, info.sites[e.site]):
-            w = _smul(_lat(n, cap), _lat(e.mult, cap), cap)
             for t2, c2 in C[e.child].items():
-                options.append((_smul(w, c2, cap), list(between), t2))
+                options.append((_mul(n * e.mult, c2), list(between), t2))
 
     cells: Dict[Tuple[int, int], object] = {}
     for cnt, link, t2 in options:
@@ -769,7 +756,7 @@ def _class_cells(analysis, C, tindex, torbits, name, ctx, site, cap):
         entries, tailpos = torbits[m]
         for n_pos, (edown, eup) in enumerate(entries):
             if edown == down_x and eup == up:
-                cells[(m, n_pos)] = _sadd(cells.get((m, n_pos), 0), cnt, cap)
+                cells[(m, n_pos)] = cells.get((m, n_pos), 0) + cnt
                 break
         else:
             if not tailpos:
@@ -794,19 +781,15 @@ def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
     types = walk.types()
     tindex = {t: i for i, t in enumerate(types)}
     torbits = [sequence_orbits(t) for t in types]
-    C = _counts(analysis, cap)
+    C = _counts(analysis)
     realised = set()
     indeterminate = set()
     # every result is a set, sorted below, so the states go in any order
     for name, ctx in walk.states:
         for site in analysis.infos[name].sites:
-            cells = _class_cells(
-                analysis, C, tindex, torbits, name, ctx, site, cap
-            )
+            cells = _class_cells(analysis, C, tindex, torbits, name, ctx, site)
             for cell, cnt in cells.items():
-                if cnt == 0:
-                    continue
-                if cnt == cap + 1:
+                if cap < cnt < OMEGA:
                     indeterminate.add(cell)
                 else:
                     realised.add((cnt, cell))

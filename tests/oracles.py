@@ -38,6 +38,9 @@
 - tree samples that sample every copy's spine anew and close the order
   from its covering pairs, the reference for the per-key layouts and the
   forest constructor of ``trees.materialize_tree``
+- chain counts by round-robin rounds in the lattice ``0..cap+1, omega``
+  until nothing changes, the reference for the one pass over strongly
+  connected components of ``trees._counts``
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from omegacat.cfpo import AltPattern
-from omegacat.errors import BudgetError, CycleError, MeetAbsentError
+from omegacat.errors import BudgetError, CycleError, MeetAbsentError, SpecError
 from omegacat.posets import FinPoset, _tree_view, maximal_chains, meet, node_key
 from omegacat.sequences import (
     NfSequence,
@@ -58,6 +61,7 @@ from omegacat.sequences import (
     _prefix_redex,
     _primitive_root,
     _rotate_canonical,
+    normalize_sequence,
 )
 from omegacat.terms import (
     IRRATIONAL,
@@ -77,7 +81,15 @@ from omegacat.terms import (
     shuffle,
     subterm_at,
 )
-from omegacat.trees import TreeSpec, _Analysis, _check_sample_size, _copies
+from omegacat.trees import (
+    OMEGA,
+    TreeSpec,
+    _Analysis,
+    _check_sample_size,
+    _copies,
+    _seq_prepend,
+    _walk,
+)
 
 
 def random_term(rng: random.Random, depth: int, colours=("a", "b", "c")):
@@ -868,3 +880,90 @@ def naive_materialize_tree(
             children += [copy] * _copies(mult, width)
         stack.extend(reversed(children))
     return FinPoset(range(size), pairs, colour=colour, irrational=irrational)
+
+
+# ---------------------------------------------------------------------------
+# chain counts in the saturating lattice
+
+# Count lattice: exact integers 0..cap, then cap+1 meaning "finite but more
+# than cap (or not resolved)", then infinity.
+
+
+def _lat(v, cap):
+    if v == OMEGA:
+        return OMEGA
+    return v if v <= cap else cap + 1
+
+
+def _sadd(a, b, cap):
+    if a == OMEGA or b == OMEGA:
+        return OMEGA
+    s = a + b
+    return s if s <= cap else cap + 1
+
+
+def _smul(a, b, cap):
+    if a == 0 or b == 0:
+        return 0
+    if a == OMEGA or b == OMEGA:
+        return OMEGA
+    m = a * b
+    return m if m <= cap else cap + 1
+
+
+def naive_counts(analysis: _Analysis, cap: int) -> Dict[str, dict]:
+    """Per definition, the number of maximal chains of each type in the
+    denoted tree of that definition, in the saturating lattice.
+
+    Chains that decompose through finitely many attachment steps are counted
+    by a least fixpoint; chains that keep descending forever are floored by
+    the lassos of the walk from that definition.  The two are joined by
+    maximum.  The rounds run until nothing changes: every key of a
+    definition is a type its walk found (anything else raises), every entry
+    lives in the finite lattice ``0..cap+1, omega``, and each change raises
+    an entry, so the loop ends.  Where the least solution over the naturals
+    and omega is finite this gives it, saturated at ``cap + 1``; on a cycle
+    such as ``x = 1 + x`` it stops at ``cap + 1`` short of omega.
+    """
+    base: Dict[str, dict] = {}
+    floor: Dict[str, dict] = {}
+    keys: Dict[str, set] = {}
+    for name, info in analysis.infos.items():
+        b: dict = {}
+        if info.terminal_valid:
+            b[normalize_sequence(info.terminal_word)] = _sadd(0, 1, cap)
+        base[name] = b
+        fl: dict = {}
+        walk = _walk(analysis, name)
+        keys[name] = set(walk.types())
+        for lasso in walk.lassos:
+            weights = [_lat(e.weight, cap) for e in lasso.cycle]
+            val = 1 if all(w == 1 for w in weights) else OMEGA
+            for e in lasso.pre:
+                val = _smul(val, _lat(e.weight, cap), cap)
+            if fl.get(lasso.type, 0) < val:
+                fl[lasso.type] = val
+        floor[name] = fl
+
+    C: Dict[str, dict] = {n: {} for n in analysis.infos}
+    changed = True
+    while changed:
+        changed = False
+        for name, info in analysis.infos.items():
+            new = dict(base[name])
+            for e in info.edges:
+                w = _lat(e.weight, cap)
+                for t2, c2 in C[e.child].items():
+                    t = _seq_prepend(e.word, t2)
+                    new[t] = _sadd(new.get(t, 0), _smul(w, c2, cap), cap)
+            for t, v in floor[name].items():
+                if new.get(t, 0) < v:
+                    new[t] = v
+            if not keys[name].issuperset(new):
+                raise SpecError(
+                    "internal: a chain count escaped the walk's chain types"
+                )
+            if new != C[name]:
+                C[name] = new
+                changed = True
+    return C

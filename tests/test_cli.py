@@ -15,6 +15,7 @@ import time
 import pytest
 from test_cfpo import oriented_tree
 
+from omegacat import trees
 from omegacat.cfpo import alt
 from omegacat.cli import build_parser, main
 from omegacat.posets import FinPoset, dump_poset, load_poset, validate_tree
@@ -28,6 +29,9 @@ FIRST_PASS = (
     "A = spine Q(a^Q(b))^a with 1 x B at orbit 2\n"
     "B = spine Q(b)^Q(a^Q(b))^c with 1 x B at orbit 3\n"
 )
+# a chain climbs into k = 0, 1, 2, ... copies before it goes up a spine,
+# and each passage Q(a)^a^Q(a) collapses to Q(a)
+SELF_LOOP = "T = spine Q(a)^a^b with 1 x T at orbit 1\n"
 
 CHAIN3_POSET = "node 0\nnode 1\nnode 2\nedge 0 1\nedge 1 2\n"
 V_POSET = "node a\nnode b\nnode r\nedge r a\nedge r b\n"
@@ -296,6 +300,60 @@ def test_tree_table_dense_reports_omega(capsys, files):
     code, out, _ = run(capsys, "tree", "table", f)
     assert code == 0
     assert "cell type=0 pos=0 count=omega\n" in out
+
+
+@pytest.mark.parametrize("cap", ["3", "20"])
+def test_tree_table_counts_a_cycle_of_weight_one_as_omega(capsys, files, cap):
+    # the count x of the type through the root's Q(a) solves x = 1 + x
+    f = files("loop.spec", SELF_LOOP)
+    code, out, err = run(capsys, "tree", "table", f, "--cap", cap)
+    assert (code, err) == (0, "")
+    assert out == (
+        f"cap: {cap}\n"
+        "type 0: [Q(a), a^b]\n"
+        "type 1: [Q(a)]\n"
+        "cell type=0 pos=0 count=omega\n"
+        "cell type=0 pos=1 count=1\n"
+        "cell type=0 pos=2 count=1\n"
+        "cell type=1 pos=0 count=1\n"
+    )
+
+
+def ladder(m, parent_first):
+    """``D<i> = spine a^b with 2 x D<i+1> at orbit 1``, rooted at D0."""
+    lines = [f"D{i} = spine a^b with 2 x D{i + 1} at orbit 1\n" for i in range(m - 1)]
+    lines.append(f"D{m - 1} = spine a^b\n")
+    return "root D0\n" + "".join(lines if parent_first else lines[::-1])
+
+
+def test_tree_table_prepends_each_child_type_once(capsys, files, monkeypatch):
+    # the count system is built once, whatever order the spec lists its
+    # definitions in: one prepend per (edge, child type) pair
+    prepend = trees._seq_prepend
+    calls = []
+
+    def counted(word, t):
+        calls.append(1)
+        return prepend(word, t)
+
+    monkeypatch.setattr(trees, "_seq_prepend", counted)
+    m = 30
+    outs = []
+    for parent_first in (True, False):
+        text = ladder(m, parent_first)
+        analysis = trees._Analysis(trees.parse_spec(text))
+        pairs = sum(
+            len(trees._walk(analysis, e.child).types())
+            for info in analysis.infos.values()
+            for e in info.edges
+        )
+        assert pairs == m - 1
+        calls.clear()
+        code, out, err = run(capsys, "tree", "table", files("ladder.spec", text))
+        assert (code, err) == (0, "")
+        assert len(calls) == pairs
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_tree_table_negative_cap_is_a_value_error(capsys, files):

@@ -7,15 +7,16 @@ checked without an error; the verdict must not change under renaming,
 respelling ``Q(1)`` or adding a definition nothing reaches; and for a
 categorical spec every maximal chain of a small sample must parse as one
 of the symbolic chain types, with the same positions as the recursive
-reference parser.  Random factor words check step (B) of the chain walk's
-termination proof.
+reference parser.  The exact chain counts agree with the saturating
+round-robin oracle up to its cap.  Random factor words check step (B) of
+the chain walk's termination proof.
 """
 
 import random
 import re
 import warnings
 
-from oracles import naive_parse_chain_labels, random_term
+from oracles import naive_counts, naive_parse_chain_labels, random_term
 
 from omegacat.errors import BudgetError, SpecError
 from omegacat.posets import maximal_chains
@@ -31,6 +32,9 @@ from omegacat.terms import (
     render_term,
 )
 from omegacat.trees import (
+    OMEGA,
+    _Analysis,
+    _counts,
     _member_table,
     _parse_chain_labels,
     annotate_R,
@@ -151,6 +155,41 @@ def test_finite_ramification_report_matches_the_table():
             assert len(downs) == 6, types[m]
         tailed += not chains.passed
     assert tailed > SPECS // 10
+
+
+def test_chain_counts_agree_with_the_saturating_rounds():
+    # the oracle's rounds saturate at cap + 1, which on a cycle such as
+    # x = 1 + x they reach short of omega: a count the oracle gives as at
+    # most the cap (or omega) is exact, and cap + 1 means above the cap.
+    # Both raise on the same specs, those whose walk lists only part of an
+    # infinite family
+    rng = random.Random(20261022)
+    above = {"finite": 0, "omega": 0}
+    for _ in range(SPECS):
+        spec = parse(random_spec_text(rng))
+        try:
+            new = _counts(_Analysis(spec))
+        except SpecError as e:
+            assert "escaped the walk's chain types" in str(e)
+            new = None
+        for cap in (0, 3, 20):
+            try:
+                old = naive_counts(_Analysis(spec), cap)
+            except SpecError:
+                assert new is None
+                continue
+            assert new is not None
+            assert old.keys() == new.keys()
+            for name, counts in old.items():
+                assert counts.keys() == new[name].keys()
+                for t, was in counts.items():
+                    now = new[name][t]
+                    if was <= cap or was == OMEGA:
+                        assert now == was, (spec, name, t, cap)
+                    else:
+                        assert was == cap + 1 and now > cap, (spec, name, t, cap)
+                        above["omega" if now == OMEGA else "finite"] += 1
+    assert min(above.values()) > 0, above
 
 
 def test_chain_parse_matches_the_recursive_parser():

@@ -22,6 +22,7 @@ from omegacat.errors import BudgetError, CycleError, NotATreeError, ParseError
 from omegacat.posets import (
     FinPoset,
     _bits,
+    _components,
     all_trees,
     automorphisms,
     covers,
@@ -208,6 +209,51 @@ def test_cycle_error_names_the_first_node_on_a_cycle(graph):
 
     assert outcome(lambda: FinPoset(names, edges).lt) == outcome(
         lambda: naive_closure(names, edges)
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(digraphs(acyclic=False))
+def test_components_are_the_mutual_reachability_classes_in_topological_order(
+    graph,
+):
+    names, edges = graph
+    succ = [[] for _ in names]
+    for x, y in edges:
+        succ[x].append(y)
+    reach = [{x} for x in range(len(names))]  # reflexive-transitive closure
+    for x in range(len(names)):
+        todo = [x]
+        while todo:
+            for y in succ[todo.pop()]:
+                if y not in reach[x]:
+                    reach[x].add(y)
+                    todo.append(y)
+    comp = _components(succ)
+    assert sorted(set(comp)) == list(range(len(set(comp))))
+    for x in range(len(names)):
+        for y in range(len(names)):
+            assert (comp[x] == comp[y]) == (y in reach[x] and x in reach[y])
+    assert all(comp[x] <= comp[y] for x, y in edges)
+
+
+def test_cycle_error_messages_of_both_constructors():
+    def message(build):
+        with pytest.raises(CycleError) as e:
+            build()
+        return str(e.value)
+
+    assert message(lambda: FinPoset([0, 1, 2], [(0, 1), (1, 2), (2, 1)])) == (
+        "cycle through node 1"
+    )
+    assert message(lambda: FinPoset(["a", "b"], [("b", "b")])) == (
+        "cycle through node 'b'"
+    )
+    assert message(lambda: FinPoset._from_forest([-1, 2, 1])) == (
+        "cycle through node 1"
+    )
+    assert message(lambda: FinPoset._from_forest([3, -1, 1, 2, 4])) == (
+        "cycle through node 4"
     )
 
 

@@ -645,5 +645,19 @@ def test_table_counts_points_in_the_sources_own_shuffle_copy():
     assert set(table.realised) == {(OMEGA, (0, 0)), (OMEGA, (0, 1))}
 
 
+def test_sampled_counts_grow_where_the_table_counts_omega():
+    # a chain through the root's lowest point climbs into k = 0, 1, ..., d
+    # copies before it goes up a spine: d + 1 of the sampled chains at
+    # depth d, and omega many in the tree, as Q(a)^a^Q(a) collapses to Q(a)
+    spec = parse_spec("T = spine Q(a)^a^b with 1 x T at orbit 1\n")
+    table = ramification_table(spec, cap=100)
+    assert (OMEGA, (0, 0)) in table.realised
+    assert table.indeterminate == ()
+    for d in range(1, 6):
+        p = materialize_tree(spec, depth=d, width=2)
+        (low,) = [x for x in p.elements if not p.down(x)]
+        assert annotate_R(p, table=table)[low] == frozenset({(d + 1, (0, 0))})
+
+
 def test_math_inf_is_the_omega_marker():
     assert OMEGA == math.inf

@@ -1,7 +1,9 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: ParseError (and bad usage) -> 2,
-BudgetError -> 3; negative verdicts are ordinary results, not errors.
+The CLI (``cli.main``) maps these onto exit codes with one ``error:`` line:
+BudgetError -> 3; ParseError, SpecError, CycleError, NotATreeError, bad
+usage, ValueError and OSError -> 2.  Negative verdicts are ordinary
+results, not errors.
 """
 
 from __future__ import annotations

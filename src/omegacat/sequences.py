@@ -6,32 +6,26 @@ followed by an order-type-omega repetition of a period.  ``[p1, .., pm]``
 alone denotes the finite concatenation.
 
 :func:`normalize_sequence` brings any such presentation to a canonical
-:class:`NfSequence` with one of three tail kinds:
+:class:`NfSequence`: a collapsed prefix word and a period word, the period
+empty when the whole order is denoted by the prefix.  The period ``[1]`` is
+an endless run of uncoloured single points (a discrete tail).
 
-- ``"none"`` — the whole order is denoted by the (normal-form) prefix;
-- ``"ones"`` — the prefix is followed by an endless run of uncoloured
-  single points (a discrete tail);
-- ``"periodic"`` — the prefix is followed by endless repetitions of a
-  non-trivial period.
-
-The only infinite presentations that collapse to ``"none"`` are those whose
-repetition is absorbed by a shuffle: periods whose cyclic factor word
+The only infinite presentations whose period comes out empty are those
+whose repetition is absorbed by a shuffle: periods whose cyclic factor word
 contains a flanked-shuffle collapse across the junction between copies.
 The denoted order has a finite axiomatizable description exactly when the
-tail is ``"none"``.
+period is empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ParseError
 from .terms import (
     Shuffle,
-    Singleton,
     Term,
-    UNCOLOURED,
     _TermParser,
     _down_word,
     _redexes_at,
@@ -48,52 +42,34 @@ from .terms import (
 __all__ = [
     "NfSequence",
     "normalize_sequence",
-    "is_categorical_chain",
     "parse_sequence",
     "render_sequence",
-    "seq_factors",
     "sequence_orbits",
 ]
-
-_ONE = Singleton(UNCOLOURED)
 
 
 @dataclass(frozen=True)
 class NfSequence:
     """Canonical presentation of an eventually periodic concatenation.
 
-    ``prefix`` and ``period`` are tuples of member terms: maximal finite
-    stretches are merged into single factors, so members alternate between
-    finite terms and shuffles, with no two finite members adjacent.
+    ``prefix`` and ``period`` are collapsed factor words: tuples of
+    singletons and shuffles.  An empty ``period`` means no tail; otherwise
+    the prefix is followed by endless repetitions of the period.
     """
 
     prefix: Tuple[Term, ...]
-    tail: str  # "none" | "ones" | "periodic"
-    period: Tuple[Term, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.tail not in ("none", "ones", "periodic"):
-            raise ValueError(f"unknown tail kind {self.tail!r}")
-        if self.tail == "periodic" and not self.period:
-            raise ValueError("periodic tail needs a period")
-        if self.tail != "periodic" and self.period:
-            raise ValueError("only a periodic tail carries a period")
+    period: Tuple[Term, ...] = ()
 
 
-def _members(word: Sequence[Term]) -> List[Term]:
-    """Merge maximal runs of finite factors into single member terms."""
-    out: List[Term] = []
-    run: List[Term] = []
+def _display_members(word: Sequence[Term]) -> List[List[Term]]:
+    """The members a sequence is shown with: each shuffle of ``word``
+    alone, and each maximal run of finite factors together."""
+    out: List[List[Term]] = []
     for f in word:
-        if isinstance(f, Shuffle):
-            if run:
-                out.append(concat(run))
-                run = []
-            out.append(f)
+        if out and not isinstance(f, Shuffle) and not isinstance(out[-1][0], Shuffle):
+            out[-1].append(f)
         else:
-            run.append(f)
-    if run:
-        out.append(concat(run))
+            out.append([f])
     return out
 
 
@@ -197,68 +173,44 @@ def normalize_sequence(
     if per is None:
         if not pre:
             raise ValueError("empty sequence")
-        word = collapse_factors(pre)
-        return NfSequence(tuple(_members(word)), "none")
+        return NfSequence(tuple(collapse_factors(pre)))
     # for the period [1] this strips every trailing 1
     while len(pre) >= len(per) and pre[-len(per) :] == per:
         del pre[-len(per) :]
-    if per == [_ONE]:
-        return NfSequence(tuple(_members(pre)), "ones")
-    return NfSequence(tuple(_members(pre)), "periodic", tuple(_members(per)))
-
-
-def is_categorical_chain(s: NfSequence) -> bool:
-    """Does the denoted order have a finite description that pins it down
-    among countable orders?  Exactly the sequences whose tail collapsed."""
-    return s.tail == "none"
-
-
-def seq_factors(s: NfSequence):
-    """The sequence as a flat factor word: ``(prefix_factors, period_factors)``
-    with ``period_factors = None`` for a tail-free sequence."""
-    pre = [f for m in s.prefix for f in factors(m)]
-    if s.tail == "none":
-        return pre, None
-    if s.tail == "ones":
-        return pre, [_ONE]
-    return pre, [f for m in s.period for f in factors(m)]
+    return NfSequence(tuple(pre), tuple(per))
 
 
 def sequence_orbits(s: NfSequence):
-    """Point orbits of the denoted order that live in the prefix.
-
-    Returns ``(orbits, tail_positions)`` where each orbit is a pair
+    """Point orbits of the denoted order that live in the prefix, as pairs
     ``(down, up)``: ``down`` is the normal-form term of the points at or
     below the position, ``up`` the :class:`NfSequence` of the points
-    strictly above (None when empty).  ``tail_positions`` is True when the
-    sequence has a tail, whose positions form an unbounded family not
-    enumerated here.
+    strictly above (None when empty).  The positions of a period form an
+    unbounded family, not enumerated here.
     """
     orbits = []
-    pre, period = seq_factors(s)
-    start = 0  # where the member's factors begin in the prefix word
-    for member in s.prefix:
-        before = pre[:start]
-        start += len(factors(member))
-        after = pre[start:]
-        for path in orbit_paths(member):
-            down = normalize(concat(before + _down_word(member, path)))
-            up_word = _up_word(member, path) + after
-            if up_word or period is not None:
-                up = normalize_sequence(up_word, period)
+    pre = list(s.prefix)
+    for i, f in enumerate(pre):
+        before, after = pre[:i], pre[i + 1 :]
+        for path in orbit_paths(f):
+            down = normalize(concat(before + _down_word(f, path)))
+            up_word = _up_word(f, path) + after
+            if up_word or s.period:
+                up = normalize_sequence(up_word, s.period)
             else:
                 up = None
             orbits.append((down, up))
-    return orbits, s.tail != "none"
+    return orbits
+
+
+def _render_word(word: Sequence[Term]) -> str:
+    members = _display_members(word)
+    return "[" + ", ".join("^".join(map(render_term, m)) for m in members) + "]"
 
 
 def render_sequence(s: NfSequence) -> str:
-    body = "[" + ", ".join(render_term(m) for m in s.prefix) + "]"
-    if s.tail == "none":
-        return body
-    if s.tail == "ones":
-        return body + " * [1] w"
-    return body + " * [" + ", ".join(render_term(m) for m in s.period) + "] w"
+    if not s.period:
+        return _render_word(s.prefix)
+    return _render_word(s.prefix) + " * " + _render_word(s.period) + " w"
 
 
 def _parse_bracket_list(p: _TermParser) -> List[Term]:

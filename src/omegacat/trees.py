@@ -38,9 +38,9 @@ from .errors import (
 from .posets import FinPoset, _components, _tree_view, maximal_chains
 from .sequences import (
     NfSequence,
+    _display_members,
     normalize_sequence,
     render_sequence,
-    seq_factors,
     sequence_orbits,
 )
 from .terms import (
@@ -558,7 +558,7 @@ def _cut(path, taken: List[_Edge], e: _Edge):
     for i in reversed(range(len(path))):
         if path[i][0] == e.child:
             lasso = _close(taken, i, e)
-            if lasso[2].tail != "none":
+            if lasso[2].period:
                 return lasso
     return None
 
@@ -616,16 +616,15 @@ def _growth_pair(analysis: _Analysis, walk: _Walk):
 
 def _exits(analysis: _Analysis, name: str, cycle):
     """Ways to finish a chain from a copy of ``name`` without taking an
-    edge of ``cycle``, as ``(word, period or None)``.  No two edges are
-    equal: the parser rejects a repeated (site, child) rule."""
+    edge of ``cycle``, as ``(word, period)``.  No two edges are equal: the
+    parser rejects a repeated (site, child) rule."""
     info = analysis.infos[name]
     if info.terminal_valid:
-        yield list(info.terminal_word), None
+        yield list(info.terminal_word), ()
     for e in info.edges:
         if e not in cycle:
             for t in _walk(analysis, e.child).types():
-                pre, per = seq_factors(t)
-                yield list(e.word) + pre, per
+                yield list(e.word) + list(t.prefix), t.period
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +637,7 @@ def _mul(a, b):
 
 
 def _seq_prepend(word, t: NfSequence) -> NfSequence:
-    pre, per = seq_factors(t)
-    return normalize_sequence(list(word) + pre, per)
+    return normalize_sequence(list(word) + list(t.prefix), t.period)
 
 
 def _counts(analysis: _Analysis) -> Dict[str, Dict[NfSequence, object]]:
@@ -742,10 +740,9 @@ def _class_cells(analysis, C, tindex, torbits, name, ctx, site):
             continue
         if t2 is None:
             pre2: List[Term] = list(link)
-            per2 = None
+            per2: Tuple[Term, ...] = ()
         else:
-            tp, tq = seq_factors(t2)
-            pre2, per2 = list(link) + tp, tq
+            pre2, per2 = list(link) + list(t2.prefix), t2.period
         full = normalize_sequence(d_word + pre2, per2)
         m = tindex.get(full)
         if m is None:
@@ -753,13 +750,12 @@ def _class_cells(analysis, C, tindex, torbits, name, ctx, site):
                 "internal: a composed chain type escaped the enumerated family"
             )
         up = normalize_sequence(pre2, per2) if (pre2 or per2) else None
-        entries, tailpos = torbits[m]
-        for n_pos, (edown, eup) in enumerate(entries):
+        for n_pos, (edown, eup) in enumerate(torbits[m]):
             if edown == down_x and eup == up:
                 cells[(m, n_pos)] = cells.get((m, n_pos), 0) + cnt
                 break
         else:
-            if not tailpos:
+            if not full.period:
                 raise SpecError(
                     "internal: a point matched no position of its chain type"
                 )
@@ -800,7 +796,7 @@ def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
         ),
         cap=cap,
         indeterminate=tuple(sorted(indeterminate)),
-        unbounded=tuple(i for i, t in enumerate(types) if t.tail != "none"),
+        unbounded=tuple(i for i, t in enumerate(types) if t.period),
     )
 
 
@@ -850,7 +846,7 @@ def check_categorical(spec: TreeSpec) -> Verdict:
     types = walk.types()
     growth = _growth_pair(analysis, walk)
 
-    bad = next((t for t in types if t.tail != "none"), None)
+    bad = next((t for t in types if t.period), None)
     r_chains = _report(
         "chains-categorical", bad is not None, bad,
         "a maximal chain realises a type with an infinite tail",
@@ -1030,26 +1026,27 @@ def _word_key(word):
 
 
 def _member_table(t: NfSequence):
-    """One row per member of ``t``, prefix first and then period (a
-    ``"ones"`` tail is the period ``[1]``), and the index of the first
-    period row.  A row is (finite?, the leaf label word of a finite member
-    or the label -> first-leaf map of a dense one, base position)."""
-    period = (Singleton(UNCOLOURED),) if t.tail == "ones" else t.period
+    """One row per member of ``t`` as it is shown (each shuffle alone, each
+    run of finite factors together), prefix first and then period, and the
+    index of the first period row.  A row is (finite?, the leaf label word
+    of a finite member or the label -> first-leaf map of a dense one, base
+    position)."""
+    prefix = _display_members(t.prefix)
     rows = []
     base = 0
-    for member in t.prefix + period:
-        tags = [subterm_at(member, q).tag for q in orbit_paths(member)]
+    for member in prefix + _display_members(t.period):
+        tags = [subterm_at(f, q).tag for f in member for q in orbit_paths(f)]
         # each leaf's point label: (colour or None, irrational?)
         data = [
             (None if tag in (IRRATIONAL, UNCOLOURED) else tag, tag == IRRATIONAL)
             for tag in tags
         ]
-        finite = is_finite(member)
+        finite = all(map(is_finite, member))
         if not finite:  # each label to its first leaf
             data = {lab: data.index(lab) for lab in data}
         rows.append((finite, data, base))
         base += len(tags)
-    return rows, len(t.prefix)
+    return rows, len(prefix)
 
 
 def _parse_chain_labels(labels, members, sparse: bool = False):

@@ -690,6 +690,18 @@ def _leaf_count(member: Term) -> int:
     return len(orbit_paths(member))
 
 
+def _naive_members(word) -> List[Term]:
+    """The members of a factor word: each shuffle alone, and each maximal
+    run of singletons merged into one concatenation."""
+    out: List[Term] = []
+    for f in word:
+        if isinstance(f, Singleton) and out and is_finite(out[-1]):
+            out[-1] = concat([out[-1], f])
+        else:
+            out.append(f)
+    return out
+
+
 def naive_parse_chain_labels(labels, t: NfSequence, sparse: bool = False):
     """Assign an orbit position of ``t`` to every token of a chain label
     word, or None when the word is not a (possibly truncated) instance.
@@ -700,13 +712,8 @@ def naive_parse_chain_labels(labels, t: NfSequence, sparse: bool = False):
     matches are resolved leftmost-shortest.  Tail members cycle, reusing
     their position block.
     """
-    pre_members = list(t.prefix)
-    if t.tail == "none":
-        per_members: List[Term] = []
-    elif t.tail == "ones":
-        per_members = [Singleton(UNCOLOURED)]
-    else:
-        per_members = list(t.period)
+    pre_members = _naive_members(t.prefix)
+    per_members = _naive_members(t.period)
     pre_info = [_member_leaf_info(m) for m in pre_members]
     per_info = [_member_leaf_info(m) for m in per_members]
     pre_base = [0]

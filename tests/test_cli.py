@@ -283,6 +283,36 @@ def test_tree_chains_v(capsys, files):
     assert (code, out) == (0, "[1^1]\n")
 
 
+FINITE_RUNS = (
+    "A = spine 1^1^Q(a) with 1 x B at orbit 1\n"
+    "B = spine b^c^Q(d)^e with 1 x B at orbit 3, 1 x C at orbit 0\n"
+    "C = spine f^g\n"
+)
+
+
+def test_tree_chains_and_check_show_finite_runs_as_one_member(capsys, files):
+    # runs of finite factors print as one member, in a prefix, in a period
+    # and in both types of the family witness
+    f = files("runs.spec", FINITE_RUNS)
+    code, out, err = run(capsys, "tree", "chains", f)
+    assert (code, err) == (0, "")
+    assert out == (
+        "[1^1, Q(a)]\n"
+        "[1^1^b^c] * [Q(d), e^b^c] w\n"
+        "[1^1^b^f^g]\n"
+    )
+    code, out, err = run(capsys, "tree", "check", f)
+    assert (code, err) == (1, "")
+    assert out == (
+        "categorical: no — chain [1^1^b^c] * [Q(d), e^b^c] w is not a term\n"
+        "condition finite-ramification: fail\n"
+        "condition chains-categorical: fail witness "
+        "[1^1^b^c] * [Q(d), e^b^c] w\n"
+        "condition finite-chain-family: fail witness "
+        "[1^1^b^c, Q(d), e^b^c, Q(d), e^b^f^g] vs [1^1^b^c, Q(d), e^b^f^g]\n"
+    )
+
+
 def test_tree_table_v_golden(capsys, files):
     f = files("v.spec", VSPEC)
     code, out, _ = run(capsys, "tree", "table", f)

@@ -20,7 +20,7 @@ from oracles import naive_counts, naive_parse_chain_labels, random_term
 
 from omegacat.errors import BudgetError, SpecError
 from omegacat.posets import maximal_chains
-from omegacat.sequences import normalize_sequence, seq_factors
+from omegacat.sequences import normalize_sequence
 from omegacat.terms import (
     Shuffle,
     Singleton,
@@ -146,11 +146,11 @@ def test_finite_ramification_report_matches_the_table():
             continue
         table = ramification_table(spec)
         types, unbounded = table.chain_types, table.unbounded
-        assert all(types[m].tail != "none" for m in unbounded)
+        assert all(types[m].period for m in unbounded)
         assert ram.passed == (not unbounded)
         assert ram.witness == (types[unbounded[0]] if unbounded else None)
         for m in unbounded:
-            pre, per = seq_factors(types[m])
+            pre, per = list(types[m].prefix), list(types[m].period)
             downs = {normalize_sequence(pre + per * k) for k in range(1, 7)}
             assert len(downs) == 6, types[m]
         tailed += not chains.passed
@@ -248,7 +248,7 @@ def test_absorbed_words_collapse_to_boundedly_many_factors():
     absorbed = 0
     for _ in range(10_000):
         word = rng.choices(WORD_FACTORS, k=rng.randint(1, 10))
-        if normalize_sequence([], word).tail != "none":
+        if normalize_sequence([], word).period:
             continue
         absorbed += 1
         shuffles = [f for f in word if isinstance(f, Shuffle)]

@@ -16,14 +16,14 @@ from oracles import naive_periodic_pipeline
 
 from omegacat.sequences import (
     NfSequence,
+    _display_members,
     _periodic_pipeline,
-    is_categorical_chain,
     normalize_sequence,
     parse_sequence,
     render_sequence,
 )
 from omegacat.terms import (
-    Singleton,
+    Concat,
     collapse_factors,
     is_finite,
     is_normal,
@@ -46,43 +46,40 @@ def norm(prefix, period=None):
 
 def test_shuffle_period_collapses_into_prefix():
     s = norm(["Q(1)"], ["Q(1)"])
-    assert s.tail == "none"
+    assert s.period == ()
     assert [render_term(m) for m in s.prefix] == ["Q(1)"]
 
 
 def test_all_ones_tail():
     s = norm([], ["1"])
-    assert s.prefix == () and s.tail == "ones"
+    assert s == NfSequence((), (t("1"),))
     assert norm([], ["1", "1"]) == s  # primitive root
     assert norm(["1", "1"], ["1"]) == s  # leading ones absorbed into the tail
 
 
 def test_junction_collapse_gives_finite_sequence():
     s = norm(["1^Q(1)"], ["1^Q(1)"])
-    assert s.tail == "none"
+    assert s.period == ()
     assert [render_term(m) for m in s.prefix] == ["1", "Q(1)"]
 
 
 def test_irreducible_period_stays_periodic():
     s = norm([], ["1^1^Q(a)"])
-    assert s.tail == "periodic"
-    assert [render_term(m) for m in s.prefix] == ["1^1"]
-    assert [render_term(m) for m in s.period] == ["Q(a)", "1^1"]
+    assert [render_term(f) for f in s.prefix] == ["1", "1"]
+    assert [render_term(f) for f in s.period] == ["Q(a)", "1", "1"]
 
 
 def test_idempotent_but_noncollapsing_period():
     # period Q(a)^b^Q(a): the doubled word collapses back onto itself, yet the
     # omega power is (Q(a)^b)^omega, which keeps a genuine periodic tail.
     s = norm([], ["Q(a)^b^Q(a)"])
-    assert s.tail == "periodic"
     assert s.prefix == ()
-    assert [render_term(m) for m in s.period] == ["Q(a)", "b"]
+    assert [render_term(f) for f in s.period] == ["Q(a)", "b"]
 
 
 def test_singleton_coloured_period_stays():
     s = norm([], ["a"])
-    assert s.tail == "periodic"
-    assert [render_term(m) for m in s.period] == ["a"]
+    assert s == NfSequence((), (t("a"),))
 
 
 def test_rotated_presentations_normalize_identically():
@@ -96,7 +93,7 @@ FACTORS = [t(x) for x in "1 a b Q(1) Q(a) Q(b) Q(1,a) Q(a,b) Q(1,a,b)".split()]
 
 def collapses_for_every_rotation_or_none(word):
     collapsed = {
-        normalize_sequence([], word[i:] + word[:i]).tail == "none"
+        not normalize_sequence([], word[i:] + word[:i]).period
         for i in range(len(word))
     }
     return len(collapsed) == 1
@@ -105,7 +102,7 @@ def collapses_for_every_rotation_or_none(word):
 def test_collapse_of_a_period_is_invariant_under_rotation():
     # The growth search pumps each closed walk from its first definition
     # only; that relies on every rotation of a walk's word collapsing
-    # (tail "none") or none of them.
+    # (an empty period) or none of them.
     for n in range(1, 4):
         for word in itertools.product(FACTORS, repeat=n):
             assert collapses_for_every_rotation_or_none(word), word
@@ -121,7 +118,7 @@ def test_a_period_of_200_collapses_needs_no_step_limit():
     # each adjacent pair Q(ci)^Q(ci) collapses: 200 collapses in one period
     shuffles = [t(f"Q(c{i})") for i in range(200)]
     s = normalize_sequence([t("a")], [q for q in shuffles for _ in range(2)])
-    assert s == NfSequence((t("a"),), "periodic", tuple(shuffles))
+    assert s == NfSequence((t("a"),), tuple(shuffles))
 
 
 # normal single factors: nested shuffles and concatenated constituents
@@ -149,8 +146,9 @@ def test_two_loop_pipeline_matches_the_one_loop_reference():
 
 def test_finite_sequences_merge_finite_runs():
     s = norm(["1", "1", "Q(1)", "1"], None)
-    assert s.tail == "none"
-    assert [render_term(m) for m in s.prefix] == ["1^1", "Q(1)", "1"]
+    assert s == NfSequence((t("1"), t("1"), t("Q(1)"), t("1")))
+    assert render_sequence(s) == "[1^1, Q(1), 1]"
+    assert _display_members(s.prefix) == [[t("1"), t("1")], [t("Q(1)")], [t("1")]]
 
 
 def test_empty_sequence_rejected():
@@ -162,25 +160,33 @@ def test_empty_sequence_rejected():
 
 
 def test_members_are_normal_and_no_adjacent_finite_members():
+    # the words hold normal factors, no concatenation; the display members
+    # split each word into shuffles alone and maximal runs of finite factors
     cases = [
         (["1", "1", "Q(a)"], None),
         ([], ["1^1^Q(a)"]),
         (["Q(1)"], ["1^Q(1)"]),
         (["a", "b"], ["Q(a,b)"]),
+        (["a^Q(a)^Q(b)^b^c"], ["Q(c)^1^a^Q(a)"]),
     ]
     for prefix, period in cases:
         s = norm(prefix, period)
-        members = list(s.prefix) + list(s.period)
-        assert all(is_normal(m) for m in members)
-        for x, y in zip(s.prefix, s.prefix[1:]):
-            if is_finite(x):
-                assert not is_finite(y)
+        for word in (s.prefix, s.period):
+            assert all(is_normal(f) and not isinstance(f, Concat) for f in word)
+            members = _display_members(word)
+            assert [f for m in members for f in m] == list(word)
+            for m in members:
+                assert all(map(is_finite, m)) or len(m) == 1
+            for x, y in zip(members, members[1:]):
+                assert not (is_finite(x[-1]) and is_finite(y[0]))
 
 
 def test_is_categorical_chain():
-    assert is_categorical_chain(norm(["Q(1)"], None))
-    assert not is_categorical_chain(norm([], ["1"]))
-    assert not is_categorical_chain(norm([], ["1^1^Q(a)"]))
+    # a chain type is categorical exactly when no period is left
+    assert norm(["Q(1)"], None).period == ()
+    assert norm(["Q(1)"], ["1^Q(1)"]).period == ()
+    assert norm([], ["1"]).period
+    assert norm([], ["1^1^Q(a)"]).period
 
 
 # -------------------------------------------------------------- rendering
@@ -199,6 +205,6 @@ def test_render_formats():
 
 def test_parse_sequence_normalizes():
     s = parse_sequence("[Q(1)] * [1^Q(1)] w")
-    assert s.tail == "none"
+    assert s.period == ()
     assert [render_term(m) for m in s.prefix] == ["Q(1)"]
 

@@ -72,6 +72,11 @@ def t(text):
     return parse_term(text)
 
 
+def word(text):
+    """The factor word of a term, as a chain type holds it."""
+    return factors(t(text))
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -154,28 +159,28 @@ def test_degenerate_cut_same_materialization():
 
 
 def test_chain_types_single_dense_spine():
-    assert chain_types(parse_spec(Q1)) == [NfSequence((t("Q(1)"),), "none")]
+    assert chain_types(parse_spec(Q1)) == [NfSequence(word("Q(1)"))]
 
 
 def test_chain_types_omega_spec_is_all_ones_tail():
-    assert chain_types(parse_spec(OMEGA_SPEC)) == [NfSequence((), "ones")]
+    assert chain_types(parse_spec(OMEGA_SPEC)) == [NfSequence((), word("1"))]
 
 
 def test_chain_types_dense_recursion_collapses():
-    assert chain_types(parse_spec(DENSE)) == [NfSequence((t("Q(1)"),), "none")]
+    assert chain_types(parse_spec(DENSE)) == [NfSequence(word("Q(1)"))]
 
 
 def test_chain_types_binary_recursion_collapses():
-    assert chain_types(parse_spec(BINARY)) == [NfSequence((t("Q(1)"),), "none")]
+    assert chain_types(parse_spec(BINARY)) == [NfSequence(word("Q(1)"))]
 
 
 def test_chain_types_v_spec():
-    assert chain_types(parse_spec(VSPEC)) == [NfSequence((t("1^1"),), "none")]
+    assert chain_types(parse_spec(VSPEC)) == [NfSequence(word("1^1"))]
 
 
 def test_chain_types_cut_spec_inserts_irrational_point():
     assert chain_types(parse_spec(CUT)) == [
-        NfSequence((t("Q(1)"), t("I^1")), "none")
+        NfSequence(word("Q(1)^I^1"))
     ]
 
 
@@ -188,13 +193,13 @@ def test_chain_types_mixed_escape_family():
     # that never loops and the endless loop; pumping the loop once and twice
     # before leaving for B gives the family witness
     assert chain_types(spec) == [
-        NfSequence((t("1"), t("Q(1)")), "none"),
-        NfSequence((), "ones"),
+        NfSequence(word("1^Q(1)")),
+        NfSequence((), word("1")),
     ]
     family = check_categorical(spec).condition_reports[2]
     assert family.witness == (
-        NfSequence((t("1^1"), t("Q(1)")), "none"),
-        NfSequence((t("1^1^1"), t("Q(1)")), "none"),
+        NfSequence(word("1^1^Q(1)")),
+        NfSequence(word("1^1^1^Q(1)")),
     )
 
 
@@ -276,7 +281,7 @@ def test_checker_omega_spec_no_with_ones_witness():
     assert v.categorical is False
     chain_report = v.condition_reports[1]
     assert chain_report.passed is False
-    assert chain_report.witness == NfSequence((), "ones")
+    assert chain_report.witness == NfSequence((), word("1"))
 
 
 def test_checker_escape_family_fails_finiteness():
@@ -610,8 +615,8 @@ def test_annotate_with_table_parses_copies_below_the_lowest_sampled_point():
     spec = parse_spec("A = spine Q(a) with omega x B at orbit 0\nB = spine 1\n")
     table = ramification_table(spec)
     assert table.chain_types == (
-        NfSequence((t("Q(a)"), t("a^1")), "none"),
-        NfSequence((t("Q(a)"),), "none"),
+        NfSequence(word("Q(a)^a^1")),
+        NfSequence(word("Q(a)")),
     )
     p = materialize_tree(spec, depth=2, width=2, seed=0)
     ann = annotate_R(p, table=table)
@@ -641,7 +646,7 @@ def test_table_counts_points_in_the_sources_own_shuffle_copy():
     spec = parse_spec("A = spine Q(b^b) with 2 x A at orbit 1\n")
     assert check_categorical(spec).categorical is True
     table = ramification_table(spec)
-    assert table.chain_types == (NfSequence((t("Q(b^b)"),), "none"),)
+    assert table.chain_types == (NfSequence(word("Q(b^b)")),)
     assert set(table.realised) == {(OMEGA, (0, 0)), (OMEGA, (0, 1))}
 
 

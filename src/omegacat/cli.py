@@ -210,9 +210,8 @@ def _cmd_tree_orbit2(args) -> int:
     if not ok:
         _emit("inequivalent\n")
         return 1
-    _emit("equivalent\n")
-    for phase, a, b in trace:
-        _emit(f"{phase} {a} -> {b}\n")
+    lines = ["equivalent"] + [f"{phase} {a} -> {b}" for phase, a, b in trace]
+    _emit("\n".join(lines) + "\n")
     return 0
 
 

@@ -366,12 +366,13 @@ def _tree_violations(p: FinPoset):
     # only nodes at or above a fork of lower covers have a closed down-set
     # that is not a chain, so only they can fail axiom 1
     forks = _forks(p, p._lower)
-    for z in range(len(els)):
-        below = down[z] | 1 << z
-        if below & forks:
-            for x, y in itertools.combinations(_bits(below), 2):
-                if not (up[x] | down[x]) >> y & 1:
-                    yield ("down-linearity", (els[x], els[y], els[z]))
+    if forks:
+        for z in range(len(els)):
+            below = down[z] | 1 << z
+            if below & forks:
+                for x, y in itertools.combinations(_bits(below), 2):
+                    if not (up[x] | down[x]) >> y & 1:
+                        yield ("down-linearity", (els[x], els[y], els[z]))
     # a single minimal element is a common lower bound of every pair
     if sum(1 for m in down if not m) != 1:
         for x, y in itertools.combinations(range(len(els)), 2):
@@ -393,13 +394,19 @@ def _tree_view(p: FinPoset) -> tuple:
             raise NotATreeError(f"not a tree: {violation}")
         depth = {v: m.bit_count() for v, m in zip(p.elements, p._down)}
         order = sorted(p.elements, key=depth.__getitem__)
+        colour, irrational, upper = p.colour, p.irrational, p._upper
         code: dict = {}
         kids: dict = {}
         ids: dict = {}
         for v in reversed(order):
-            # a stable sort of the covers, which are in node order
-            kids[v] = sorted(p._upper[v], key=code.__getitem__)
-            key = (p.label(v), tuple(code[c] for c in kids[v]))
+            cs = upper[v]
+            # a stable sort of two or more covers, which are in node order;
+            # fewer are kept as the cover list itself, as nothing writes
+            # the cover lists or these child lists
+            if len(cs) > 1:
+                cs = sorted(cs, key=code.__getitem__)
+            kids[v] = cs
+            key = (colour.get(v), v in irrational, tuple(map(code.__getitem__, cs)))
             code[v] = ids.setdefault(key, len(ids))
         p._tree = depth, order, code, kids
     return p._tree

@@ -442,10 +442,13 @@ class _Walk:
     states: set
     terminals: set
     lassos: List[_Lasso]
+    # the terminal and lasso types sorted by rendering, once the walk ends
+    ordered: Optional[List[NfSequence]] = None
 
     def types(self) -> List[NfSequence]:
-        found = self.terminals | {lasso.type for lasso in self.lassos}
-        return sorted(found, key=render_sequence)
+        """The walk's types sorted by rendering, sorted once per walk: the
+        callers ask each walk many times and none writes the list."""
+        return self.ordered
 
 
 def _word(edges) -> List[Term]:
@@ -541,6 +544,8 @@ def _walk(analysis: _Analysis, start: str) -> _Walk:
         path.append(nxt)
         taken.append(e)
         frames.append(iter(_enter(analysis, walk, nxt)))
+    found = walk.terminals | {lasso.type for lasso in walk.lassos}
+    walk.ordered = sorted(found, key=render_sequence)
     analysis.walks[start] = walk
     return walk
 
@@ -952,7 +957,7 @@ def materialize_tree(
     _check_sample_size(analysis, depth, width)
 
     def layout(key):
-        """A copy's own points, numbered from 0: each one's parent (None for
+        """A copy's own points, numbered from 0: each one's parent (-1 for
         the lowest, which hangs above the copy's attachment point), the
         coloured and the irrational points, and the copies hung above
         them in spec order, as ``(key, their attachment point)``."""
@@ -983,7 +988,7 @@ def materialize_tree(
                 at[("cut", j)] = size
                 als.append(size)
                 size += 1
-        up: List[Optional[int]] = [None] * size
+        up = [-1] * size
         for a, b in zip(als, als[1:]):
             up[b] = a
         copies = []
@@ -1006,11 +1011,16 @@ def materialize_tree(
         if key not in layouts:
             layouts[key] = layout(key)
         up, coloured, irr, copies = layouts[key]
+        # stamp the layout at offset ``first``: one comprehension for the
+        # parents and plain loops for the rest, as a sample has many copies
         first = len(parent)
-        parent.extend(attach if u is None else first + u for u in up)
-        colour.update((first + g, tag) for g, tag in coloured)
-        irrational.extend(first + g for g in irr)
-        stack.extend((kid, first + at) for kid, at in reversed(copies))
+        parent += [attach if u < 0 else first + u for u in up]
+        for g, tag in coloured:
+            colour[first + g] = tag
+        for g in irr:
+            irrational.append(first + g)
+        for kid, at in reversed(copies):
+            stack.append((kid, first + at))
     return FinPoset._from_forest(parent, colour, irrational)
 
 
@@ -1205,11 +1215,14 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     # of its image, keeping labels: starting from the root, it is a
     # bijection carrying covers onto covers, an automorphism, since the
     # order is the transitive closure of its covers.
+    # A childless point's image has its code, so is childless too: there
+    # is nothing to match above either.
     pinned_targets = set(base1)
     assign = dict(pin)
     for u in order:
-        free = [c for c in kids[assign[u]] if c not in pinned_targets]
-        assign.update(zip([c for c in kids[u] if c not in pin], free))
+        if kids[u]:
+            free = [c for c in kids[assign[u]] if c not in pinned_targets]
+            assign.update(zip([c for c in kids[u] if c not in pin], free))
 
     trace = tuple(("base", a, assign[a]) for a in base0) + tuple(
         ("even" if depth[v] % 2 == 0 else "odd", v, assign[v])

@@ -41,6 +41,10 @@
 - chain counts by round-robin rounds in the lattice ``0..cap+1, omega``
   until nothing changes, the reference for the one pass over strongly
   connected components of ``trees._counts``
+- subtree codes with a label call, a sort and a list copy per point, and
+  the two-orbit matcher that visits every point, childless ones too, the
+  references for the flat passes of ``posets._tree_view`` and
+  ``trees.two_orbit_equiv``
 """
 
 from __future__ import annotations
@@ -974,3 +978,59 @@ def naive_counts(analysis: _Analysis, cap: int) -> Dict[str, dict]:
                 C[name] = new
                 changed = True
     return C
+
+
+# ---------------------------------------------------------------------------
+# subtree codes and the two-orbit matcher with a call, a sort and a copy
+# per point
+
+
+def naive_tree_view(p: FinPoset) -> tuple:
+    """``(depth, order, code, kids)`` of the tree ``p``, as
+    ``posets._tree_view`` gives them, built afresh on each call: each
+    point's code numbers its key (label, child codes in code order) by
+    first appearance, children before parents.  ``p`` must be a tree."""
+    depth = {v: len(p.down(v)) for v in p.elements}
+    order = sorted(p.elements, key=depth.__getitem__)
+    code: dict = {}
+    kids: dict = {}
+    ids: dict = {}
+    for v in reversed(order):
+        # a stable sort of the covers, which are in node order
+        kids[v] = sorted(p._upper[v], key=code.__getitem__)
+        key = (p.label(v), tuple(code[c] for c in kids[v]))
+        code[v] = ids.setdefault(key, len(ids))
+    return depth, order, code, kids
+
+
+def naive_two_orbit_equiv(p: FinPoset, pair0, pair1):
+    """``(answer, trace)`` of ``trees.two_orbit_equiv`` with no
+    annotations: pin the base chains from the root up to ``y0`` and
+    ``y1``, then send each point's children off the base chain, in code
+    order, to its image's children that are no pin targets, every point in
+    turn, the childless ones too."""
+    depth, order, code, kids = naive_tree_view(p)
+    (x0, y0), (x1, y1) = pair0, pair1
+    base0, base1 = [y0], [y1]
+    for chain in (base0, base1):
+        while p._lower[chain[-1]]:
+            chain.append(p._lower[chain[-1]][0])
+        chain.reverse()
+    if len(base0) != len(base1):
+        return False, ()
+    pin = dict(zip(base0, base1))
+    if pin[x0] != x1:
+        return False, ()
+    if any(code[a] != code[b] for a, b in pin.items()):
+        return False, ()
+    pinned_targets = set(base1)
+    assign = dict(pin)
+    for u in order:
+        free = [c for c in kids[assign[u]] if c not in pinned_targets]
+        assign.update(zip([c for c in kids[u] if c not in pin], free))
+    trace = tuple(("base", a, assign[a]) for a in base0) + tuple(
+        ("even" if depth[v] % 2 == 0 else "odd", v, assign[v])
+        for v in order
+        if v not in pin
+    )
+    return True, trace

@@ -15,6 +15,7 @@ from oracles import (
     cones_above,
     naive_initial_segment,
     naive_materialize_tree,
+    naive_two_orbit_equiv,
     poset_fields,
     random_term,
 )
@@ -201,6 +202,34 @@ def test_chain_types_mixed_escape_family():
         NfSequence(word("1^1^Q(1)")),
         NfSequence(word("1^1^1^Q(1)")),
     )
+
+
+def test_each_walk_sorts_its_types_once(monkeypatch):
+    # the growth check, the counts and the table ask each walk for its
+    # types again and again; the walk sorts them by rendering once, when
+    # it ends
+    sorts = []
+
+    def counted(items, key=None, reverse=False):
+        if key is trees.render_sequence:
+            sorts.append(items)
+        return sorted(items, key=key, reverse=reverse)
+
+    monkeypatch.setattr(trees, "sorted", counted, raising=False)
+    spec = parse_spec(
+        "A = spine Q(a) with 1 x B at orbit 0, 2 x C at orbit 0\n"
+        "B = spine b with omega x B at orbit 0\n"
+        "C = spine Q(c)\n"
+    )
+    analysis = trees._Analysis(spec)
+    walk = trees._walk(analysis, analysis.root)
+    assert any(lasso.cut for lasso in walk.lassos)
+    assert trees._growth_pair(analysis, walk) is None
+    trees._counts(analysis)
+    assert sorted(analysis.walks) == ["A", "B", "C"]
+    for w in analysis.walks.values():
+        assert w.types() is w.types()
+    assert len(sorts) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +627,60 @@ def test_two_orbit_symmetry():
     a, _ = two_orbit_equiv(p, (0, 1), (0, 2))
     b, _ = two_orbit_equiv(p, (0, 2), (0, 1))
     assert a == b
+
+
+# the three spec shapes of the tree-orbits benchmark workload
+ORBIT_SHAPES = (
+    "T = spine Q(d) with omega x T at orbit 0\n",
+    "A = spine Q(a,d) with omega x B at orbit 0, 2 x A at orbit 1\n"
+    "B = spine b^Q(c)\n",
+    "A = spine Q(d)^Q(a) with 2 x B at cut 0, omega x A at orbit 1\n"
+    "B = spine b\n",
+)
+
+
+def test_two_orbit_traces_match_the_per_point_reference_on_samples():
+    # the answer and the whole trace, in order, are what `tree orbit2`
+    # prints: a change of child order or pairing shows here, though the
+    # trace would still be an automorphism
+    rng = random.Random(7)
+    equivalent = 0
+    for text in ORBIT_SHAPES:
+        spec = parse_spec(text)
+        for depth in (1, 2, 3):
+            for width in (2, 3):
+                for seed in (0, 1):
+                    p = materialize_tree(spec, depth, width, seed)
+                    pairs = sorted((a, b) for a in p.elements for b in p.up(a))
+                    level = {}
+                    for a, b in pairs:
+                        key = (len(p.down(a)), len(p.down(b)))
+                        level.setdefault(key, []).append((a, b))
+                    for i in range(16):
+                        q0 = rng.choice(pairs)
+                        if i % 2 == 0:
+                            q1 = q0
+                        elif i % 4 == 1:
+                            q1 = rng.choice(pairs)
+                        else:  # a pair at the same levels, often equivalent
+                            x0, y0 = q0
+                            q1 = rng.choice(level[len(p.down(x0)), len(p.down(y0))])
+                        got = two_orbit_equiv(p, q0, q1)
+                        assert got == naive_two_orbit_equiv(p, q0, q1), (
+                            text, depth, width, seed, q0, q1,
+                        )
+                        equivalent += got[0] and q0 != q1
+    assert equivalent >= 50
+
+
+def test_two_orbit_traces_match_the_per_point_reference_on_all_small_trees():
+    for p in all_trees(6):
+        pairs = [(a, b) for a in p.elements for b in p.elements if p.less(a, b)]
+        for q0 in pairs:
+            for q1 in pairs:
+                assert two_orbit_equiv(p, q0, q1) == naive_two_orbit_equiv(
+                    p, q0, q1
+                ), (p.lt, q0, q1)
 
 
 def test_annotate_with_symbolic_table():

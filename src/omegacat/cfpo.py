@@ -22,39 +22,24 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from .errors import BudgetError
 from .posets import FinPoset, _bits, _common_bounds, _forest_view, _forks, covers, node_key
 
 __all__ = [
     "AMBIGUOUS",
-    "AltPattern",
     "join",
     "path_completion",
     "path",
     "validate_cfpo",
     "alt",
-    "embeds_alt",
     "alt_rank",
 ]
 
 AMBIGUOUS = "ambiguous"
 
 _MAX_COMPLETION_POINTS = 4096
-
-
-@dataclass(frozen=True)
-class AltPattern:
-    """The alternating zigzag on ``length`` points, or its reversal."""
-
-    length: int
-    reversed: bool = False
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("pattern length must be >= 1")
 
 
 def _require(p: FinPoset, *xs):
@@ -360,17 +345,19 @@ def alt(n: int, reversed: bool = False) -> FinPoset:
     return FinPoset(list(range(n)), pairs)
 
 
-def _zigzag(p: FinPoset, reversed: bool, cap: int, left):
-    """The first longest induced zigzag of one orientation and at most
-    ``cap`` points that a depth-first search meets, as positions, and the
-    budget left: a unit per candidate tried, negative if it ran out.
+def _zigzag(p: FinPoset, reversed: bool, left):
+    """The first longest induced zigzag of one orientation that a
+    depth-first search meets, as positions, and the budget left: a unit per
+    candidate tried, negative if it ran out.  The search stops at once when
+    a zigzag takes every point of ``p``.
 
     Position ``i`` takes, in node order, the points of image ``i - 1``'s
     cone (up for even ``i`` unless ``reversed``) that are incomparable to
     the images before it.  That reads only earlier positions, so prefixes
     of zigzags are zigzags, and the search for ``n`` points alone walks
     this tree cut at depth ``n`` in the same order: it returns the first
-    ``n``-point zigzag met here, and tries the same candidates if ``n = cap``."""
+    ``n``-point zigzag met here, and tries the same candidates if
+    ``n = len(p)``."""
     near = [u | d | 1 << i for i, (u, d) in enumerate(zip(p._up, p._down))]
     img, best = [], []
     # per position i: its untried candidates, and near's OR over images before i - 1
@@ -391,27 +378,11 @@ def _zigzag(p: FinPoset, reversed: bool, cap: int, left):
         img.append(z)
         if i == len(best):
             best = img[:]
-            if i + 1 == cap:
+            if i + 1 == len(p):
                 break
         cone = p._up if (i % 2 == 1) != reversed else p._down
         stack.append((iter(_bits(cone[z])), before | near[img[i - 1]] if i else 0))
     return best, left
-
-
-def embeds_alt(
-    p: FinPoset, pattern: AltPattern, budget: Optional[int] = None
-) -> Optional[Dict]:
-    """An induced embedding of the pattern zigzag into ``p`` as a map
-    from pattern position to node, or None.  Comparabilities and
-    incomparabilities are both preserved.  ``budget`` bounds the number
-    of candidate placements tried (BudgetError beyond it)."""
-    left = float("inf") if budget is None else budget
-    best, left = _zigzag(p, pattern.reversed, pattern.length, left)
-    if left < 0:
-        raise BudgetError("embedding search budget exhausted")
-    if len(best) < pattern.length:
-        return None
-    return {i: p.elements[z] for i, z in enumerate(best)}
 
 
 def _forest_rank(p: FinPoset, q: FinPoset) -> int:
@@ -502,7 +473,7 @@ def alt_rank(p: FinPoset, budget: int = 200_000) -> int:
     n, left = 1, budget
     for reversed in (False, True):
         if n < len(p):  # the reversed search is skipped once n = len(p)
-            best, left = _zigzag(p, reversed, len(p), left)
+            best, left = _zigzag(p, reversed, left)
             n = max(n, len(best))
             if left < 0:
                 raise BudgetError(

@@ -99,11 +99,10 @@ def _count_text(count) -> str:
 
 
 def _render_witness(witness) -> str:
+    """A witness is one chain type or a pair of them."""
     if isinstance(witness, NfSequence):
         return render_sequence(witness)
-    if isinstance(witness, tuple):
-        return " vs ".join(_render_witness(w) for w in witness)
-    return str(witness)
+    return " vs ".join(map(render_sequence, witness))
 
 
 # ---------------------------------------------------------------------------

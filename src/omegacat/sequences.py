@@ -22,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ParseError
 from .terms import (
     Shuffle,
     Term,
-    _TermParser,
     _down_word,
     _redexes_at,
     _up_word,
@@ -42,7 +40,6 @@ from .terms import (
 __all__ = [
     "NfSequence",
     "normalize_sequence",
-    "parse_sequence",
     "render_sequence",
     "sequence_orbits",
 ]
@@ -74,11 +71,12 @@ def _display_members(word: Sequence[Term]) -> List[List[Term]]:
 
 
 def _primitive_root(per: List[Term]) -> List[Term]:
+    """The shortest word whose repetition is the nonempty ``per``: the loop
+    returns at ``d = len(per)`` at the latest."""
     n = len(per)
     for d in range(1, n + 1):
         if n % d == 0 and per == per[:d] * (n // d):
             return per[:d]
-    return per
 
 
 def _period_redex(per: List[Term]) -> Optional[Tuple[int, int]]:
@@ -211,38 +209,3 @@ def render_sequence(s: NfSequence) -> str:
     if not s.period:
         return _render_word(s.prefix)
     return _render_word(s.prefix) + " * " + _render_word(s.period) + " w"
-
-
-def _parse_bracket_list(p: _TermParser) -> List[Term]:
-    p.expect("[")
-    items: List[Term] = []
-    if p.peek() != "]":
-        items.append(p.term())
-        while p.peek() == ",":
-            p.take()
-            items.append(p.term())
-    p.expect("]")
-    return items
-
-
-def parse_sequence(text: str, alphabet=None) -> NfSequence:
-    """Parse ``[t1, .., tn]`` or ``[t1, .., tn] * [u1, .., uk] w`` and
-    normalize."""
-    p = _TermParser(text, alphabet)
-    if p.peek() != "[":
-        raise ParseError("a sequence starts with '['", column=p.here())
-    prefix = _parse_bracket_list(p)
-    period = None
-    if p.peek() == "*":
-        p.take()
-        period = _parse_bracket_list(p)
-        if p.peek() != "w":
-            raise ParseError(
-                "a periodic tail ends with the marker 'w'", column=p.here()
-            )
-        p.take()
-    if p.peek() is not None:
-        raise ParseError(
-            f"unexpected {p.peek()!r} after sequence", column=p.here()
-        )
-    return normalize_sequence(prefix, period)

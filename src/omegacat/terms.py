@@ -63,7 +63,6 @@ __all__ = [
     "is_normal",
     "equivalent",
     "applicable_rewrites",
-    "law4_redexes",
     "collapse_factors",
     "parse_term",
     "render_term",
@@ -256,13 +255,6 @@ def _redexes_at(fs: Sequence[Term], i: int):
                 yield i, i + d
 
 
-def law4_redexes(fs: Sequence[Term]) -> List[Tuple[int, int]]:
-    """Positions ``(i, j)`` in the factor list, in increasing order, where
-    ``fs[i] == fs[j]`` is a shuffle and the factors strictly between them are
-    empty or concatenate to a single constituent of that shuffle."""
-    return [r for i in range(len(fs)) for r in _redexes_at(fs, i)]
-
-
 def collapse_factors(fs: Sequence[Term]) -> List[Term]:
     """Apply flanked-shuffle collapses until none remain, in one pass from
     left to right over a stack that holds no redex.
@@ -368,10 +360,11 @@ def applicable_rewrites(t: Term) -> List[Tuple[str, Term]]:
                 out.append((name, new))
     elif isinstance(t, Concat):
         fs = list(t.factors)
-        for i, j in law4_redexes(fs):
-            out.append(
-                ("collapse-flanked-shuffle", concat(fs[: i + 1] + fs[j + 1 :]))
-            )
+        for i in range(len(fs)):
+            for _, j in _redexes_at(fs, i):
+                out.append(
+                    ("collapse-flanked-shuffle", concat(fs[: i + 1] + fs[j + 1 :]))
+                )
         for idx in range(len(fs)):
             for name, r in applicable_rewrites(fs[idx]):
                 out.append((name, concat(fs[:idx] + [r] + fs[idx + 1 :])))
@@ -408,11 +401,10 @@ _MAX_NESTING = 200
 
 
 class _TermParser:
-    def __init__(self, text: str, alphabet=None):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.alphabet = None if alphabet is None else set(alphabet)
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -479,17 +471,14 @@ class _TermParser:
             return shuffle(cs)
         if tok in "^(),[]*":
             raise ParseError(f"unexpected {tok!r}", column=self.here())
-        _, col = self.take()
-        if self.alphabet is not None and tok != UNCOLOURED and tok not in self.alphabet:
-            raise ParseError(f"tag {tok!r} not in the declared alphabet", column=col)
+        self.take()
         return Singleton(tok)
 
 
-def parse_term(text: str, alphabet=None) -> Term:
+def parse_term(text: str) -> Term:
     """Parse the textual term syntax: singleton tags, ``a^b`` concatenation,
-    ``Q(a, b)`` shuffles.  ``alphabet``, when given, restricts which tags are
-    accepted (``"1"`` is always allowed)."""
-    p = _TermParser(text, alphabet)
+    ``Q(a, b)`` shuffles."""
+    p = _TermParser(text)
     t = p.term()
     if p.peek() is not None:
         raise ParseError(f"unexpected {p.peek()!r} after term", column=p.here())

@@ -153,7 +153,6 @@ class ConditionReport:
     name: str
     passed: bool
     witness: object
-    note: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -719,7 +718,7 @@ def _counts(analysis: _Analysis) -> Dict[str, Dict[NfSequence, object]]:
 # realised predicate table
 
 
-def _class_cells(analysis, C, tindex, torbits, name, ctx, site):
+def _class_cells(analysis, C, tindex, tpos, name, ctx, site):
     """Cell counts for the points of ``site`` in a copy of ``name`` whose
     word of points below the copy is ``ctx``.  A point in the tail of a
     type has no cell (the type is unbounded); any other point that matches
@@ -755,15 +754,11 @@ def _class_cells(analysis, C, tindex, torbits, name, ctx, site):
                 "internal: a composed chain type escaped the enumerated family"
             )
         up = normalize_sequence(pre2, per2) if (pre2 or per2) else None
-        for n_pos, (edown, eup) in enumerate(torbits[m]):
-            if edown == down_x and eup == up:
-                cells[(m, n_pos)] = cells.get((m, n_pos), 0) + cnt
-                break
-        else:
-            if not full.period:
-                raise SpecError(
-                    "internal: a point matched no position of its chain type"
-                )
+        n_pos = tpos[m].get((down_x, up))
+        if n_pos is not None:
+            cells[(m, n_pos)] = cells.get((m, n_pos), 0) + cnt
+        elif not full.period:
+            raise SpecError("internal: a point matched no position of its chain type")
     return cells
 
 
@@ -781,14 +776,19 @@ def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
         raise SpecError("the family of maximal-chain types is not finite")
     types = walk.types()
     tindex = {t: i for i, t in enumerate(types)}
-    torbits = [sequence_orbits(t) for t in types]
+    # per type, each (down, up) pair of its positions to the first position
+    # that has it
+    tpos = [{} for _ in types]
+    for m, t in enumerate(types):
+        for n_pos, orbit in enumerate(sequence_orbits(t)):
+            tpos[m].setdefault(orbit, n_pos)
     C = _counts(analysis)
     realised = set()
     indeterminate = set()
     # every result is a set, sorted below, so the states go in any order
     for name, ctx in walk.states:
         for site in analysis.infos[name].sites:
-            cells = _class_cells(analysis, C, tindex, torbits, name, ctx, site)
+            cells = _class_cells(analysis, C, tindex, tpos, name, ctx, site)
             for cell, cnt in cells.items():
                 if cap < cnt < OMEGA:
                     indeterminate.add(cell)
@@ -809,10 +809,8 @@ def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
 # the categoricity verdict
 
 
-def _report(name: str, failed: bool, witness, note: str) -> ConditionReport:
-    if failed:
-        return ConditionReport(name, False, witness, note)
-    return ConditionReport(name, True, None, None)
+def _report(name: str, failed: bool, witness) -> ConditionReport:
+    return ConditionReport(name, not failed, witness if failed else None)
 
 
 def check_categorical(spec: TreeSpec) -> Verdict:
@@ -852,25 +850,12 @@ def check_categorical(spec: TreeSpec) -> Verdict:
     growth = _growth_pair(analysis, walk)
 
     bad = next((t for t in types if t.period), None)
-    r_chains = _report(
-        "chains-categorical", bad is not None, bad,
-        "a maximal chain realises a type with an infinite tail",
-    )
-    r_family = _report(
-        "finite-chain-family", growth is not None, growth,
-        "going round a cut cycle more often gives new chain types",
-    )
+    r_chains = _report("chains-categorical", bad is not None, bad)
+    r_family = _report("finite-chain-family", growth is not None, growth)
     if growth:
-        r_ram = _report(
-            "finite-ramification", True, None,
-            "the chain-type family is infinite, so the realised "
-            "predicate family cannot be finite",
-        )
+        r_ram = _report("finite-ramification", True, None)
     else:
-        r_ram = _report(
-            "finite-ramification", bad is not None, bad,
-            "points sit at unboundedly many positions inside a chain-type tail",
-        )
+        r_ram = _report("finite-ramification", bad is not None, bad)
     reports = (r_ram, r_chains, r_family)
     return Verdict(
         categorical=all(r.passed for r in reports), condition_reports=reports

@@ -10,8 +10,9 @@
   recursion on both addresses, the references for the one-descent words
   of ``terms._down_word``, ``terms._up_word`` and ``terms._later_points``
 - the redex scan of the flanked-shuffle law, and collapse that rescans the
-  word after every collapse, the references for ``terms.law4_redexes`` and
-  the one left-to-right pass of ``terms.collapse_factors``
+  word after every collapse, the references for the redexes that
+  ``terms._redexes_at`` finds at each start and the one left-to-right pass
+  of ``terms.collapse_factors``
 - a sampled back-and-forth soundness check: finite samples of either side
   of a rewrite must embed in the other side's order (equivalent terms
   denote the same order, so a sound step can never fail this)
@@ -28,7 +29,7 @@
   ``cfpo.path_completion``
 - zigzag embedding by a recursive search restarted for every length and
   orientation, the reference for the one search per orientation of
-  ``cfpo.embeds_alt`` and ``cfpo.alt_rank``
+  ``cfpo._zigzag`` and for ``cfpo.alt_rank``
 - the recursive parse of a chain label word as a chain type, rebuilding
   the member leaf tables at each call, the reference for the search of
   ``trees._parse_chain_labels``
@@ -56,7 +57,6 @@ from dataclasses import dataclass
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from omegacat.cfpo import AltPattern
 from omegacat.errors import BudgetError, CycleError, MeetAbsentError, SpecError
 from omegacat.posets import FinPoset, _tree_view, maximal_chains, meet, node_key
 from omegacat.sequences import (
@@ -611,12 +611,13 @@ def _tick(counter):
         raise BudgetError("embedding search budget exhausted")
 
 
-def _naive_embed(p, pattern, counter):
-    """Backtracking search for an induced copy of the pattern zigzag."""
+def _naive_embed(p, length, reversed, counter):
+    """Backtracking search for an induced copy of the zigzag on ``length``
+    points, or of its reversal."""
     img = {}
 
     def place(i):
-        if i == pattern.length:
+        if i == length:
             return True
         # position i is related to i - 1 only: the cone fixes that relation,
         # and z must be incomparable to (so distinct from) earlier images;
@@ -624,7 +625,7 @@ def _naive_embed(p, pattern, counter):
         if i == 0:
             cands = p.elements
         else:
-            cones = p._up if (i % 2 == 0) != pattern.reversed else p._down
+            cones = p._up if (i % 2 == 0) != reversed else p._down
             cands = p._decode(cones[p._pos[img[i - 1]]])
         for z in cands:
             _tick(counter)
@@ -639,10 +640,12 @@ def _naive_embed(p, pattern, counter):
     return dict(img) if place(0) else None
 
 
-def naive_embeds_alt(p, pattern, budget=None):
-    """An induced embedding of the pattern zigzag into ``p``, or None; at
-    most ``budget`` candidates are tried (BudgetError beyond it)."""
-    return _naive_embed(p, pattern, {"left": budget})
+def naive_embeds_alt(p, length, reversed=False, budget=None):
+    """An induced embedding of the zigzag on ``length`` points (reversed
+    when ``reversed``) into ``p`` as a map from zigzag position to node, or
+    None; at most ``budget`` candidates are tried (BudgetError beyond it).
+    Comparabilities and incomparabilities are both preserved."""
+    return _naive_embed(p, length, reversed, {"left": budget})
 
 
 def naive_alt_rank(p, budget: int = 200_000) -> int:
@@ -654,8 +657,8 @@ def naive_alt_rank(p, budget: int = 200_000) -> int:
     n = 1
     while n < len(p):
         try:
-            found = _naive_embed(p, AltPattern(n + 1, False), counter) or _naive_embed(
-                p, AltPattern(n + 1, True), counter
+            found = _naive_embed(p, n + 1, False, counter) or _naive_embed(
+                p, n + 1, True, counter
             )
         except BudgetError as e:
             raise BudgetError(

@@ -11,6 +11,7 @@ automorphism oracle of the poset core.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 
@@ -21,12 +22,11 @@ from hypothesis import strategies as st
 from omegacat import cfpo
 from omegacat.cfpo import (
     AMBIGUOUS,
-    AltPattern,
     _candidates,
     _forest_rank,
+    _zigzag,
     alt,
     alt_rank,
-    embeds_alt,
     join,
     path,
     path_completion,
@@ -623,35 +623,31 @@ def test_alt_rejects_nonpositive():
         alt(-2)
 
 
-def test_alt_pattern_invariant():
-    AltPattern(1, False)
-    with pytest.raises(ValueError):
-        AltPattern(0, False)
-
-
 # ----------------------------------------------------------- embeddings
 
 
+def zigzag(p, reversed=False, budget=math.inf):
+    """The longest zigzag that ``alt_rank``'s search of one orientation
+    finds first, as nodes, and whether its budget ran out."""
+    best, left = _zigzag(p, reversed, budget)
+    return [p.elements[z] for z in best], left < 0
+
+
 def test_embeds_two_pattern_in_chain():
-    assert embeds_alt(chain(2), AltPattern(2, False)) == {0: 1, 1: 0}
-    assert embeds_alt(chain(2), AltPattern(2, True)) == {0: 0, 1: 1}
+    assert zigzag(chain(2)) == ([1, 0], False)
+    assert zigzag(chain(2), reversed=True) == ([0, 1], False)
 
 
 def test_embeds_none_in_antichain():
-    assert embeds_alt(antichain(3), AltPattern(2, False)) is None
+    assert zigzag(antichain(3)) == ([0], False)
 
 
 def test_embeds_three_pattern_in_v():
-    assert embeds_alt(v_poset(), AltPattern(3, False)) == {
-        0: "a",
-        1: "r",
-        2: "b",
-    }
+    assert zigzag(v_poset()) == (["a", "r", "b"], False)
 
 
 def test_embeds_budget_exhausted():
-    with pytest.raises(BudgetError):
-        embeds_alt(alt(8), AltPattern(8, False), budget=2)
+    assert zigzag(alt(8), budget=2)[1]
 
 
 # ------------------------------------------------------------- alt_rank
@@ -721,16 +717,15 @@ def test_alt_rank_budget():
         alt_rank(alt_beside_diamond(10), budget=5)
 
 
-def is_induced_zigzag(p, emb, pattern):
-    """``emb`` maps pattern positions injectively to nodes, and ``emb[i]``
-    lies below ``emb[j]`` exactly when position ``i`` is a valley next to
-    ``j`` (odd positions are valleys unless the pattern is reversed)."""
-    n = pattern.length
+def is_induced_zigzag(p, emb, n, reversed):
+    """``emb`` maps the positions of the zigzag on ``n`` points injectively
+    to nodes, and ``emb[i]`` lies below ``emb[j]`` exactly when position
+    ``i`` is a valley next to ``j`` (odd positions are valleys unless
+    ``reversed``)."""
     if sorted(emb) != list(range(n)) or len(set(emb.values())) != n:
         return False
     return all(
-        p.less(emb[i], emb[j])
-        == (abs(i - j) == 1 and (i % 2 == 1) != pattern.reversed)
+        p.less(emb[i], emb[j]) == (abs(i - j) == 1 and (i % 2 == 1) != reversed)
         for i in range(n)
         for j in range(n)
     )
@@ -739,13 +734,13 @@ def is_induced_zigzag(p, emb, pattern):
 def test_alt_rank_on_oriented_tree_within_budget():
     p = FinPoset(range(30), oriented_tree(0, 30))
     r = alt_rank(p)
-    shapes = [AltPattern(r, False), AltPattern(r, True)]
     assert any(
-        (emb := embeds_alt(p, pat)) is not None and is_induced_zigzag(p, emb, pat)
-        for pat in shapes
+        (emb := naive_embeds_alt(p, r, rev)) is not None
+        and is_induced_zigzag(p, emb, r, rev)
+        for rev in (False, True)
     )
-    assert embeds_alt(p, AltPattern(r + 1, False)) is None
-    assert embeds_alt(p, AltPattern(r + 1, True)) is None
+    assert naive_embeds_alt(p, r + 1, False) is None
+    assert naive_embeds_alt(p, r + 1, True) is None
 
 
 def attempt(f, *args):
@@ -757,10 +752,10 @@ def attempt(f, *args):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_zigzag_search_matches_the_search_per_length(seed):
-    # one search per orientation meets, at each length, the zigzag that a
-    # search for that length alone returns, trying the same candidates
-    # when it stops at the pattern's length, and never more candidates
-    # than the searches per length for the rank
+    # one search per orientation finds first the longest zigzag that a
+    # search for that length alone returns, trying the same candidates as
+    # the search for as many points as the order has, and never more
+    # candidates than the searches per length for the rank
     rng = random.Random(seed)
     for _ in range(150):
         n = rng.randint(1, 12)
@@ -772,21 +767,21 @@ def test_zigzag_search_matches_the_search_per_length(seed):
         ]
         p = FinPoset(names, edges)
         assert alt_rank(p) == naive_alt_rank(p)
-        for length in range(1, n + 2):
-            for reversed in (False, True):
-                pat = AltPattern(length, reversed)
-                assert embeds_alt(p, pat) == naive_embeds_alt(p, pat)
-        pat = AltPattern(rng.randint(1, n + 1), rng.random() < 0.5)
-        budget = rng.randrange(40)
-        want = attempt(naive_embeds_alt, p, pat, budget)
-        assert attempt(embeds_alt, p, pat, budget) == want
+        for reversed in (False, True):
+            best, _ = zigzag(p, reversed)
+            want = naive_embeds_alt(p, len(best), reversed)
+            assert want == dict(enumerate(best))
+            assert naive_embeds_alt(p, len(best) + 1, reversed) is None
+        reversed, budget = rng.random() < 0.5, rng.randrange(40)
+        ran_out = isinstance(attempt(naive_embeds_alt, p, n, reversed, budget), str)
+        assert zigzag(p, reversed, budget)[1] == ran_out
         if isinstance(naive := attempt(naive_alt_rank, p, budget), int):
             assert alt_rank(p, budget) == naive
 
 
 def test_zigzag_search_reaches_1100_points():
     p = alt(1100)
-    assert embeds_alt(p, AltPattern(1100)) == {i: i for i in range(1100)}
+    assert zigzag(p) == (list(range(1100)), False)
     assert alt_rank(p) == 1100
 
 

@@ -769,6 +769,83 @@ def test_poset_validate_tree_prints_the_first_violation(capsys, files):
 
 
 # ---------------------------------------------------------------------------
+# the error contract: exit 2, nothing on stdout, one ``error:`` line
+
+
+# (id, command, the text of its input file or None, the line after "error: ")
+FAILURES = [
+    ("bare-root", "tree check", "root\n", "parse: expected 'root NAME' at line 1"),
+    ("root-twice", "tree check", "root T\nroot T\n" + Q1, "spec: the root is named twice"),
+    (
+        "reserved-name",
+        "tree check",
+        "spine = spine 1\n",
+        "parse: 'spine' is a reserved word at line 1",
+    ),
+    ("no-spine", "tree check", "T = spine\n", "parse: missing spine term at line 1"),
+    (
+        "bad-site",
+        "tree check",
+        "T = spine 1 with 1 x T at nowhere\n",
+        "parse: bad attachment clause '1 x T at nowhere' at line 1",
+    ),
+    (
+        "zero-multiplicity",
+        "tree check",
+        "T = spine 1 with 0 x T at orbit 0\n",
+        "spec: attachment multiplicity must be positive",
+    ),
+    (
+        "no-definitions",
+        "tree check",
+        "# nothing\n\n",
+        "parse: the specification has no definitions at line 1",
+    ),
+    ("undefined-root", "tree check", "root U\n" + Q1, "spec: root 'U' is not defined"),
+    (
+        "top-as-cut",
+        "tree check",
+        "T = spine 1^1 with 1 x T at cut 1\n",
+        "spec: 'T' has no interior cut position 1",
+    ),
+    (
+        "node-without-id",
+        "poset validate --tree",
+        "node\n",
+        "parse: node line needs an id at line 1",
+    ),
+    (
+        "node-option",
+        "poset validate --tree",
+        "node a bogus\n",
+        "parse: unknown node option 'bogus' at line 1",
+    ),
+    (
+        "edge-arity",
+        "poset validate --tree",
+        "node a\nedge a\n",
+        "parse: edge line needs exactly two node ids at line 2",
+    ),
+    ("character", "term normalize a$b", None, "parse: unexpected character '$'"),
+    ("unclosed", "term normalize Q(a", None, "parse: expected ')'"),
+    ("trailing", "term normalize a)", None, "parse: unexpected ')' after term"),
+    ("depth", "tree sample --depth -1", VSPEC, "value: depth must be >= 0"),
+    ("width", "tree sample --width 0", VSPEC, "value: width must be >= 1"),
+    ("unknown-point", "tree orbit2 0 999 0 1", VSPEC, "value: unknown point in pair (0, 999)"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, message", [f[1:] for f in FAILURES], ids=[f[0] for f in FAILURES]
+)
+def test_each_failure_prints_one_error_line(capsys, files, command, text, message):
+    argv = command.split()
+    if text is not None:  # the input file is the first positional argument
+        argv[2:2] = [files("input", text)]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
 # usage and process-level behaviour
 
 

@@ -19,7 +19,6 @@ from omegacat.sequences import (
     _display_members,
     _periodic_pipeline,
     normalize_sequence,
-    parse_sequence,
     render_sequence,
 )
 from omegacat.terms import (
@@ -192,19 +191,6 @@ def test_is_categorical_chain():
 # -------------------------------------------------------------- rendering
 
 
-def test_render_and_parse_round_trip():
-    for prefix, period in [(["Q(1)"], None), ([], ["1"]), ([], ["1^1^Q(a)"])]:
-        s = norm(prefix, period)
-        assert parse_sequence(render_sequence(s)) == s
-
-
 def test_render_formats():
     assert render_sequence(norm(["1", "Q(1)"], None)) == "[1, Q(1)]"
     assert render_sequence(norm([], ["1"])) == "[] * [1] w"
-
-
-def test_parse_sequence_normalizes():
-    s = parse_sequence("[Q(1)] * [1^Q(1)] w")
-    assert s.period == ()
-    assert [render_term(m) for m in s.prefix] == ["Q(1)"]
-

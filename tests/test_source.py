@@ -6,12 +6,17 @@ Every import of a module must be used in it (or re-exported through its
 must be referenced somewhere in ``src/`` outside its own definition: in
 another statement of its module, or by an import from another module,
 and every name in a module's ``__all__`` must be bound at module level.
+A name in ``__all__`` that it defines must be referenced the same way,
+or be named in ``README.md`` or a demo: public API that only the tests
+call is dead code.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "omegacat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "omegacat"
 
 
 def _modules():
@@ -87,7 +92,10 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def test_every_private_module_level_name_is_referenced():
+def _unreferenced(picked):
+    """The module-level names ``picked(tree, name)`` selects among those a
+    module defines that no other statement of the module reads and no
+    other module imports, as ``"module: name"``."""
     modules = _modules()
     imported = {
         (node.module, alias.name)
@@ -100,11 +108,28 @@ def test_every_private_module_level_name_is_referenced():
     for mod, tree in modules.items():
         reads = [_read_names(stmt) for stmt in tree.body]
         for i, stmt in enumerate(tree.body):
-            for name in filter(_private, _defined(stmt)):
+            for name in sorted(_defined(stmt)):
+                if not picked(tree, name):
+                    continue
                 elsewhere = any(name in r for j, r in enumerate(reads) if j != i)
                 if not elsewhere and (mod, name) not in imported:
                     orphans.append(f"{mod}: {name}")
-    assert orphans == []
+    return orphans
+
+
+def test_every_private_module_level_name_is_referenced():
+    assert _unreferenced(lambda tree, name: _private(name)) == []
+
+
+def test_every_exported_name_is_used_or_documented():
+    named = set()
+    for path in [ROOT / "README.md", *(ROOT / "demos").glob("*.py")]:
+        named |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+
+    def undocumented_export(tree, name):
+        return name in _exported(tree) and name not in named
+
+    assert _unreferenced(undocumented_export) == []
 
 
 def test_every_exported_name_is_bound():

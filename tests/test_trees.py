@@ -20,6 +20,7 @@ from oracles import (
     random_term,
 )
 from test_fuzz import parse, random_spec_text
+from test_sequences import norm
 from test_terms import check_segment_words
 
 from omegacat import posets, trees
@@ -33,7 +34,7 @@ from omegacat.posets import (
     orbits,
     validate_tree,
 )
-from omegacat.sequences import NfSequence, parse_sequence
+from omegacat.sequences import NfSequence
 from omegacat.terms import (
     _sample_points,
     factors,
@@ -333,8 +334,10 @@ def test_checker_leaves_a_cut_cycle_by_a_chain_that_stays_out():
     )
     family = check_categorical(spec).condition_reports[2]
     assert family.witness == (
-        parse_sequence("[Q(1,b), I, Q(a), I, Q(1,b), I, Q(a), I, Q(1,b), I, Q(a)]"),
-        parse_sequence("[Q(1,b), I, Q(a), I, Q(1,b), I, Q(a)]"),
+        norm(
+            ["Q(1,b)", "I", "Q(a)", "I", "Q(1,b)", "I", "Q(a)", "I", "Q(1,b)", "I", "Q(a)"]
+        ),
+        norm(["Q(1,b)", "I", "Q(a)", "I", "Q(1,b)", "I", "Q(a)"]),
     )
 
 
@@ -379,7 +382,7 @@ def test_table_lists_a_tailed_type_whose_first_pass_lies_in_the_prefix():
     # the only chain type.  The type has a tail all the same, so it is
     # unbounded and finite-ramification fails with it as witness.
     spec = parse_spec(FIRST_PASS)
-    tau = parse_sequence("[Q(a^Q(b)), c] * [Q(b), Q(a^Q(b)), c] w")
+    tau = norm(["Q(a^Q(b))", "c"], ["Q(b)", "Q(a^Q(b))", "c"])
     table = ramification_table(spec)
     assert (table.chain_types, table.unbounded) == ((tau,), (0,))
     ram, chains, family = check_categorical(spec).condition_reports

@@ -287,9 +287,7 @@ def _add_seed(sp) -> None:
 
 
 def _add_format(sp) -> None:
-    sp.add_argument(
-        "--format", choices=("text", "records", "dot"), default="text"
-    )
+    sp.add_argument("--format", choices=("text", "dot"), default="text")
 
 
 def _add_sample_shape(sp) -> None:

@@ -37,10 +37,6 @@ class NotATreeError(OmegacatError):
     """An operation that requires tree axioms was handed a non-tree."""
 
 
-class MeetAbsentError(OmegacatError):
-    """A meet required by tuple completion does not exist in the poset."""
-
-
 class SpecError(OmegacatError):
     """A tree specification is ill-formed (names, sites, multiplicities)."""
 

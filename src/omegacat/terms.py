@@ -375,7 +375,7 @@ def applicable_rewrites(t: Term) -> List[Tuple[str, Term]]:
 # parsing and rendering
 
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[1^(),\[\]*]")
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[1^(),]")
 
 
 def _tokenize(text: str) -> List[Tuple[str, int]]:
@@ -430,7 +430,7 @@ class _TermParser:
         """Does the term starting at ``pos`` join factors with ``^``?"""
         level = 0
         for tok, _ in itertools.islice(self.tokens, self.pos, None):
-            if level == 0 and tok in "^,)]":
+            if level == 0 and tok in "^,)":
                 return tok == "^"
             if tok == "(":
                 level += 1
@@ -469,7 +469,7 @@ class _TermParser:
                 cs.append(self.term(depth + 1))
             self.expect(")")
             return shuffle(cs)
-        if tok in "^(),[]*":
+        if tok in "^(),":
             raise ParseError(f"unexpected {tok!r}", column=self.here())
         self.take()
         return Singleton(tok)

@@ -26,7 +26,7 @@ import math
 import re
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
@@ -72,9 +72,6 @@ _I = Singleton(IRRATIONAL)
 
 __all__ = [
     "OMEGA",
-    "OrbitSite",
-    "CutSite",
-    "Attachment",
     "TreeDef",
     "TreeSpec",
     "RamTable",
@@ -95,37 +92,64 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OrbitSite:
-    """Attachment at every point of spine orbit ``orbit``."""
-
-    orbit: int
-
-
-@dataclass(frozen=True)
-class CutSite:
-    """Attachment above a new branch point at a cut of the spine:
-    after top-level factor ``position``, or ``"top"`` for above everything."""
-
-    position: Union[int, str]
-
-
-@dataclass(frozen=True)
-class Attachment:
-    site: Union[OrbitSite, CutSite]
-    multiplicity: Union[int, float]
+class _Edge:
+    src: str
     child: str
+    site: tuple
+    mult: Union[int, float]
+    weight: Union[int, float]  # points at the site times mult
+    word: Tuple[Term, ...]
 
 
 @dataclass(frozen=True)
 class TreeDef:
+    """One definition, with each of its sites resolved once.
+
+    ``attachments`` lists ``(site, multiplicity, child)`` in spec order,
+    with a site written ``("orbit", i)`` or ``("cut", p)``: ``top`` is the
+    cut after the last factor, and a degenerate cut is the orbit of the
+    greatest point below it.  ``fs`` holds the spine's top-level factors,
+    ``chain`` is the spine with a cut point after each of the
+    ``cut_positions``, and ``sites`` maps every site to its leaf in
+    ``chain``: orbit sites by index, then cut sites by position.  ``down``
+    maps every site to the word of the points at or below one of its
+    points, cut points of earlier positions included.  ``terminal_valid``
+    says whether a copy's chain can end in its spine.  ``edges`` are the
+    walk's edges, the attachments stably sorted into ``sites`` order.
+    Spec order numbers a sample's points; site order is the order of the
+    walk's edges, which picks the chain-family witness, so the witness does
+    not depend on the order a spec lists its attachments in.
+    """
+
     spine: Term
-    attachments: Tuple[Attachment, ...]
+    attachments: Tuple[Tuple[tuple, Union[int, float], str], ...]
+    fs: Tuple[Term, ...]
+    cut_positions: Tuple[int, ...]
+    chain: Concat
+    sites: Dict[tuple, Tuple[int, ...]]
+    down: Dict[tuple, Tuple[Term, ...]]
+    terminal_valid: bool
+    edges: Tuple[_Edge, ...]
 
 
 @dataclass(frozen=True)
 class TreeSpec:
+    """A parsed specification, and the one analysis the checker, the table
+    and the sampler read.
+
+    ``reachable`` maps each definition the root reaches, in spec order, to
+    its first nesting depth below the root.  Only these are walked, counted
+    and sampled: unreachable definitions must not decide a verdict.
+    ``_walks`` caches the chain walk from each definition (see
+    :func:`_walk`).
+    """
+
     definitions: Dict[str, TreeDef]
     root: str
+    reachable: Dict[str, int]
+    _walks: Dict[str, "_Walk"] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -174,14 +198,13 @@ _ATTACH_RE = re.compile(
 )
 
 
-def _orbit_addresses(spine: Term) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Orbit index -> (top-level factor, path inside the factor)."""
-    fs = factors(spine)
+def _orbit_addresses(fs) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Orbit index -> (top-level factor ``j``, path inside ``fs[j]``)."""
     return [(j, tuple(p)) for j, f in enumerate(fs) for p in orbit_paths(f)]
 
 
 def parse_spec(text: str) -> TreeSpec:
-    """Parse a tree specification.
+    """Parse a tree specification and resolve each definition once.
 
     Grammar (one clause per line, ``#`` comments allowed)::
 
@@ -192,9 +215,10 @@ def parse_spec(text: str) -> TreeSpec:
     ``orbit N``, ``cut N`` (after top-level factor ``N``) or ``top``.
     A cut whose lower part has a greatest point is degenerate: it is
     rewritten to the orbit of that point with a :class:`SpecWarning`.
+    Every definition is validated and resolved into a :class:`TreeDef`,
+    reachable from the root or not.
     """
-    raw_defs: Dict[str, Tuple[Term, list]] = {}
-    order: List[str] = []
+    raw_defs: Dict[str, Tuple[Term, list]] = {}  # in spec order
     root: Optional[str] = None
     for ln, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -238,45 +262,37 @@ def parse_spec(text: str) -> TreeSpec:
                 mult = OMEGA if am.group(1) == "omega" else int(am.group(1))
                 if mult == 0:
                     raise SpecError("attachment multiplicity must be positive")
-                sitebits = am.group(3).split()
-                site: Union[OrbitSite, CutSite]
-                if sitebits[0] == "top":
-                    site = CutSite("top")
-                elif sitebits[0] == "orbit":
-                    site = OrbitSite(int(sitebits[1]))
-                else:
-                    site = CutSite(int(sitebits[1]))
+                bits = am.group(3).split()
+                # ``top`` becomes a position once the factors are known
+                site = ("cut", None) if bits == ["top"] else (bits[0], int(bits[1]))
                 clauses.append((site, mult, am.group(2)))
         raw_defs[name] = (spine, clauses)
-        order.append(name)
-    if not order:
+    if not raw_defs:
         raise ParseError("the specification has no definitions", line=1)
     if root is None:
-        root = order[0]
+        root = next(iter(raw_defs))
     if root not in raw_defs:
         raise SpecError(f"root {root!r} is not defined")
 
     definitions: Dict[str, TreeDef] = {}
-    for name in order:
-        spine, clauses = raw_defs[name]
+    for name, (spine, clauses) in raw_defs.items():
         fs = factors(spine)
         k = len(fs)
-        addresses = _orbit_addresses(spine)
+        addresses = _orbit_addresses(fs)
         rules = set()
         atts = []
-        for site, mult, child in clauses:
+        for (kind, pos), mult, child in clauses:
             if child not in raw_defs:
                 raise SpecError(
                     f"attachment in {name!r} names undefined child {child!r}"
                 )
-            if isinstance(site, OrbitSite):
-                if not 0 <= site.orbit < len(addresses):
-                    raise SpecError(
-                        f"{name!r} has no spine orbit {site.orbit}"
-                    )
+            if kind == "orbit":
+                if not 0 <= pos < len(addresses):
+                    raise SpecError(f"{name!r} has no spine orbit {pos}")
             else:
-                pos = k - 1 if site.position == "top" else site.position
-                if site.position != "top" and not 0 <= pos <= k - 2:
+                if pos is None:
+                    pos = k - 1
+                elif not 0 <= pos <= k - 2:
                     raise SpecError(
                         f"{name!r} has no interior cut position {pos}"
                     )
@@ -288,128 +304,72 @@ def parse_spec(text: str) -> TreeSpec:
                             f"greatest point; using orbit {oi} instead"
                         )
                     )
-                    site = OrbitSite(oi)
-            key = (site, child)
+                    kind, pos = "orbit", oi
+            key = ((kind, pos), child)
             if key in rules:
                 raise SpecError(
                     f"duplicate attachment rule in {name!r} for {child!r}"
                 )
             rules.add(key)
-            atts.append(Attachment(site, mult, child))
-        definitions[name] = TreeDef(spine, tuple(atts))
-    return TreeSpec(definitions, root)
+            atts.append(((kind, pos), mult, child))
+        definitions[name] = _resolve(name, spine, fs, addresses, tuple(atts))
+
+    depth = {root: 0}
+    todo = [root]
+    for name in todo:  # breadth first: the list grows as it is read
+        for _, _, child in definitions[name].attachments:
+            if child not in depth:
+                depth[child] = depth[name] + 1
+                todo.append(child)
+    reachable = {name: depth[name] for name in definitions if name in depth}
+    return TreeSpec(definitions, root, reachable)
 
 
-# ---------------------------------------------------------------------------
-# structural analysis: slots, sites, and the walk graph
-
-
-@dataclass(frozen=True)
-class _Edge:
-    src: str
-    child: str
-    site: tuple
-    mult: Union[int, float]
-    weight: Union[int, float]  # points at the site times mult
-    word: Tuple[Term, ...]
-
-
-class _Info:
-    """One definition's sites, each resolved once.
-
-    ``attachments`` lists ``(site, multiplicity, child)`` in spec order,
-    with a site written ``("orbit", i)`` or ``("cut", p)`` and ``top``
-    resolved to the cut after the last factor.  ``chain`` is the spine with
-    a cut point after each cut position, and ``sites`` maps every site to
-    its leaf in ``chain``: orbit sites by index, then cut sites by
-    position.  ``down`` maps every site to the word of the points at or
-    below one of its points, cut points of earlier positions included.
-    Spec order numbers a sample's points; site order is the order of the
-    walk's edges, which picks the chain-family witness.
-    """
-
-    def __init__(self, dfn: TreeDef):
-        self.spine = dfn.spine
-        self.fs = factors(dfn.spine)
-        k = len(self.fs)
-        self.attachments: List[Tuple[tuple, Union[int, float], str]] = []
-        for a in dfn.attachments:
-            if isinstance(a.site, OrbitSite):
-                site = ("orbit", a.site.orbit)
-            else:
-                pos = a.site.position
-                site = ("cut", k - 1 if pos == "top" else pos)
-            self.attachments.append((site, a.multiplicity, a.child))
-        self.cut_positions = sorted(
-            {v for (kind, v), _, _ in self.attachments if kind == "cut"}
+def _resolve(name: str, spine: Term, fs, addresses, attachments) -> TreeDef:
+    """The :class:`TreeDef` of a definition whose attachments are checked."""
+    cut_positions = tuple(
+        sorted({pos for (kind, pos), _, _ in attachments if kind == "cut"})
+    )
+    slots: List[Term] = []
+    slot_of = []  # factor -> its slot
+    for j, f in enumerate(fs):
+        slot_of.append(len(slots))
+        slots += [f, _I] if j in cut_positions else [f]
+    chain = Concat(tuple(slots))
+    sites: Dict[tuple, Tuple[int, ...]] = {
+        ("orbit", i): (slot_of[j],) + inner
+        for i, (j, inner) in enumerate(addresses)
+    }
+    for p in cut_positions:
+        sites[("cut", p)] = (slot_of[p] + 1,)
+    down = {site: tuple(_down_word(chain, leaf)) for site, leaf in sites.items()}
+    rank = list(sites).index
+    edges = tuple(
+        _Edge(
+            src=name,
+            child=child,
+            site=site,
+            mult=mult,
+            weight=(OMEGA if isinstance(slots[sites[site][0]], Shuffle) else 1)
+            * mult,
+            word=down[site],
         )
-        slots: List[Term] = []
-        slot_of = []  # factor -> its slot
-        for j, f in enumerate(self.fs):
-            slot_of.append(len(slots))
-            slots += [f, _I] if j in self.cut_positions else [f]
-        self.chain = Concat(tuple(slots))
-        self.sites: Dict[tuple, Tuple[int, ...]] = {
-            ("orbit", i): (slot_of[j],) + inner
-            for i, (j, inner) in enumerate(_orbit_addresses(dfn.spine))
-        }
-        for p in self.cut_positions:
-            self.sites[("cut", p)] = (slot_of[p] + 1,)
-        self.down: Dict[tuple, Tuple[Term, ...]] = {
-            site: tuple(_down_word(self.chain, leaf))
-            for site, leaf in self.sites.items()
-        }
-        # a copy's chain ends in its spine only when nothing hangs above the
-        # spine's greatest point
-        top = (len(slots) - 1,)
-        self.terminal_valid = all(
-            self.sites[site] != top for site, _, _ in self.attachments
-        )
-        self.terminal_word = slots
-        self.edges: List[_Edge] = []
-
-
-class _Analysis:
-    """The definitions reachable from the root, with their walk edges.
-    Unreachable definitions are left out: they must not decide a verdict.
-
-    ``depth`` holds each reachable definition's first nesting depth below
-    the root.  A definition's edges are its ``attachments`` stably sorted
-    into ``sites`` order, so the walk, and with it the chain-family
-    witness, does not depend on the order a spec lists its attachments in.
-    """
-
-    def __init__(self, spec: TreeSpec):
-        self.root = spec.root
-        self.depth = {spec.root: 0}
-        todo = [spec.root]
-        for name in todo:  # breadth first: the list grows as it is read
-            for a in spec.definitions[name].attachments:
-                if a.child not in self.depth:
-                    self.depth[a.child] = self.depth[name] + 1
-                    todo.append(a.child)
-        self.infos: Dict[str, _Info] = {
-            name: _Info(dfn)
-            for name, dfn in spec.definitions.items()
-            if name in self.depth
-        }
-        for name, info in self.infos.items():
-            rank = list(info.sites).index
-            for site, mult, child in sorted(
-                info.attachments, key=lambda a: rank(a[0])
-            ):
-                slot = info.chain.factors[info.sites[site][0]]
-                info.edges.append(
-                    _Edge(
-                        src=name,
-                        child=child,
-                        site=site,
-                        mult=mult,
-                        weight=(OMEGA if isinstance(slot, Shuffle) else 1) * mult,
-                        word=info.down[site],
-                    )
-                )
-        self.walks: Dict[str, "_Walk"] = {}
+        for site, mult, child in sorted(attachments, key=lambda a: rank(a[0]))
+    )
+    # a copy's chain ends in its spine only when nothing hangs above the
+    # spine's greatest point
+    top = (len(slots) - 1,)
+    return TreeDef(
+        spine=spine,
+        attachments=attachments,
+        fs=fs,
+        cut_positions=cut_positions,
+        chain=chain,
+        sites=sites,
+        down=down,
+        terminal_valid=all(sites[site] != top for site, _, _ in attachments),
+        edges=edges,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -441,20 +401,16 @@ class _Walk:
     states: set
     terminals: set
     lassos: List[_Lasso]
-    # the terminal and lasso types sorted by rendering, once the walk ends
-    ordered: Optional[List[NfSequence]] = None
-
-    def types(self) -> List[NfSequence]:
-        """The walk's types sorted by rendering, sorted once per walk: the
-        callers ask each walk many times and none writes the list."""
-        return self.ordered
+    # the terminal and lasso types sorted by rendering, set once when the
+    # walk ends: the callers read them many times and none writes the list
+    types: Optional[List[NfSequence]] = None
 
 
 def _word(edges) -> List[Term]:
     return [f for e in edges for f in e.word]
 
 
-def _walk(analysis: _Analysis, start: str) -> _Walk:
+def _walk(spec: TreeSpec, start: str) -> _Walk:
     """All chains from a copy of ``start``, as one depth-first walk over
     states ``(definition, collapsed word below the copy)``.
 
@@ -504,8 +460,8 @@ def _walk(analysis: _Analysis, start: str) -> _Walk:
     ``_WALK_BUDGET`` bounds the work and raises :class:`BudgetError`
     rather than cut a family short.
     """
-    if start in analysis.walks:
-        return analysis.walks[start]
+    if start in spec._walks:
+        return spec._walks[start]
     first = (start, ())
     walk = _Walk(states={first}, terminals=set(), lassos=[])
     path = [first]  # states on the current path
@@ -513,7 +469,7 @@ def _walk(analysis: _Analysis, start: str) -> _Walk:
     on_path = {first: 0}
     pushes = 0
     # each frame: the edges still to try from the state at that depth
-    frames = [iter(_enter(analysis, walk, first))]
+    frames = [iter(_enter(spec, walk, first))]
     while frames:
         e = next(frames[-1], None)
         if e is None:
@@ -542,10 +498,10 @@ def _walk(analysis: _Analysis, start: str) -> _Walk:
         on_path[nxt] = len(path)
         path.append(nxt)
         taken.append(e)
-        frames.append(iter(_enter(analysis, walk, nxt)))
+        frames.append(iter(_enter(spec, walk, nxt)))
     found = walk.terminals | {lasso.type for lasso in walk.lassos}
-    walk.ordered = sorted(found, key=render_sequence)
-    analysis.walks[start] = walk
+    walk.types = sorted(found, key=render_sequence)
+    spec._walks[start] = walk
     return walk
 
 
@@ -567,13 +523,13 @@ def _cut(path, taken: List[_Edge], e: _Edge):
     return None
 
 
-def _enter(analysis: _Analysis, walk: _Walk, state) -> List[_Edge]:
+def _enter(spec: TreeSpec, walk: _Walk, state) -> Tuple[_Edge, ...]:
     """Record the terminal type of ``state``; return its edges."""
     name, ctx = state
-    info = analysis.infos[name]
-    if info.terminal_valid:
-        walk.terminals.add(normalize_sequence(list(ctx) + info.terminal_word))
-    return info.edges
+    dfn = spec.definitions[name]
+    if dfn.terminal_valid:
+        walk.terminals.add(normalize_sequence(ctx + dfn.chain.factors))
+    return dfn.edges
 
 
 def chain_types(spec: TreeSpec) -> List[NfSequence]:
@@ -585,15 +541,14 @@ def chain_types(spec: TreeSpec) -> List[NfSequence]:
     a tail, and for each such cycle the chain that repeats it forever.
     Going round it a finite number of times before leaving it gives the
     types left out (:func:`check_categorical` reports two of them)."""
-    analysis = _Analysis(spec)
-    return _walk(analysis, analysis.root).types()
+    return _walk(spec, spec.root).types
 
 
 # ---------------------------------------------------------------------------
 # growth of the chain-type family
 
 
-def _growth_pair(analysis: _Analysis, walk: _Walk):
+def _growth_pair(spec: TreeSpec, walk: _Walk):
     """Two distinct chain types witnessing an infinite family, or None.
 
     The family is infinite when some cut cycle can be left: going round it
@@ -608,7 +563,7 @@ def _growth_pair(analysis: _Analysis, walk: _Walk):
             continue
         head, loop = _word(lasso.pre), _word(lasso.cycle)
         for j, e in enumerate(lasso.cycle):
-            for out, per in _exits(analysis, e.src, lasso.cycle):
+            for out, per in _exits(spec, e.src, lasso.cycle):
                 rest = _word(lasso.cycle[:j]) + out
                 pair = {
                     normalize_sequence(head + loop * n + rest, per) for n in (1, 2)
@@ -618,16 +573,16 @@ def _growth_pair(analysis: _Analysis, walk: _Walk):
     return None
 
 
-def _exits(analysis: _Analysis, name: str, cycle):
+def _exits(spec: TreeSpec, name: str, cycle):
     """Ways to finish a chain from a copy of ``name`` without taking an
     edge of ``cycle``, as ``(word, period)``.  No two edges are equal: the
     parser rejects a repeated (site, child) rule."""
-    info = analysis.infos[name]
-    if info.terminal_valid:
-        yield list(info.terminal_word), ()
-    for e in info.edges:
+    dfn = spec.definitions[name]
+    if dfn.terminal_valid:
+        yield list(dfn.chain.factors), ()
+    for e in dfn.edges:
         if e not in cycle:
-            for t in _walk(analysis, e.child).types():
+            for t in _walk(spec, e.child).types:
                 yield list(e.word) + list(t.prefix), t.period
 
 
@@ -644,7 +599,7 @@ def _seq_prepend(word, t: NfSequence) -> NfSequence:
     return normalize_sequence(list(word) + list(t.prefix), t.period)
 
 
-def _counts(analysis: _Analysis) -> Dict[str, Dict[NfSequence, object]]:
+def _counts(spec: TreeSpec) -> Dict[str, Dict[NfSequence, object]]:
     """Per definition, the number of maximal chains of each type in the
     denoted tree of that definition: a natural number or omega.
 
@@ -669,21 +624,22 @@ def _counts(analysis: _Analysis) -> Dict[str, Dict[NfSequence, object]]:
     edges carries the largest floor round unchanged, while any other
     component doubles a positive value round some cycle, so it is omega.
     """
-    types = {name: _walk(analysis, name).types() for name in analysis.infos}
+    types = {name: _walk(spec, name).types for name in spec.reachable}
     keys = [(name, t) for name, ts in types.items() for t in ts]
     index = {key: i for i, key in enumerate(keys)}
     base, floor = [0] * len(keys), [0] * len(keys)
     succ: List[List[Tuple[int, Union[int, float]]]] = [[] for _ in keys]
-    for name, info in analysis.infos.items():
-        if info.terminal_valid:
-            base[index[name, normalize_sequence(info.terminal_word)]] = 1
-        for lasso in analysis.walks[name].lassos:
+    for name in spec.reachable:
+        dfn = spec.definitions[name]
+        if dfn.terminal_valid:
+            base[index[name, normalize_sequence(dfn.chain.factors)]] = 1
+        for lasso in spec._walks[name].lassos:
             val = math.prod(e.weight for e in lasso.pre)
             if any(e.weight > 1 for e in lasso.cycle):
                 val = OMEGA
             i = index[name, lasso.type]
             floor[i] = max(floor[i], val)
-        for e in info.edges:
+        for e in dfn.edges:
             for t2 in types[e.child]:
                 i = index.get((name, _seq_prepend(e.word, t2)))
                 if i is None:
@@ -718,23 +674,23 @@ def _counts(analysis: _Analysis) -> Dict[str, Dict[NfSequence, object]]:
 # realised predicate table
 
 
-def _class_cells(analysis, C, tindex, tpos, name, ctx, site):
+def _class_cells(spec, C, tindex, tpos, name, ctx, site):
     """Cell counts for the points of ``site`` in a copy of ``name`` whose
     word of points below the copy is ``ctx``.  A point in the tail of a
     type has no cell (the type is unbounded); any other point that matches
     no position of its type raises."""
-    info = analysis.infos[name]
-    leaf = info.sites[site]
-    d_word = [*ctx, *info.down[site]]
+    dfn = spec.definitions[name]
+    leaf = dfn.sites[site]
+    d_word = [*ctx, *dfn.down[site]]
     down_x = normalize(concat(d_word))
     options = []  # (count, connecting word, tail type or None)
-    if info.terminal_valid:  # the spine strictly above the point
-        options.append((1, _up_word(info.chain, leaf), None))
-    for e in info.edges:
+    if dfn.terminal_valid:  # the spine strictly above the point
+        options.append((1, _up_word(dfn.chain, leaf), None))
+    for e in dfn.edges:
         if e.site == site:
             for t2, c2 in C[e.child].items():
                 options.append((_mul(e.mult, c2), [], t2))
-        for n, between in _later_points(info.chain, leaf, info.sites[e.site]):
+        for n, between in _later_points(dfn.chain, leaf, dfn.sites[e.site]):
             for t2, c2 in C[e.child].items():
                 options.append((_mul(n * e.mult, c2), list(between), t2))
 
@@ -770,11 +726,10 @@ def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
     negative."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    analysis = _Analysis(spec)
-    walk = _walk(analysis, analysis.root)
-    if _growth_pair(analysis, walk):
+    walk = _walk(spec, spec.root)
+    if _growth_pair(spec, walk):
         raise SpecError("the family of maximal-chain types is not finite")
-    types = walk.types()
+    types = walk.types
     tindex = {t: i for i, t in enumerate(types)}
     # per type, each (down, up) pair of its positions to the first position
     # that has it
@@ -782,13 +737,13 @@ def ramification_table(spec: TreeSpec, cap: int = 3) -> RamTable:
     for m, t in enumerate(types):
         for n_pos, orbit in enumerate(sequence_orbits(t)):
             tpos[m].setdefault(orbit, n_pos)
-    C = _counts(analysis)
+    C = _counts(spec)
     realised = set()
     indeterminate = set()
     # every result is a set, sorted below, so the states go in any order
     for name, ctx in walk.states:
-        for site in analysis.infos[name].sites:
-            cells = _class_cells(analysis, C, tindex, tpos, name, ctx, site)
+        for site in spec.definitions[name].sites:
+            cells = _class_cells(spec, C, tindex, tpos, name, ctx, site)
             for cell, cnt in cells.items():
                 if cap < cnt < OMEGA:
                     indeterminate.add(cell)
@@ -844,10 +799,9 @@ def check_categorical(spec: TreeSpec) -> Verdict:
     of ``s2 + s``, would have no tail.  So its points sit at unboundedly
     many positions.
     """
-    analysis = _Analysis(spec)
-    walk = _walk(analysis, analysis.root)
-    types = walk.types()
-    growth = _growth_pair(analysis, walk)
+    walk = _walk(spec, spec.root)
+    types = walk.types
+    growth = _growth_pair(spec, walk)
 
     bad = next((t for t in types if t.period), None)
     r_chains = _report("chains-categorical", bad is not None, bad)
@@ -870,7 +824,7 @@ def _copies(mult: Union[int, float], width: int) -> int:
     return max(2, width) if mult == OMEGA else int(mult)
 
 
-def _check_sample_size(analysis: _Analysis, depth: int, width: int):
+def _check_sample_size(spec: TreeSpec, depth: int, width: int):
     """Raise :class:`BudgetError` before sampling when the sample may hold
     more than ``_MAX_SAMPLE_PAIRS`` order pairs.
 
@@ -887,20 +841,21 @@ def _check_sample_size(analysis: _Analysis, depth: int, width: int):
     below: Dict[str, Tuple[int, int]] = {}
     for d in range(depth + 1):
         level = {}
-        for name, info in analysis.infos.items():
-            pts = max(min_size(info.spine), width)
+        for name in spec.reachable:
+            dfn = spec.definitions[name]
+            pts = max(min_size(dfn.spine), width)
             kids = []
             if d >= 1:
-                pts += len(info.cut_positions)
+                pts += len(dfn.cut_positions)
                 kids = [
                     (_copies(mult, width),) + below[child]
-                    for _, mult, child in info.attachments
+                    for _, mult, child in dfn.attachments
                 ]
             level[name] = (
                 min(pts + sum(k * cn for k, cn, _ in kids), cap),
                 min(pts + max((ch for _, _, ch in kids), default=0), cap),
             )
-        n, h = level[analysis.root]
+        n, h = level[spec.root]
         if n * h > _MAX_SAMPLE_PAIRS:
             raise BudgetError(
                 f"a sample of depth {depth} and width {width} may hold more "
@@ -933,13 +888,12 @@ def materialize_tree(
         raise ValueError("depth must be >= 0")
     if width < 1:
         raise ValueError("width must be >= 1")
-    analysis = _Analysis(spec)
-    deep = max(analysis.depth.values())
+    deep = max(spec.reachable.values())
     if deep > depth:
         raise BudgetError(
             f"nesting needs depth {deep} but only {depth} is available"
         )
-    _check_sample_size(analysis, depth, width)
+    _check_sample_size(spec, depth, width)
 
     def layout(key):
         """A copy's own points, numbered from 0: each one's parent (-1 for
@@ -947,12 +901,12 @@ def materialize_tree(
         coloured and the irrational points, and the copies hung above
         them in spec order, as ``(key, their attachment point)``."""
         name, d, seedv = key
-        info = analysis.infos[name]
+        dfn = spec.definitions[name]
         sp_seed = zlib.crc32(f"{seedv}|{name}|{d}|spine".encode())
         # a budget of at least min_size(spine) samples every orbit, so
         # ``at`` below holds the lowest sampled point of each orbit site
-        budget = max(min_size(info.spine), width)
-        pts = _sample_points(info.spine, budget, sp_seed)
+        budget = max(min_size(dfn.spine), width)
+        pts = _sample_points(dfn.spine, budget, sp_seed)
         at: Dict[tuple, int] = {}  # site -> the point its copies hang above
         coloured: List[Tuple[int, str]] = []
         irrational: List[int] = []
@@ -963,12 +917,12 @@ def materialize_tree(
             elif tag != UNCOLOURED:
                 coloured.append((g, tag))
         size = len(pts)
-        k = len(info.fs)
+        k = len(dfn.fs)
         als: List[int] = []
         fac = [desc.path[0] if k > 1 else 0 for desc, _ in pts]
         for j in range(k):
             als.extend(i for i, f in enumerate(fac) if f == j)
-            if d >= 1 and j in info.cut_positions:
+            if d >= 1 and j in dfn.cut_positions:
                 irrational.append(size)
                 at[("cut", j)] = size
                 als.append(size)
@@ -978,7 +932,7 @@ def materialize_tree(
             up[b] = a
         copies = []
         if d >= 1:
-            for site, mult, child in info.attachments:
+            for site, mult, child in dfn.attachments:
                 child_seed = zlib.crc32(f"{seedv}|{child}|{d - 1}".encode())
                 copy = ((child, d - 1, child_seed), at[site])
                 copies += [copy] * _copies(mult, width)

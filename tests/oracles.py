@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from omegacat.errors import BudgetError, CycleError, MeetAbsentError, SpecError
+from omegacat.errors import BudgetError, CycleError, SpecError
 from omegacat.posets import FinPoset, _tree_view, maximal_chains, meet, node_key
 from omegacat.sequences import (
     NfSequence,
@@ -88,7 +88,6 @@ from omegacat.terms import (
 from omegacat.trees import (
     OMEGA,
     TreeSpec,
-    _Analysis,
     _check_sample_size,
     _copies,
     _seq_prepend,
@@ -438,7 +437,7 @@ def complete_tuple(p: FinPoset, t: Sequence) -> tuple:
         for x, y in itertools.combinations(sorted(members, key=node_key), 2):
             m = meet(p, x, y)
             if m is None:
-                raise MeetAbsentError(f"no meet of {x!r} and {y!r} in the poset")
+                raise ValueError(f"no meet of {x!r} and {y!r} in the poset")
             if m not in members:
                 members.add(m)
                 added.add(m)
@@ -840,13 +839,12 @@ def naive_materialize_tree(
         raise ValueError("depth must be >= 0")
     if width < 1:
         raise ValueError("width must be >= 1")
-    analysis = _Analysis(spec)
-    deep = max(analysis.depth.values())
+    deep = max(spec.reachable.values())
     if deep > depth:
         raise BudgetError(
             f"nesting needs depth {deep} but only {depth} is available"
         )
-    _check_sample_size(analysis, depth, width)
+    _check_sample_size(spec, depth, width)
 
     pairs: List[Tuple[int, int]] = []  # spine successors and attachments
     colour: Dict[int, str] = {}
@@ -857,12 +855,12 @@ def naive_materialize_tree(
     stack = [(spec.root, depth, seed, None)]
     while stack:
         name, d, seedv, attach = stack.pop()
-        info = analysis.infos[name]
+        dfn = spec.definitions[name]
         sp_seed = zlib.crc32(f"{seedv}|{name}|{d}|spine".encode())
         # a budget of at least min_size(spine) samples every orbit, so
         # ``at`` below holds the lowest sampled point of each orbit site
-        budget = max(min_size(info.spine), width)
-        pts = _sample_points(info.spine, budget, sp_seed)
+        budget = max(min_size(dfn.spine), width)
+        pts = _sample_points(dfn.spine, budget, sp_seed)
         first = size
         at: Dict[tuple, int] = {}  # site -> the point its copies hang above
         for g, (desc, tag) in enumerate(pts, start=first):
@@ -872,12 +870,12 @@ def naive_materialize_tree(
             elif tag != UNCOLOURED:
                 colour[g] = tag
         size += len(pts)
-        k = len(info.fs)
+        k = len(dfn.fs)
         als: List[int] = []
         fac = [desc.path[0] if k > 1 else 0 for desc, _ in pts]
         for j in range(k):
             als.extend(first + i for i, f in enumerate(fac) if f == j)
-            if d >= 1 and j in info.cut_positions:
+            if d >= 1 and j in dfn.cut_positions:
                 irrational.add(size)
                 at[("cut", j)] = size
                 als.append(size)
@@ -888,7 +886,7 @@ def naive_materialize_tree(
         if d == 0:
             continue
         children = []
-        for site, mult, child in info.attachments:
+        for site, mult, child in dfn.attachments:
             child_seed = zlib.crc32(f"{seedv}|{child}|{d - 1}".encode())
             copy = (child, d - 1, child_seed, at[site])
             children += [copy] * _copies(mult, width)
@@ -925,7 +923,7 @@ def _smul(a, b, cap):
     return m if m <= cap else cap + 1
 
 
-def naive_counts(analysis: _Analysis, cap: int) -> Dict[str, dict]:
+def naive_counts(spec: TreeSpec, cap: int) -> Dict[str, dict]:
     """Per definition, the number of maximal chains of each type in the
     denoted tree of that definition, in the saturating lattice.
 
@@ -942,14 +940,15 @@ def naive_counts(analysis: _Analysis, cap: int) -> Dict[str, dict]:
     base: Dict[str, dict] = {}
     floor: Dict[str, dict] = {}
     keys: Dict[str, set] = {}
-    for name, info in analysis.infos.items():
+    for name in spec.reachable:
+        dfn = spec.definitions[name]
         b: dict = {}
-        if info.terminal_valid:
-            b[normalize_sequence(info.terminal_word)] = _sadd(0, 1, cap)
+        if dfn.terminal_valid:
+            b[normalize_sequence(dfn.chain.factors)] = _sadd(0, 1, cap)
         base[name] = b
         fl: dict = {}
-        walk = _walk(analysis, name)
-        keys[name] = set(walk.types())
+        walk = _walk(spec, name)
+        keys[name] = set(walk.types)
         for lasso in walk.lassos:
             weights = [_lat(e.weight, cap) for e in lasso.cycle]
             val = 1 if all(w == 1 for w in weights) else OMEGA
@@ -959,13 +958,13 @@ def naive_counts(analysis: _Analysis, cap: int) -> Dict[str, dict]:
                 fl[lasso.type] = val
         floor[name] = fl
 
-    C: Dict[str, dict] = {n: {} for n in analysis.infos}
+    C: Dict[str, dict] = {n: {} for n in spec.reachable}
     changed = True
     while changed:
         changed = False
-        for name, info in analysis.infos.items():
+        for name in spec.reachable:
             new = dict(base[name])
-            for e in info.edges:
+            for e in spec.definitions[name].edges:
                 w = _lat(e.weight, cap)
                 for t2, c2 in C[e.child].items():
                     t = _seq_prepend(e.word, t2)

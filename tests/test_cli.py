@@ -29,6 +29,16 @@ FIRST_PASS = (
     "A = spine Q(a^Q(b))^a with 1 x B at orbit 2\n"
     "B = spine Q(b)^Q(a^Q(b))^c with 1 x B at orbit 3\n"
 )
+# the root R does not reach the ladder below it, whose walk would take
+# 2^39 paths
+UNREACHABLE_LADDER = (
+    "root R\nR = spine Q(a)^b\n"
+    + "".join(
+        f"D{i} = spine a^b with 1 x D{i + 1} at orbit 0, 1 x D{i + 1} at orbit 1\n"
+        for i in range(39)
+    )
+    + "D39 = spine a^b\n"
+)
 # a chain climbs into k = 0, 1, 2, ... copies before it goes up a spine,
 # and each passage Q(a)^a^Q(a) collapses to Q(a)
 SELF_LOOP = "T = spine Q(a)^a^b with 1 x T at orbit 1\n"
@@ -202,6 +212,14 @@ def test_term_sample_budget_boundary(capsys):
     assert err.startswith("error: budget:") and err.count("\n") == 1
 
 
+def test_term_sample_has_no_records_format(capsys):
+    code, out, err = run(capsys, "term", "sample", "1", "--format", "records")
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: usage: argument --format: invalid choice: 'records'"
+    )
+
+
 def test_term_sample_dot_format(capsys):
     code, out, _ = run(
         capsys, "term", "sample", "1^1", "--size", "2", "--format", "dot"
@@ -253,6 +271,33 @@ def test_tree_check_ignores_unreachable_definitions(capsys, files):
     assert (code, err) == (0, "")
     assert out.startswith("categorical: yes\n")
     assert out == run(capsys, "tree", "check", files("q1.spec", Q1))[1]
+
+
+@pytest.mark.parametrize(
+    "command, want",
+    [
+        (
+            "check",
+            "categorical: yes\n"
+            "condition finite-ramification: pass\n"
+            "condition chains-categorical: pass\n"
+            "condition finite-chain-family: pass\n",
+        ),
+        ("chains", "[Q(a), b]\n"),
+        (
+            "table",
+            "cap: 3\n"
+            "type 0: [Q(a), b]\n"
+            "cell type=0 pos=0 count=1\n"
+            "cell type=0 pos=1 count=1\n",
+        ),
+    ],
+)
+def test_an_unreachable_ladder_is_never_walked(capsys, files, command, want):
+    f = files("ladder.spec", UNREACHABLE_LADDER)
+    start = time.perf_counter()
+    assert run(capsys, "tree", command, f) == (0, want, "")
+    assert time.perf_counter() - start < 1
 
 
 def test_tree_check_missing_file(capsys, tmp_path):
@@ -371,11 +416,11 @@ def test_tree_table_prepends_each_child_type_once(capsys, files, monkeypatch):
     outs = []
     for parent_first in (True, False):
         text = ladder(m, parent_first)
-        analysis = trees._Analysis(trees.parse_spec(text))
+        spec = trees.parse_spec(text)
         pairs = sum(
-            len(trees._walk(analysis, e.child).types())
-            for info in analysis.infos.values()
-            for e in info.edges
+            len(trees._walk(spec, e.child).types)
+            for name in spec.reachable
+            for e in spec.definitions[name].edges
         )
         assert pairs == m - 1
         calls.clear()
@@ -829,6 +874,9 @@ FAILURES = [
     ("character", "term normalize a$b", None, "parse: unexpected character '$'"),
     ("unclosed", "term normalize Q(a", None, "parse: expected ')'"),
     ("trailing", "term normalize a)", None, "parse: unexpected ')' after term"),
+    ("bracket", "term normalize a[b", None, "parse: unexpected character '['"),
+    ("star", "term normalize a*b", None, "parse: unexpected character '*'"),
+    ("close-bracket", "term normalize Q(a]", None, "parse: unexpected character ']'"),
     ("depth", "tree sample --depth -1", VSPEC, "value: depth must be >= 0"),
     ("width", "tree sample --width 0", VSPEC, "value: width must be >= 1"),
     ("unknown-point", "tree orbit2 0 999 0 1", VSPEC, "value: unknown point in pair (0, 999)"),

@@ -33,7 +33,6 @@ from omegacat.terms import (
 )
 from omegacat.trees import (
     OMEGA,
-    _Analysis,
     _counts,
     _member_table,
     _parse_chain_labels,
@@ -168,13 +167,13 @@ def test_chain_counts_agree_with_the_saturating_rounds():
     for _ in range(SPECS):
         spec = parse(random_spec_text(rng))
         try:
-            new = _counts(_Analysis(spec))
+            new = _counts(spec)
         except SpecError as e:
             assert "escaped the walk's chain types" in str(e)
             new = None
         for cap in (0, 3, 20):
             try:
-                old = naive_counts(_Analysis(spec), cap)
+                old = naive_counts(spec, cap)
             except SpecError:
                 assert new is None
                 continue

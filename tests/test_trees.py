@@ -46,8 +46,6 @@ from omegacat.terms import (
 )
 from omegacat.trees import (
     OMEGA,
-    CutSite,
-    OrbitSite,
     annotate_R,
     chain_types,
     check_categorical,
@@ -93,16 +91,14 @@ def test_parse_minimal_spec():
 def test_parse_attachments():
     s = parse_spec(DENSE)
     (a,) = s.definitions["T"].attachments
-    assert a.site == OrbitSite(0)
-    assert a.multiplicity == OMEGA
-    assert a.child == "T"
+    assert a == (("orbit", 0), OMEGA, "T")
 
 
 def test_parse_cut_site():
     s = parse_spec(CUT)
+    # ``top`` is the cut after the last factor
     (a,) = s.definitions["T"].attachments
-    assert a.site == CutSite("top")
-    assert a.multiplicity == 2
+    assert a == (("cut", 0), 2, "L")
 
 
 def test_root_line_overrides_first_definition():
@@ -144,7 +140,45 @@ def test_degenerate_cut_normalized_to_orbit_with_warning():
     with pytest.warns(SpecWarning):
         s = parse_spec("T = spine 1 with 2 x T at top\n")
     (a,) = s.definitions["T"].attachments
-    assert a.site == OrbitSite(0)
+    assert a == (("orbit", 0), 2, "T")
+
+
+def test_a_spec_is_resolved_and_walked_once(monkeypatch):
+    # parse_spec resolves every definition, the unreachable U too, and the
+    # four public functions read what it returns: they resolve nothing
+    # again, and share one walk per definition
+    addresses, resolved, walks = trees._orbit_addresses, [], []
+
+    def counted(fs):
+        resolved.append(fs)
+        return addresses(fs)
+
+    class Walk(trees._Walk):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            walks.append(self)
+
+    monkeypatch.setattr(trees, "_orbit_addresses", counted)
+    monkeypatch.setattr(trees, "_Walk", Walk)
+    spec = parse_spec(
+        "A = spine Q(a) with 1 x B at orbit 0, 2 x C at orbit 0\n"
+        "B = spine b with omega x B at orbit 0\n"
+        "C = spine Q(c)\n"
+        "U = spine a^Q(b) with 1 x U at orbit 1\n"
+    )
+    assert len(resolved) == 4
+    check_categorical(spec)
+    ramification_table(spec)
+    assert len(walks) == 3
+    assert sorted(spec._walks) == ["A", "B", "C"]
+    chain_types(spec)
+    materialize_tree(spec, depth=2, width=2)
+    assert (len(resolved), len(walks)) == (4, 3)
+
+
+def test_unreachable_definitions_are_validated():
+    with pytest.raises(SpecError, match="'U' has no spine orbit 2"):
+        parse_spec("T = spine Q(1)\nU = spine a^b with 1 x T at orbit 2\n")
 
 
 def test_degenerate_cut_same_materialization():
@@ -206,15 +240,16 @@ def test_chain_types_mixed_escape_family():
 
 
 def test_each_walk_sorts_its_types_once(monkeypatch):
-    # the growth check, the counts and the table ask each walk for its
-    # types again and again; the walk sorts them by rendering once, when
-    # it ends
+    # the growth check, the counts and the table read each walk's types
+    # again and again; the walk sorts them by rendering once, when it ends,
+    # and keeps the sorted list as its ``types``
     sorts = []
 
     def counted(items, key=None, reverse=False):
+        out = sorted(items, key=key, reverse=reverse)
         if key is trees.render_sequence:
-            sorts.append(items)
-        return sorted(items, key=key, reverse=reverse)
+            sorts.append(out)
+        return out
 
     monkeypatch.setattr(trees, "sorted", counted, raising=False)
     spec = parse_spec(
@@ -222,15 +257,13 @@ def test_each_walk_sorts_its_types_once(monkeypatch):
         "B = spine b with omega x B at orbit 0\n"
         "C = spine Q(c)\n"
     )
-    analysis = trees._Analysis(spec)
-    walk = trees._walk(analysis, analysis.root)
+    walk = trees._walk(spec, spec.root)
     assert any(lasso.cut for lasso in walk.lassos)
-    assert trees._growth_pair(analysis, walk) is None
-    trees._counts(analysis)
-    assert sorted(analysis.walks) == ["A", "B", "C"]
-    for w in analysis.walks.values():
-        assert w.types() is w.types()
+    assert trees._growth_pair(spec, walk) is None
+    trees._counts(spec)
+    assert sorted(spec._walks) == ["A", "B", "C"]
     assert len(sorts) == 3
+    assert all(w.types is out for w, out in zip(spec._walks.values(), sorts))
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +317,12 @@ def test_site_words_of_a_chain_with_cut_slots():
             "Q(a^Q(b))^I^Q(c)^I^Q(b)",
         ),
     ]:
-        info = trees._Analysis(parse_spec(text)).infos["T"]
-        assert render_term(info.chain) == chain
-        assert check_segment_words(info.chain) > 0
-        for site, leaf in info.sites.items():
-            want = factors(naive_initial_segment(info.chain, leaf))
-            assert info.down[site] == want, site
+        dfn = parse_spec(text).definitions["T"]
+        assert render_term(dfn.chain) == chain
+        assert check_segment_words(dfn.chain) > 0
+        for site, leaf in dfn.sites.items():
+            want = factors(naive_initial_segment(dfn.chain, leaf))
+            assert dfn.down[site] == want, site
 
 
 # ---------------------------------------------------------------------------

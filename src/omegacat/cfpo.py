@@ -207,11 +207,18 @@ def path_completion(p: FinPoset) -> FinPoset:
 # paths
 
 
+# Most walks ``_paths`` takes off its stack in one search, as ``alt_rank``
+# tries at most 200 000 candidates: the walks of an order that is not
+# cycle-free can be exponential in number.
+_MAX_PATH_STEPS = 200_000
+
+
 def _paths(p: FinPoset, a, b) -> List[frozenset]:
     """Distinct path node-sets between ``a`` and ``b``, at most two:
     walks from ``a`` along covering pairs that repeat no node, whose turning
     points (``a``, each change of direction, then ``b``) are incomparable
-    to every earlier turning point except the one just before."""
+    to every earlier turning point except the one just before.  Raises
+    :class:`BudgetError` after ``_MAX_PATH_STEPS`` walks."""
     pos, up, down = p._pos, p._up, p._down
 
     def near(x):  # the positions comparable to x, x included
@@ -222,7 +229,13 @@ def _paths(p: FinPoset, a, b) -> List[frozenset]:
     # each entry: the node, its heading, the last turning point so far and
     # the bit mask of the turning points before that one
     stack = [(a, None, a, 0, frozenset({a}))]
+    left = _MAX_PATH_STEPS
     while stack:
+        if not left:
+            raise BudgetError(
+                f"path search budget of {_MAX_PATH_STEPS} walks exhausted"
+            )
+        left -= 1
         x, heading, last, earlier, seen = stack.pop()
         for step, cover in enumerate((p._upper, p._lower)):  # 0 goes up, 1 down
             if heading in (None, step):

@@ -243,9 +243,11 @@ class FinPoset:
         One breadth-first walk from the roots lists every point after its
         parent, so ``down[v] = down[parent] | bit(parent)``, and in reverse
         each up-set is the OR of ``up[c] | bit(c)`` over the children ``c``.
-        A point the walk misses lies on a cycle of ``parent``: that raises
-        :class:`CycleError` as the public constructor does.  The labels
-        must name positions; they are not checked.
+        Both sweeps skip a childless point: it passes nothing down,
+        and its up-set stays empty.  A point the walk misses lies on a
+        cycle of ``parent``: that raises :class:`CycleError` as the public
+        constructor does.  The labels must name positions; they are not
+        checked.
         """
         n = len(parent)
         kids: list = [[] for _ in range(n)]
@@ -254,21 +256,26 @@ class FinPoset:
             (order if u < 0 else kids[u]).append(v)
         down = [0] * n
         for u in order:  # breadth first: the list grows as it is read
-            below = down[u] | 1 << u
-            for c in kids[u]:
-                down[c] = below
-            order.extend(kids[u])
+            cs = kids[u]
+            if cs:
+                below = down[u] | 1 << u
+                for c in cs:
+                    down[c] = below
+                order += cs
         if len(order) < n:
             raise CycleError(f"cycle through node {_first_on_cycle(kids)!r}")
         up = [0] * n
         for u in reversed(order):
-            reach = 0
-            for c in kids[u]:
-                reach |= up[c] | 1 << c
-            up[u] = reach
+            cs = kids[u]
+            if cs:
+                reach = 0
+                for c in cs:
+                    reach |= up[c] | 1 << c
+                up[u] = reach
         p = cls.__new__(cls)
-        p.elements = tuple(range(n))
-        p._pos = {v: v for v in range(n)}
+        points = range(n)
+        p.elements = tuple(points)
+        p._pos = dict(zip(points, points))
         p._down, p._up = down, up
         p._lower = {v: [] if u < 0 else [u] for v, u in enumerate(parent)}
         p._upper = dict(enumerate(kids))
@@ -364,9 +371,10 @@ def _tree_violations(p: FinPoset):
     that callers needing only the first stop there."""
     els, up, down = p.elements, p._up, p._down
     # only nodes at or above a fork of lower covers have a closed down-set
-    # that is not a chain, so only they can fail axiom 1
-    forks = _forks(p, p._lower)
-    if forks:
+    # that is not a chain, so only they can fail axiom 1; a forest, with no
+    # such fork, is cleared by one count of the covers in C
+    if max(map(len, p._lower.values()), default=0) > 1:
+        forks = _forks(p, p._lower)
         for z in range(len(els)):
             below = down[z] | 1 << z
             if below & forks:
@@ -374,7 +382,7 @@ def _tree_violations(p: FinPoset):
                     if not (up[x] | down[x]) >> y & 1:
                         yield ("down-linearity", (els[x], els[y], els[z]))
     # a single minimal element is a common lower bound of every pair
-    if sum(1 for m in down if not m) != 1:
+    if down.count(0) != 1:
         for x, y in itertools.combinations(range(len(els)), 2):
             if not (down[x] | 1 << x) & (down[y] | 1 << y):
                 yield ("common-lower-bound", (els[x], els[y]))
@@ -392,7 +400,7 @@ def _tree_view(p: FinPoset) -> tuple:
         violation = next(_tree_violations(p), None)
         if violation is not None:
             raise NotATreeError(f"not a tree: {violation}")
-        depth = {v: m.bit_count() for v, m in zip(p.elements, p._down)}
+        depth = dict(zip(p.elements, map(int.bit_count, p._down)))
         order = sorted(p.elements, key=depth.__getitem__)
         colour, irrational, upper = p.colour, p.irrational, p._upper
         code: dict = {}
@@ -402,12 +410,17 @@ def _tree_view(p: FinPoset) -> tuple:
             cs = upper[v]
             # a stable sort of two or more covers, which are in node order;
             # fewer are kept as the cover list itself, as nothing writes
-            # the cover lists or these child lists
+            # the cover lists or these child lists, and their codes are
+            # read with no call: most points have one child or none
             if len(cs) > 1:
                 cs = sorted(cs, key=code.__getitem__)
+                below = tuple(map(code.__getitem__, cs))
+            elif cs:
+                below = (code[cs[0]],)
+            else:
+                below = ()
             kids[v] = cs
-            key = (colour.get(v), v in irrational, tuple(map(code.__getitem__, cs)))
-            code[v] = ids.setdefault(key, len(ids))
+            code[v] = ids.setdefault((colour.get(v), v in irrational, below), len(ids))
         p._tree = depth, order, code, kids
     return p._tree
 

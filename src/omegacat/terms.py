@@ -618,9 +618,21 @@ def _later_points(t: Term, p, q) -> List[Tuple[Union[int, float], List[Term]]]:
 _MAX_SAMPLE_PAIRS = 2 * 10**6
 
 
-def _emit(t: Term, budget: int, rng: random.Random, path, out) -> None:
+def _draws(t: Term) -> bool:
+    """True iff sampling ``t`` draws a random number: some shuffle in it
+    has two or more constituents (see :func:`_sample_points`)."""
+    if isinstance(t, Singleton):
+        return False
+    if isinstance(t, Shuffle):
+        return len(t.constituents) > 1 or _draws(t.constituents[0])
+    return any(map(_draws, t.factors))
+
+
+def _emit(t: Term, budget: int, rng: Optional[random.Random], path, out) -> None:
     """Append (path, tag) points for a sample of ``t`` of exactly ``budget``
-    points when ``t`` is infinite (caller guarantees budget >= min_size)."""
+    points when ``t`` is infinite (caller guarantees budget >= min_size).
+    ``rng`` may be None when no shuffle in ``t`` has two or more
+    constituents."""
     if isinstance(t, Singleton):
         out.append((path, t.tag))
         return
@@ -647,7 +659,8 @@ def _emit(t: Term, budget: int, rng: random.Random, path, out) -> None:
     # up the room, so every round places one
     while remaining >= min(mins):
         order = list(range(len(cs)))
-        rng.shuffle(order)
+        if len(order) > 1:
+            rng.shuffle(order)
         for i in order:
             if mins[i] <= remaining:
                 _emit(cs[i], mins[i], rng, path + (i,), out)
@@ -697,7 +710,13 @@ def _sample_points(t: Term, budget: int, seed: int):
         raise BudgetError(
             f"budget {budget} is below the minimum sample size {need}"
         )
-    rng = random.Random(seed)
+    # ``Random.shuffle`` draws one number per index after the first, so it
+    # draws nothing on one index, and ``_emit`` shuffles only orders of two
+    # or more.  A term with no shuffle of two or more constituents draws
+    # nothing, and takes the same points with no generator built; any other
+    # term draws the same numbers from the one generator as if every order
+    # were shuffled.
+    rng = random.Random(seed) if _draws(t) else None
     pts: List[Tuple[Tuple[int, ...], str]] = []
     _emit(t, budget, rng, (), pts)
     path_index = {p: i for i, p in enumerate(orbit_paths(t))}

@@ -36,9 +36,12 @@
 - periodic normalization as one loop that retries the period's collapses
   after every step, the reference for the two loops of
   ``sequences._periodic_pipeline``
-- tree samples that sample every copy's spine anew and close the order
-  from its covering pairs, the reference for the per-key layouts and the
-  forest constructor of ``trees.materialize_tree``
+- term samples drawn from a generator seeded for every term, shuffling
+  single constituents too, the reference for ``terms._sample_points``,
+  which seeds one only when a shuffle draws
+- tree samples that sample every copy's spine anew with that sampler and
+  close the order from its covering pairs, the reference for the per-key
+  layouts and the forest constructor of ``trees.materialize_tree``
 - chain counts by round-robin rounds in the lattice ``0..cap+1, omega``
   until nothing changes, the reference for the one pass over strongly
   connected components of ``trees._counts``
@@ -71,10 +74,10 @@ from omegacat.terms import (
     IRRATIONAL,
     UNCOLOURED,
     Concat,
+    OrbitDescriptor,
     Shuffle,
     Singleton,
     Term,
-    _sample_points,
     applicable_rewrites,
     concat,
     factors,
@@ -815,6 +818,56 @@ def naive_periodic_pipeline(pre: List[Term], per: List[Term]):
 
 
 # ---------------------------------------------------------------------------
+# term samples from a generator that is always seeded
+
+
+def _naive_emit(t: Term, budget: int, rng: random.Random, path, out) -> None:
+    """Append ``(path, tag)`` for each point of a ``budget``-point sample of
+    ``t``: a concatenation splits what its infinite factors may take beyond
+    their least sizes evenly, earlier ones first, and a shuffle places its
+    constituents, each at its least size, in a freshly shuffled order per
+    round while one still fits, shuffling a single constituent too."""
+    if isinstance(t, Singleton):
+        out.append((path, t.tag))
+        return
+    if isinstance(t, Concat):
+        allocs = [min_size(f) for f in t.factors]
+        infinite = [i for i, f in enumerate(t.factors) if not is_finite(f)]
+        if infinite:
+            share, rem = divmod(budget - sum(allocs), len(infinite))
+            for k, i in enumerate(infinite):
+                allocs[i] += share + (1 if k < rem else 0)
+        for i, f in enumerate(t.factors):
+            _naive_emit(f, allocs[i], rng, path + (i,), out)
+        return
+    cs = t.constituents
+    mins = [min_size(c) for c in cs]
+    remaining = budget
+    while remaining >= min(mins):
+        order = list(range(len(cs)))
+        rng.shuffle(order)
+        for i in order:
+            if mins[i] <= remaining:
+                _naive_emit(cs[i], mins[i], rng, path + (i,), out)
+                remaining -= mins[i]
+
+
+def naive_sample_points(t: Term, budget: int, seed: int) -> list:
+    """The ``(OrbitDescriptor, tag)`` points of ``terms.materialize``'s
+    sample of ``t``, from a generator seeded for every term, one descriptor
+    built per point: the reference for ``terms._sample_points``, which
+    seeds one only when a shuffle of two or more constituents draws."""
+    if budget < min_size(t):
+        raise BudgetError(
+            f"budget {budget} is below the minimum sample size {min_size(t)}"
+        )
+    out: List[Tuple[Tuple[int, ...], str]] = []
+    _naive_emit(t, budget, random.Random(seed), (), out)
+    index = {p: i for i, p in enumerate(orbit_paths(t))}
+    return [(OrbitDescriptor(index[path], path), tag) for path, tag in out]
+
+
+# ---------------------------------------------------------------------------
 # tree samples built copy by copy and closed from their pairs
 
 
@@ -860,7 +913,7 @@ def naive_materialize_tree(
         # a budget of at least min_size(spine) samples every orbit, so
         # ``at`` below holds the lowest sampled point of each orbit site
         budget = max(min_size(dfn.spine), width)
-        pts = _sample_points(dfn.spine, budget, sp_seed)
+        pts = naive_sample_points(dfn.spine, budget, sp_seed)
         first = size
         at: Dict[tuple, int] = {}  # site -> the point its copies hang above
         for g, (desc, tag) in enumerate(pts, start=first):

@@ -465,6 +465,19 @@ def test_path_diamond_ambiguous():
     assert path(p, "a", "b") == AMBIGUOUS
 
 
+def test_path_search_counts_its_walks_against_a_budget(monkeypatch):
+    # the search takes r, b and a off its stack and finds the diamond's two
+    # paths from r to t; a path in a tree component searches no walk
+    monkeypatch.setattr(cfpo, "_MAX_PATH_STEPS", 3)
+    assert path(diamond(), "r", "t") == AMBIGUOUS
+    assert path(chain(400), 0, 399) == frozenset(range(400))
+    monkeypatch.setattr(cfpo, "_MAX_PATH_STEPS", 2)
+    with pytest.raises(BudgetError, match="path search budget of 2 walks exhausted"):
+        path(diamond(), "r", "t")
+    with pytest.raises(BudgetError):
+        validate_cfpo(diamond())
+
+
 def test_path_disconnected_none():
     assert path(disjoint_chains(), 0, 2) is None
 
@@ -591,6 +604,20 @@ def test_validate_searches_the_witness_only_in_components_with_a_cycle():
     start = time.perf_counter()
     assert validate_cfpo(p) == (False, (160, 163))
     assert time.perf_counter() - start < 0.1
+
+
+def test_the_witness_search_stops_at_its_budget():
+    # the 31st of 40 random orders of 22-30 points (each pair i < j an edge
+    # with probability 0.2, drawn from Random(11)) is not cycle-free, and
+    # its witness search runs through exponentially many walks
+    rng = random.Random(11)
+    for _ in range(31):
+        n = rng.randint(22, 30)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="path search budget of 200000 walks"):
+        validate_cfpo(FinPoset(range(n), edges))
+    assert time.perf_counter() - start < 2
 
 
 # ------------------------------------------------------------------ alt

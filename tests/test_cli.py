@@ -749,6 +749,19 @@ def test_cfpo_path_completion_budget_is_exit_3(capsys, files, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_cfpo_path_search_budget_is_exit_3(capsys, files, monkeypatch):
+    # the diamond's two paths from r to t take three walks to find, and
+    # so do those of its witness pair a b; a budget of two stops both
+    f = files("diamond.poset", DIAMOND_POSET)
+    monkeypatch.setattr("omegacat.cfpo._MAX_PATH_STEPS", 3)
+    assert run(capsys, "cfpo", "path", f, "r", "t")[:2] == (1, "ambiguous (not a CFPO)\n")
+    monkeypatch.setattr("omegacat.cfpo._MAX_PATH_STEPS", 2)
+    for argv in (("cfpo", "path", f, "r", "t"), ("poset", "validate", "--cfpo", f)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: budget: path search budget of 2 walks exhausted\n"
+
+
 def test_a_ring_of_200_definitions_is_checked(capsys, files):
     # the cycle word collapses once at every junction: 200 collapses
     m = 200

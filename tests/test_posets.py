@@ -350,6 +350,22 @@ def test_forest_constructor_equals_the_closure_of_its_parent_pairs(parent, data)
     assert poset_fields(got) == poset_fields(want)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(parent_arrays(least=2), st.data())
+def test_validate_tree_of_a_forest_with_two_or_more_roots_matches_the_oracle(parent, data):
+    # cutting a point off its parent leaves two or more roots (a forest of
+    # two or more points with no parent has them already), so the points
+    # of different trees have no common lower bound
+    hung = [v for v, u in enumerate(parent) if u >= 0]
+    if hung:
+        parent[data.draw(st.sampled_from(hung))] = -1
+    assert parent.count(-1) >= 2
+    p = FinPoset._from_forest(parent)
+    rep = validate_tree(p)
+    assert not rep.ok
+    assert (rep.ok, rep.violations) == naive_validate_tree(p)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(parent_arrays(least=1), st.data())
 def test_forest_constructor_rejects_a_cycle_as_the_public_one_does(parent, data):

@@ -25,6 +25,7 @@ from omegacat.terms import (
     Shuffle,
     Singleton,
     _down_word,
+    _draws,
     _later_points,
     _redexes_at,
     _sample_points,
@@ -55,6 +56,7 @@ from oracles import (
     naive_later_points,
     naive_law4_redexes,
     naive_normalize,
+    naive_sample_points,
     poset_fields,
     random_term,
     rebuild,
@@ -409,3 +411,44 @@ def test_materialize_equals_the_closure_of_its_successor_pairs():
                 irrational={i for i, c in enumerate(tags) if c == IRRATIONAL},
             )
             assert poset_fields(p) == poset_fields(want), (term, size)
+
+
+def test_sample_points_equal_the_always_seeded_oracle():
+    # single-constituent shuffles, alone and around or inside shuffles
+    # that draw, shuffles of finite constituents and finite terms, then
+    # 2 000 random terms, each at two budgets and two seeds
+    terms = [
+        t(x)
+        for x in (
+            "Q(d)", "b", "b^Q(c)", "Q(d)^Q(a)", "Q(a,d)", "Q(Q(a,b))",
+            "Q(Q(a))^Q(b,c)", "Q(a^b)", "Q(a^b,c^Q(d))", "a^b^c",
+        )
+    ]
+    rng = random.Random(20261020)
+    terms += [random_term(rng, 4) for _ in range(2000)]
+    lone = 0
+    for i, term in enumerate(terms):
+        least = min_size(term)
+        for budget in (least, least + 1 + i % 13):
+            for seed in (i, i * 7919 + 1):
+                got = _sample_points(term, budget, seed)
+                assert got == naive_sample_points(term, budget, seed), (term, budget)
+        lone += not _draws(term) and not is_finite(term)
+    # random terms with shuffles that draw nothing are common
+    assert lone >= 100
+
+
+@pytest.mark.parametrize(
+    "text, built", [("Q(d)", 0), ("b", 0), ("b^Q(c)", 0), ("Q(d)^Q(a)", 0), ("Q(a,d)", 1)]
+)
+def test_a_spine_seeds_a_generator_only_when_a_shuffle_draws(monkeypatch, text, built):
+    seeds = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    _sample_points(t(text), 12, 7)
+    assert len(seeds) == built

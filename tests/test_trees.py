@@ -15,6 +15,7 @@ from oracles import (
     cones_above,
     naive_initial_segment,
     naive_materialize_tree,
+    naive_tree_view,
     naive_two_orbit_equiv,
     poset_fields,
     random_term,
@@ -27,6 +28,7 @@ from omegacat import posets, trees
 from omegacat.errors import BudgetError, ParseError, SpecError, SpecWarning
 from omegacat.posets import (
     FinPoset,
+    _tree_view,
     all_trees,
     automorphisms,
     dump_poset,
@@ -717,6 +719,23 @@ def test_two_orbit_traces_match_the_per_point_reference_on_all_small_trees():
                 assert two_orbit_equiv(p, q0, q1) == naive_two_orbit_equiv(
                     p, q0, q1
                 ), (p.lt, q0, q1)
+
+
+def test_tree_view_equals_the_per_point_reference_field_by_field():
+    # depth, order, code and kids each equal the reference's, on the
+    # benchmark's shapes and on every tree of up to six points
+    samples = [
+        materialize_tree(parse_spec(text), depth, width, seed)
+        for text in ORBIT_SHAPES
+        for depth in (1, 2, 3)
+        for width in (2, 3)
+        for seed in (0, 1)
+    ]
+    samples += all_trees(6)
+    for p in samples:
+        got, want = _tree_view(p), naive_tree_view(p)
+        for field, a, b in zip(("depth", "order", "code", "kids"), got, want):
+            assert a == b, (field, p.lt)
 
 
 def test_annotate_with_symbolic_table():

@@ -25,7 +25,15 @@ import itertools
 from typing import List
 
 from .errors import BudgetError
-from .posets import FinPoset, _bits, _common_bounds, _forest_view, _forks, covers, node_key
+from .posets import (
+    FinPoset,
+    _bits,
+    _common_bounds,
+    _CoverPoset,
+    _forest_view,
+    _forks,
+    node_key,
+)
 
 __all__ = [
     "AMBIGUOUS",
@@ -106,9 +114,12 @@ def path_completion(p: FinPoset) -> FinPoset:
     and below the bound set itself; nothing else is related to it.  Points
     are added one at a time, each for the first defective pair in node
     order (a missing join before a missing meet) among the points so far,
-    and extend the order in place; one ``FinPoset`` is built at the end.
-    Added points are flagged irrational and named ``i0``, ``i1``, ... in
-    the order they are added, skipping names already present.
+    and extend the order in place, each point's covers kept current.  The
+    completion is built from those covers (``posets._CoverPoset``), and
+    builds its up- and down-set masks only when a query first reads
+    them: the path of a Hasse forest reads covers alone.  Added points are
+    flagged irrational and named ``i0``, ``i1``, ... in the order they are
+    added, skipping names already present.
     """
     els = list(p.elements)
     keys = [node_key(x) for x in els]
@@ -120,6 +131,7 @@ def path_completion(p: FinPoset) -> FinPoset:
         [m | 1 << i for i, m in enumerate(strict)] for strict in (p._up, p._down)
     )
     known = (set(cones[0]), set(cones[1]))
+    p_covers = (p._upper, p._lower)
 
     def defects(k, pairs):
         """Heap entries ``(key, key, k, position, position)`` of the pairs
@@ -147,7 +159,10 @@ def path_completion(p: FinPoset) -> FinPoset:
     # pair lacking one of them is a candidate for that one
     heap = defects(0, _candidates(p, 0)) + defects(1, _candidates(p, 1))
     heapq.heapify(heap)
-    edges, taken, counter = list(covers(p)), set(els), 0
+    # moved[0][t] / moved[1][t]: the upper / lower covers of point t, as
+    # positions, for each point whose covers an added point changed
+    moved = ({}, {})
+    taken, counter = set(els), 0
     while heap:
         _, _, k, i, j = heapq.heappop(heap)
         bound = cones[k][i] & cones[k][j]
@@ -172,18 +187,29 @@ def path_completion(p: FinPoset) -> FinPoset:
         # m lies below the bound set, so below z, and its cone gains z too;
         # if U had none, only z's new cone can match, when U is the bound
         # set: then the defect is mended.  Dually for meets.
-        # Only z's covers become edges: the points of each side whose cone
-        # towards z holds no other point of that side, the maximal points
-        # below z and the minimal ones above.  Every point of a finite side
-        # lies beyond one of them, so they generate the same order as the
-        # whole sides.
+        # For a join (dually for a meet), z's covers are the points of each
+        # side whose cone towards z holds no other point of that side: the
+        # maximal far points below z and the minimal bound points above.
+        # Each of them drops its covers on z's other side, which now lie
+        # beyond z, and gains z.  No other cover a < b changes, as z lies
+        # between a and b only for a far point a and a bound point b.  If a
+        # is not maximal, it lies below a far point a', and a' < b, as a'
+        # lies below every bound point and is none (a point of both sides
+        # would be the missing join): a was no cover of b.  Dually when b
+        # is not minimal.
         for side, mask, own in ((k, far, bound), (1 - k, bound, far)):
+            mine = []  # z's covers on this side
             for t in _bits(mask):
                 if cones[side][t] & mask == 1 << t:
-                    edges.append((els[t], name) if side == 0 else (name, els[t]))
+                    mine.append(t)
+                    old = moved[side].get(t)
+                    if old is None:
+                        old = [p._pos[c] for c in p_covers[side][els[t]]]
+                    moved[side][t] = [c for c in old if not own >> c & 1] + [z]
                 known[side].remove(cones[side][t])
                 cones[side][t] |= 1 << z
                 known[side].add(cones[side][t])
+            moved[1 - side][z] = mine
             cones[side].append(own | 1 << z)
             known[side].add(own | 1 << z)
         # A pair whose closed cone misses z's has an empty bound, so only the
@@ -199,8 +225,25 @@ def path_completion(p: FinPoset) -> FinPoset:
                 heapq.heappush(heap, entry)
     if len(els) == len(p):
         return p
-    irrational = set(p.irrational) | set(els[len(p) :])
-    return FinPoset(els, edges, colour=dict(p.colour), irrational=irrational)
+    order = sorted(range(len(els)), key=keys.__getitem__)
+    upper, lower = (
+        {
+            els[t]: (
+                [els[c] for c in sorted(moved[side][t], key=keys.__getitem__)]
+                if t in moved[side]
+                else p_covers[side][els[t]]
+            )
+            for t in order
+        }
+        for side in (0, 1)
+    )
+    return _CoverPoset(
+        [els[t] for t in order],
+        lower,
+        upper,
+        dict(p.colour),
+        p.irrational.union(els[len(p) :]),
+    )
 
 
 # ---------------------------------------------------------------------------

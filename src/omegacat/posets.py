@@ -11,6 +11,8 @@ samplers build theirs, gets the same fields from one walk from its roots,
 with no sort.  Every order query in the package reads them: covers,
 maximal chains, meets (and joins and paths in :mod:`omegacat.cfpo`),
 tree validation, and a small line-based file format plus DOT output.
+The path completion of :mod:`omegacat.cfpo` keeps its covers current as
+it grows and is built from them, leaving the masks to first read.
 
 The reference oracles are deliberately brute force and deterministic:
 exhaustive automorphism and orbit enumeration by backtracking
@@ -79,6 +81,8 @@ def _closure(els, succ, order) -> tuple:
     successors already in it, and of the successors themselves.  Every
     cover is an edge of ``succ``, and ``x -> c`` is one exactly when ``c``
     lies in no other successor's up-set, that is outside that first OR.
+    The constructor runs both sweeps, and so does the first read of either
+    mask of a :class:`_CoverPoset`.
     """
     up = [0] * len(els)
     upper: list = [[] for _ in els]
@@ -144,6 +148,20 @@ def _components(succ):
     return comp
 
 
+def _kahn(succ, pred) -> list:
+    """Kahn's pass over positions: a position joins the order once all its
+    predecessors have (the list grows as it is read).  A position it misses
+    lies on a cycle or above one."""
+    indegree = [len(ys) for ys in pred]
+    order = [x for x, d in enumerate(indegree) if not d]
+    for x in order:
+        for c in succ[x]:
+            indegree[c] -= 1
+            if not indegree[c]:
+                order.append(c)
+    return order
+
+
 def _first_on_cycle(succ):
     """The first position, in node order, that can reach itself: the least
     position of a strongly connected component with an edge inside it."""
@@ -172,6 +190,14 @@ class FinPoset:
     :func:`omegacat.terms.materialize` for chains, whose points each have
     the point before as parent.  The differential tests hold it equal to
     the public constructor.
+
+    The private subclass :class:`_CoverPoset` is built from the covers in
+    both directions, as :func:`omegacat.cfpo.path_completion` keeps them,
+    and builds both masks on the first read of either, so a query that
+    walks only the covers, such as the path in a Hasse forest, never
+    builds them.  The public constructor and :meth:`_from_forest` build
+    them at once, since the queries on their posets read them anyway:
+    ``tree orbit2``, for one, reads both masks of each sample.
     """
 
     # _pos: node -> bit position; _down/_up: strict masks; _lower/_upper: covers;
@@ -202,16 +228,7 @@ class FinPoset:
                 raise ParseError(f"edge references unknown node {a!r} or {b!r}")
             succ[pos[a]].append(pos[b])
             pred[pos[b]].append(pos[a])
-        # Kahn's pass: a node joins the order once all its predecessors have
-        # (the list grows as it is read); a node it misses lies on a cycle
-        # or above one
-        indegree = [len(ys) for ys in pred]
-        order = [x for x, d in enumerate(indegree) if not d]
-        for x in order:
-            for c in succ[x]:
-                indegree[c] -= 1
-                if not indegree[c]:
-                    order.append(c)
+        order = _kahn(succ, pred)
         if len(order) < len(els):
             raise CycleError(f"cycle through node {els[_first_on_cycle(succ)]!r}")
         self._down, self._lower = _closure(els, pred, order)
@@ -336,6 +353,46 @@ class FinPoset:
     def __repr__(self):  # pragma: no cover - debugging aid
         pairs = sum(m.bit_count() for m in self._up)
         return f"FinPoset({len(self.elements)} nodes, {pairs} pairs)"
+
+
+class _CoverPoset(FinPoset):
+    """The order whose covers are ``lower`` and ``upper``, node -> list of
+    covers in node order, over ``elements`` in node order, equal field for
+    field to the public constructor on those covers once its masks are
+    read.  The dicts and labels are kept, not copied.  The covers must be
+    those of an order; nothing is checked.
+
+    ``_down`` and ``_up`` are built on first read: only an unset slot falls
+    through to ``__getattr__``, so later reads find them stored.  This is a
+    subclass because a class that defines ``__getattr__`` loses the
+    interpreter's fast path for every attribute read: on ``FinPoset``
+    itself it made each attribute read of every poset slower.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self, elements: Sequence, lower: dict, upper: dict, colour: dict, irrational: frozenset
+    ):
+        self.elements = tuple(elements)
+        self._pos = {x: i for i, x in enumerate(self.elements)}
+        self._lower, self._upper = lower, upper
+        self._tree = self._forest = None
+        self.colour, self.irrational = colour, irrational
+
+    def __getattr__(self, name):
+        """Build ``_down`` and ``_up`` when either is first read, with the
+        :func:`_closure` sweeps over one Kahn order of the covers."""
+        if name not in ("_down", "_up"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        els, pos = self.elements, self._pos
+        succ = [[pos[c] for c in self._upper[x]] for x in els]
+        pred = [[pos[c] for c in self._lower[x]] for x in els]
+        order = _kahn(succ, pred)
+        self._down = _closure(els, pred, order)[0]
+        order.reverse()
+        self._up = _closure(els, succ, order)[0]
+        return self._down if name == "_down" else self._up
 
 
 # -------------------------------------------------------------- validation

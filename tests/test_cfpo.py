@@ -24,6 +24,7 @@ from omegacat.cfpo import (
     AMBIGUOUS,
     _candidates,
     _forest_rank,
+    _forest_view,
     _zigzag,
     alt,
     alt_rank,
@@ -269,10 +270,37 @@ def test_completion_budget_counts_added_points(monkeypatch):
         path_completion(two)
 
 
+def masks_built(p):
+    """The names of ``p``'s masks that are set, read from the slots past
+    ``_CoverPoset.__getattr__``, which would build them."""
+    built = []
+    for name in ("_down", "_up"):
+        try:
+            vars(FinPoset)[name].__get__(p, FinPoset)
+        except AttributeError:
+            continue
+        built.append(name)
+    return built
+
+
 def same_completion(p):
-    # every stored field, covers included: the completion passes only the
-    # covers of each added point as edges
-    assert poset_fields(path_completion(p)) == poset_fields(naive_path_completion(p))
+    # every stored field, covers included, in both read orders: the
+    # completion is built from its covers and builds its masks on first read
+    want = naive_path_completion(p)
+    assert poset_fields(path_completion(p)) == poset_fields(want)
+    q = path_completion(p)
+    lazy = len(q) > len(p)
+    assert masks_built(q) == ([] if lazy else ["_down", "_up"])
+    # the forest view and the paths in tree components read covers alone
+    _, comp, _, cyclic = _forest_view(q)
+    tree_points = [x for x in q.elements if comp[q._pos[x]] not in cyclic]
+    for a, b in itertools.islice(itertools.combinations(tree_points, 2), 300):
+        assert path(q, a, b) == path(want, a, b)
+    assert masks_built(q) == ([] if lazy else ["_down", "_up"])
+    _forest_view(want)
+    assert poset_fields(q) == poset_fields(want)
+    assert masks_built(q) == ["_down", "_up"]
+    assert not hasattr(q, "nope")
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -13,9 +13,9 @@ import sys
 import time
 
 import pytest
-from test_cfpo import oriented_tree
+from test_cfpo import oriented_tree, x_point_tree
 
-from omegacat import trees
+from omegacat import posets, trees
 from omegacat.cfpo import alt
 from omegacat.cli import build_parser, main
 from omegacat.posets import FinPoset, dump_poset, load_poset, validate_tree
@@ -730,6 +730,64 @@ def test_cfpo_path_through_completion_point(capsys, files):
     f = files("bowtie.poset", BOWTIE_POSET)
     code, out, _ = run(capsys, "cfpo", "path", f, "a", "x")
     assert (code, out) == (0, "a i0 x\n")
+
+
+# the benchmark's path-poset shape: a 57-point rooted tree whose three
+# removed X-points the completion restores as i1, i2 and i3
+X_POSET = dump_poset(x_point_tree(60, 60, 3))
+# with a diamond: 39 and h37, two upper covers of 47, get a common top
+X_DIAMOND_POSET = X_POSET + "node top\nedge 39 top\nedge h37 top\n"
+
+
+def closure_calls(monkeypatch):
+    calls = []
+    real = posets._closure
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(posets, "_closure", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("cfpo", "path", "X", "h9", "i44"), (0, "h9 i1 i44\n")),
+        (("cfpo", "path", "X", "h9", "j42"), (0, "h9 i1 i24 i3 i44 j42 j54\n")),
+        (("poset", "validate", "--cfpo", "X"), (0, "ok\n")),
+    ],
+)
+def test_cfpo_queries_on_a_forest_completion_build_no_closure(
+    capsys, files, monkeypatch, argv, want
+):
+    # load_poset sweeps once each way; the completion, a forest, is read
+    # through its covers alone, so its masks are never built
+    f = files("x.poset", X_POSET)
+    calls = closure_calls(monkeypatch)
+    assert run(capsys, *(f if a == "X" else a for a in argv)) == (*want, "")
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "text, argv, want, sweeps",
+    [
+        (DIAMOND_POSET, ("poset", "validate", "--cfpo"), (1, "not cycle-free: pair a b\n"), 2),
+        (X_DIAMOND_POSET, ("poset", "validate", "--cfpo"), (1, "not cycle-free: pair 11 top\n"), 4),
+        (X_POSET, ("cfpo", "alt-rank"), (0, "5\n"), 4),
+    ],
+)
+def test_cfpo_masks_of_a_completion_are_built_once_on_first_read(
+    capsys, files, monkeypatch, text, argv, want, sweeps
+):
+    # the diamond completes to itself, whose masks load_poset built; the
+    # others gain points, and the witness search and the forest rank read
+    # the completion's masks, built by two more sweeps however often read
+    f = files("in.poset", text)
+    calls = closure_calls(monkeypatch)
+    assert run(capsys, *argv, f) == (*want, "")
+    assert len(calls) == sweeps
 
 
 def test_cfpo_path_unknown_node(capsys, files):

@@ -495,13 +495,15 @@ def _forest_rank(p: FinPoset, q: FinPoset) -> int:
     point nearest the root, where its two halves are joined, so the pass
     meets each path's count."""
     parent, _, order, _ = _forest_view(q)
+    els, upper = q.elements, q._upper
     missing = float("-inf")
     half = [[0, 0] if x in p else [missing, missing] for x in q.elements]
     best = 1
     for c in reversed(order):
         v = parent[c]
         if v >= 0:
-            d = 0 if q._up[c] >> v & 1 else 1
+            # v, a forest neighbour of c, lies above c iff it covers c
+            d = 0 if els[v] in upper[els[c]] else 1
             g = max(half[c][d], half[c][1 - d] + 1)
             best = max(best, g + half[v][d] + 1, g + half[v][1 - d])
             half[v][d] = max(half[v][d], g)

@@ -771,16 +771,15 @@ def load_poset(text: str) -> FinPoset:
 
 
 def dump_poset(p: FinPoset) -> str:
-    lines = []
-    for x in p.elements:
-        opts = []
-        if x in p.colour:
-            opts.append(f"colour={p.colour[x]}")
-        if x in p.irrational:
-            opts.append("irrational")
-        lines.append(" ".join(["node", str(x)] + opts))
-    for a, b in covers(p):
-        lines.append(f"edge {a} {b}")
+    """The poset-file text of ``p``: its nodes in node order, each with its
+    labels, then its covering edges as :func:`covers` lists them."""
+    colour, irrational, upper = p.colour, p.irrational, p._upper
+    lines = [
+        f"node {x}{f' colour={colour[x]}' if x in colour else ''}"
+        f"{' irrational' if x in irrational else ''}"
+        for x in p.elements
+    ]
+    lines += [f"edge {a} {b}" for a in p.elements for b in upper[a]]
     return "\n".join(lines) + "\n"
 
 

@@ -628,32 +628,36 @@ def _draws(t: Term) -> bool:
     return any(map(_draws, t.factors))
 
 
-def _emit(t: Term, budget: int, rng: Optional[random.Random], path, out) -> None:
-    """Append (path, tag) points for a sample of ``t`` of exactly ``budget``
-    points when ``t`` is infinite (caller guarantees budget >= min_size).
-    ``rng`` may be None when no shuffle in ``t`` has two or more
-    constituents."""
+def _emit(t: Term, budget: int, rng: Optional[random.Random], first: int, out) -> None:
+    """Append the leaf number of each point of a sample of ``t`` of exactly
+    ``budget`` points when ``t`` is infinite (caller guarantees budget >=
+    min_size).  Leaves are numbered in :func:`orbit_paths` order, ``t``'s
+    first leaf being ``first``; a subterm's ``min_size`` is its number of
+    leaves, so each child's first leaf is ``first`` plus the sizes of the
+    children before it.  A singleton child is appended in place.  ``rng``
+    may be None when no shuffle in ``t`` has two or more constituents."""
     if isinstance(t, Singleton):
-        out.append((path, t.tag))
+        out.append(first)
         return
     if isinstance(t, Concat):
-        allocs = []
-        infinite = []
-        for i, f in enumerate(t.factors):
-            m = min_size(f)
-            allocs.append(m)
-            if not is_finite(f):
-                infinite.append(i)
+        sizes = [min_size(f) for f in t.factors]
+        allocs = sizes.copy()
+        infinite = [i for i, f in enumerate(t.factors) if not is_finite(f)]
         leftover = budget - sum(allocs)
         if infinite:
             share, rem = divmod(leftover, len(infinite))
             for k, i in enumerate(infinite):
                 allocs[i] += share + (1 if k < rem else 0)
-        for i, f in enumerate(t.factors):
-            _emit(f, allocs[i], rng, path + (i,), out)
+        for f, size, m in zip(t.factors, sizes, allocs):
+            if f.__class__ is Singleton:
+                out.append(first)
+            else:
+                _emit(f, m, rng, first, out)
+            first += size
         return
     cs = t.constituents
     mins = [min_size(c) for c in cs]
+    starts = list(itertools.accumulate(mins[:-1], initial=first))
     remaining = budget
     # each round places a smallest constituent, or the ones before it used
     # up the room, so every round places one
@@ -663,7 +667,10 @@ def _emit(t: Term, budget: int, rng: Optional[random.Random], path, out) -> None
             rng.shuffle(order)
         for i in order:
             if mins[i] <= remaining:
-                _emit(cs[i], mins[i], rng, path + (i,), out)
+                if cs[i].__class__ is Singleton:
+                    out.append(starts[i])
+                else:
+                    _emit(cs[i], mins[i], rng, starts[i], out)
                 remaining -= mins[i]
 
 
@@ -672,7 +679,8 @@ def materialize(t: Term, budget: int, seed: int = 0):
 
     Returns ``(poset, annotations)``: a totally ordered :class:`FinPoset`
     over ids ``0..n-1`` in order, and a dict mapping each id to the
-    :class:`OrbitDescriptor`-style address of the leaf it came from.
+    :class:`OrbitDescriptor` of the leaf it came from.  The points of one
+    leaf share one descriptor, which is safe as descriptors are frozen.
 
     Finite terms are realized exactly.  A shuffle cycles through fresh random
     arrangements of its full constituent set, so every constituent appears
@@ -704,7 +712,8 @@ def materialize(t: Term, budget: int, seed: int = 0):
 
 def _sample_points(t: Term, budget: int, seed: int):
     """The points of :func:`materialize`'s sample in order, as
-    ``(OrbitDescriptor, tag)`` pairs."""
+    ``(OrbitDescriptor, tag)`` pairs: one pair per leaf of ``t``, built once
+    and shared by all the points of that leaf, as descriptors are frozen."""
     need = min_size(t)
     if budget < need:
         raise BudgetError(
@@ -717,7 +726,10 @@ def _sample_points(t: Term, budget: int, seed: int):
     # term draws the same numbers from the one generator as if every order
     # were shuffled.
     rng = random.Random(seed) if _draws(t) else None
-    pts: List[Tuple[Tuple[int, ...], str]] = []
-    _emit(t, budget, rng, (), pts)
-    path_index = {p: i for i, p in enumerate(orbit_paths(t))}
-    return [(OrbitDescriptor(path_index[path], path), tag) for path, tag in pts]
+    leaves: List[int] = []
+    _emit(t, budget, rng, 0, leaves)
+    pairs = [
+        (OrbitDescriptor(i, path), subterm_at(t, path).tag)
+        for i, path in enumerate(orbit_paths(t))
+    ]
+    return list(map(pairs.__getitem__, leaves))

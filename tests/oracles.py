@@ -19,6 +19,8 @@
 - brute-force order queries (closure, down/up sets, covers, meets, joins,
   tree validation) that rescan the relation for every answer, the
   reference for the stored sets of ``FinPoset``
+- poset-file text with each node line joined from a list of its parts,
+  the reference for the one f-string per line of ``posets.dump_poset``
 - the cones above a tree point and the closure of a tuple under meets,
   which the package itself does not need
 - CFPO connecting sets, enumerated without a bound, and the paths
@@ -61,7 +63,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from omegacat.errors import BudgetError, CycleError, SpecError
-from omegacat.posets import FinPoset, _tree_view, maximal_chains, meet, node_key
+from omegacat.posets import FinPoset, _tree_view, covers, maximal_chains, meet, node_key
 from omegacat.sequences import (
     NfSequence,
     _period_redex,
@@ -375,6 +377,23 @@ def naive_covers(p) -> tuple:
             out.append((a, b))
     out.sort(key=lambda e: (node_key(e[0]), node_key(e[1])))
     return tuple(out)
+
+
+def naive_dump_poset(p) -> str:
+    """The poset-file text of ``p``, each node line joined from a list of
+    its parts and the edges read from ``covers``: the reference for the
+    one f-string per line of ``posets.dump_poset``."""
+    lines = []
+    for x in p.elements:
+        opts = []
+        if x in p.colour:
+            opts.append(f"colour={p.colour[x]}")
+        if x in p.irrational:
+            opts.append("irrational")
+        lines.append(" ".join(["node", str(x)] + opts))
+    for a, b in covers(p):
+        lines.append(f"edge {a} {b}")
+    return "\n".join(lines) + "\n"
 
 
 def naive_meet(p, x, y):

@@ -757,6 +757,7 @@ def closure_calls(monkeypatch):
         (("cfpo", "path", "X", "h9", "i44"), (0, "h9 i1 i44\n")),
         (("cfpo", "path", "X", "h9", "j42"), (0, "h9 i1 i24 i3 i44 j42 j54\n")),
         (("poset", "validate", "--cfpo", "X"), (0, "ok\n")),
+        (("cfpo", "alt-rank", "X"), (0, "5\n")),
     ],
 )
 def test_cfpo_queries_on_a_forest_completion_build_no_closure(
@@ -775,15 +776,14 @@ def test_cfpo_queries_on_a_forest_completion_build_no_closure(
     [
         (DIAMOND_POSET, ("poset", "validate", "--cfpo"), (1, "not cycle-free: pair a b\n"), 2),
         (X_DIAMOND_POSET, ("poset", "validate", "--cfpo"), (1, "not cycle-free: pair 11 top\n"), 4),
-        (X_POSET, ("cfpo", "alt-rank"), (0, "5\n"), 4),
     ],
 )
 def test_cfpo_masks_of_a_completion_are_built_once_on_first_read(
     capsys, files, monkeypatch, text, argv, want, sweeps
 ):
     # the diamond completes to itself, whose masks load_poset built; the
-    # others gain points, and the witness search and the forest rank read
-    # the completion's masks, built by two more sweeps however often read
+    # other gains points, and the witness search reads the completion's
+    # masks, built by two more sweeps however often read
     f = files("in.poset", text)
     calls = closure_calls(monkeypatch)
     assert run(capsys, *argv, f) == (*want, "")

@@ -36,6 +36,7 @@ from omegacat.posets import (
     to_dot,
     validate_tree,
 )
+from omegacat.terms import materialize, min_size
 
 from oracles import (
     complete_tuple,
@@ -44,12 +45,14 @@ from oracles import (
     naive_closure,
     naive_covers,
     naive_down,
+    naive_dump_poset,
     naive_join,
     naive_meet,
     naive_up,
     naive_validate_tree,
     poset_fields,
     ramification_order,
+    random_term,
 )
 
 
@@ -613,6 +616,34 @@ def test_edges_are_covering_relation_on_dump():
     p = chain(3)
     text = dump_poset(p)
     assert "edge 0 1" in text and "edge 1 2" in text and "edge 0 2" not in text
+
+
+def test_dump_equals_the_list_and_join_dump_on_term_samples():
+    # chains of coloured, uncoloured ("1") and irrational ("I") points
+    rng = random.Random(20261021)
+    tags = set()
+    for i in range(300):
+        term = random_term(rng, 3, colours=("a", "b", "I"))
+        p, _ = materialize(term, budget=min_size(term) + i % 17, seed=i)
+        assert dump_poset(p) == naive_dump_poset(p), term
+        tags |= {p.label(x) for x in p.elements}
+    assert {(None, False), (None, True), ("a", False)} <= tags
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        POSET_TEXT,
+        "node r irrational colour=red\nnode s\nedge r s\n",
+        "node 1 colour=c irrational\nnode 2 colour= \nnode 3 irrational\n"
+        "edge 1 2\nedge 1 3\nedge 2 3\n",
+    ],
+)
+def test_dump_equals_the_list_and_join_dump_on_loaded_files(text):
+    # one node in each file after the first has both a colour and the
+    # irrational flag
+    p = load_poset(text)
+    assert dump_poset(p) == naive_dump_poset(p)
 
 
 def test_covers():

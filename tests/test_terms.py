@@ -436,6 +436,24 @@ def test_sample_points_equal_the_always_seeded_oracle():
         lone += not _draws(term) and not is_finite(term)
     # random terms with shuffles that draw nothing are common
     assert lone >= 100
+    # the six chain shapes of perfbench's chain-samples workload, at its
+    # sizes and up to the largest chain a sample may hold
+    for x in (
+        "Q(a,b)^c^Q(d)", "Q(1,a,b)", "a^Q(b,c)^1", "Q(c)^1^Q(a,d)", "Q(b,d)^Q(a)", "Q(1)",
+    ):
+        for budget in (60, 70, 160, 200, 2000):
+            for seed in (budget, 40503):
+                got = _sample_points(t(x), budget, seed)
+                assert got == naive_sample_points(t(x), budget, seed), (x, budget)
+
+
+def test_the_points_of_one_leaf_share_one_descriptor():
+    # one frozen descriptor per leaf, however many points the leaf samples
+    for x in ("Q(a,b)^c^Q(d)", "a^Q(b,c)^d", "Q(a,I)^b^Q(1)"):
+        term = t(x)
+        _, ann = materialize(term, budget=200, seed=7)
+        assert len({id(d) for d in ann.values()}) == len(one_orbits(term)), x
+        assert set(ann.values()) == set(one_orbits(term)), x
 
 
 @pytest.mark.parametrize(

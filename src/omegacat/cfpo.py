@@ -115,9 +115,10 @@ def path_completion(p: FinPoset) -> FinPoset:
     are added one at a time, each for the first defective pair in node
     order (a missing join before a missing meet) among the points so far,
     and extend the order in place, each point's covers kept current.  The
-    completion is built from those covers (``posets._CoverPoset``), and
-    builds its up- and down-set masks only when a query first reads
-    them: the path of a Hasse forest reads covers alone.  Added points are
+    completion keeps those covers as its own (``posets._CoverPoset``), and
+    builds its up- and down-set masks with the one sweep of
+    ``posets._masks`` only when a query first reads them: the path of a
+    Hasse forest reads covers alone.  Added points are
     flagged irrational and named ``i0``, ``i1``, ... in the order they are
     added, skipping names already present.
     """
@@ -237,7 +238,7 @@ def path_completion(p: FinPoset) -> FinPoset:
         }
         for side in (0, 1)
     )
-    return _CoverPoset(
+    return _CoverPoset._from_covers(
         [els[t] for t in order],
         lower,
         upper,

@@ -1,18 +1,14 @@
 """Finite labelled posets, their order queries, and brute-force oracles.
 
 A :class:`FinPoset` stores a finite strict order, transitively closed, with
-two optional node labels: a colour tag and an "irrational" flag.  It is
-built from any generating relation, such as the covering pairs.  One
-topological sort (Kahn 1962) orders the elements; a sweep against that
-order stores every element's strict up-set, as an int bit mask over
-element positions, and its upper covers, and a sweep along it stores the
-down-sets and lower covers.  A forest given as a parent array, as the
-samplers build theirs, gets the same fields from one walk from its roots,
-with no sort.  Every order query in the package reads them: covers,
-maximal chains, meets (and joins and paths in :mod:`omegacat.cfpo`),
-tree validation, and a small line-based file format plus DOT output.
-The path completion of :mod:`omegacat.cfpo` keeps its covers current as
-it grows and is built from them, leaving the masks to first read.
+two optional node labels: a colour tag and an "irrational" flag.  It keeps
+each element's strict down- and up-set, as int bit masks over element
+positions, and its covers in each direction.  One routine,
+:func:`_masks`, builds the masks of every poset, from any generating
+relation: one Kahn order (Kahn 1962) and one OR sweep each way.  Every
+order query in the package reads these fields: covers, maximal chains,
+meets (and joins and paths in :mod:`omegacat.cfpo`), tree validation, and
+a small line-based file format plus DOT output.
 
 The reference oracles are deliberately brute force and deterministic:
 exhaustive automorphism and orbit enumeration by backtracking
@@ -70,40 +66,6 @@ def _bits(mask) -> list:
     return list(itertools.compress(range(len(digits)), digits.encode().translate(_DIGITS)))
 
 
-def _closure(els, succ, order) -> tuple:
-    """The strict up-set, a bit mask over positions, of every position of
-    ``succ``, and the upper covers of every node as a dict in node order.
-    ``order`` lists every position after all of its successors, as a
-    reversed topological order does.  On the predecessor lists, in
-    topological order, the same sweep gives the down-sets and lower covers.
-
-    A node's up-set is the OR of its successors' strict up-sets, skipping
-    successors already in it, and of the successors themselves.  Every
-    cover is an edge of ``succ``, and ``x -> c`` is one exactly when ``c``
-    lies in no other successor's up-set, that is outside that first OR.
-    The constructor runs both sweeps, and so does the first read of either
-    mask of a :class:`_CoverPoset`.
-    """
-    up = [0] * len(els)
-    upper: list = [[] for _ in els]
-    for x in order:
-        kids = succ[x]
-        if len(kids) == 1:  # most nodes of a sparse order: no other successor
-            (c,) = kids
-            up[x] = up[c] | 1 << c
-            upper[x].append(els[c])
-        elif kids:
-            reach = 0
-            for c in kids:
-                if not reach >> c & 1:
-                    reach |= up[c]
-            upper[x] = [els[c] for c in sorted(set(kids)) if not reach >> c & 1]
-            for c in kids:
-                reach |= 1 << c
-            up[x] = reach
-    return up, dict(zip(els, upper))
-
-
 def _components(succ):
     """Each position's strongly connected component over ``succ``, numbered
     in topological order: an edge ``x -> y`` has ``comp[x] <= comp[y]``.
@@ -148,20 +110,6 @@ def _components(succ):
     return comp
 
 
-def _kahn(succ, pred) -> list:
-    """Kahn's pass over positions: a position joins the order once all its
-    predecessors have (the list grows as it is read).  A position it misses
-    lies on a cycle or above one."""
-    indegree = [len(ys) for ys in pred]
-    order = [x for x, d in enumerate(indegree) if not d]
-    for x in order:
-        for c in succ[x]:
-            indegree[c] -= 1
-            if not indegree[c]:
-                order.append(c)
-    return order
-
-
 def _first_on_cycle(succ):
     """The first position, in node order, that can reach itself: the least
     position of a strongly connected component with an edge inside it."""
@@ -170,34 +118,103 @@ def _first_on_cycle(succ):
     return next(x for x in range(len(succ)) if comp[x] in cyclic)
 
 
+def _masks(els, succ, pred) -> tuple:
+    """``(down, up)``: the strict down- and up-set, as a bit mask over
+    positions, of every position of ``succ``, any relation whose transitive
+    closure is the order; ``pred`` lists its edges reversed, and ``els``
+    names the positions.
+
+    A position's strict down-set is the OR of ``down[c] | 1 << c`` over its
+    predecessors ``c``, and dually for up-sets.  So Kahn's pass, which puts
+    a position in the order once all its predecessors are, pushes each
+    closed down-set to the successors as it goes; a position with one
+    predecessor keeps the pushed int, shared with its siblings.  One pull
+    against that order builds the up-sets.  A position the order misses
+    lies on a cycle or above one: that raises :class:`CycleError`.
+    """
+    n = len(els)
+    order, x = [], -1
+    for _ in range(pred.count([])):  # the roots, each found by a scan in C
+        x = pred.index([], x + 1)
+        order.append(x)
+    # the positions waiting for two or more predecessors, each with the
+    # number of them not yet in the order
+    waiting = {}
+    if sum(map(len, pred)) > n - len(order):  # more edges than non-roots
+        waiting = {x: len(ps) for x, ps in enumerate(pred) if len(ps) > 1}
+    down = [0] * n
+    for x in order:  # the list grows as it is read
+        kids = succ[x]
+        if kids:
+            closed = down[x] | 1 << x
+            if waiting and not waiting.keys().isdisjoint(kids):
+                for c in kids:
+                    if c in waiting:
+                        down[c] |= closed
+                        waiting[c] -= 1
+                        if waiting[c]:
+                            continue
+                        del waiting[c]
+                    else:
+                        down[c] = closed
+                    order.append(c)
+            else:
+                for c in kids:
+                    down[c] = closed
+                order += kids
+    if len(order) < n:
+        raise CycleError(f"cycle through node {els[_first_on_cycle(succ)]!r}")
+    up = [0] * n
+    for x in reversed(order):
+        kids = succ[x]
+        if kids:
+            reach = 0
+            for c in kids:  # most have one: skip the OR with 0
+                reach = reach | up[c] | 1 << c if reach else up[c] | 1 << c
+            up[x] = reach
+    return down, up
+
+
+def _cover_lists(els, succ, cone) -> dict:
+    """Each node's covers in the direction of ``succ`` as a list in node
+    order: the successors outside every other successor's strict mask in
+    ``cone``, each once."""
+    out = {}
+    for x, kids in zip(els, succ):
+        if len(kids) == 1:  # most nodes of a sparse order
+            out[x] = [els[kids[0]]]
+        elif kids:
+            reach = 0
+            for c in kids:
+                reach |= cone[c]
+            out[x] = [els[c] for c in sorted(set(kids)) if not reach >> c & 1]
+        else:
+            out[x] = []
+    return out
+
+
 class FinPoset:
     """A finite strict partial order with optional colour/irrational labels.
 
     ``pairs`` may be any relation whose transitive closure is the order,
     such as its covering pairs.  Elements are kept in a canonical sorted
-    order; construction rejects cycles, which the topological sort finds
-    as the nodes it cannot order.  The order is stored once per direction,
-    as strict up- and down-sets, each an int bit mask over the element
-    positions, with the covers in each direction, each list in node
-    order.  ``down``/``up`` decode a mask on each call, and ``lt``, the
-    set of all strict pairs, is built on each access; they serve tests and
-    oracles, not hot paths.
+    order.  The order is stored once per direction, as strict down- and
+    up-sets, each an int bit mask over element positions built by
+    :func:`_masks`, which rejects cycles, with the covers in each
+    direction, each list in node order.  ``down``/``up`` decode a mask on
+    each call, and ``lt``, the set of all strict pairs, is built on each
+    access; they serve tests and oracles, not hot paths.
 
-    The private :meth:`_from_forest` builds the same fields for a forest
-    over positions ``0..n-1`` given as a parent array, with no sort: each
-    mask is its parent's or its children's plus one bit.  The samplers use
-    it: :func:`omegacat.trees.materialize_tree` for trees, and
-    :func:`omegacat.terms.materialize` for chains, whose points each have
-    the point before as parent.  The differential tests hold it equal to
-    the public constructor.
-
-    The private subclass :class:`_CoverPoset` is built from the covers in
-    both directions, as :func:`omegacat.cfpo.path_completion` keeps them,
-    and builds both masks on the first read of either, so a query that
-    walks only the covers, such as the path in a Hasse forest, never
-    builds them.  The public constructor and :meth:`_from_forest` build
-    them at once, since the queries on their posets read them anyway:
-    ``tree orbit2``, for one, reads both masks of each sample.
+    Two private builders set every field but the masks with
+    :meth:`_from_covers`.  :meth:`_from_forest` takes a parent array, as
+    :func:`omegacat.trees.materialize_tree` and
+    :func:`omegacat.terms.materialize` (a chain: each point's parent is the
+    point before) build them, and builds the masks at once, as the public
+    constructor does, since the queries on samples read them anyway.  The
+    subclass :class:`_CoverPoset` holds the covers that
+    :func:`omegacat.cfpo.path_completion` keeps and builds the masks on
+    the first read of either, so a query that walks only the covers, such
+    as the path in a Hasse forest, never builds them.
     """
 
     # _pos: node -> bit position; _down/_up: strict masks; _lower/_upper: covers;
@@ -228,12 +245,9 @@ class FinPoset:
                 raise ParseError(f"edge references unknown node {a!r} or {b!r}")
             succ[pos[a]].append(pos[b])
             pred[pos[b]].append(pos[a])
-        order = _kahn(succ, pred)
-        if len(order) < len(els):
-            raise CycleError(f"cycle through node {els[_first_on_cycle(succ)]!r}")
-        self._down, self._lower = _closure(els, pred, order)
-        order.reverse()
-        self._up, self._upper = _closure(els, succ, order)
+        self._down, self._up = _masks(els, succ, pred)
+        self._lower = _cover_lists(els, pred, self._down)
+        self._upper = _cover_lists(els, succ, self._up)
         self.elements = tuple(els)
         self._pos = pos
         self._tree = self._forest = None
@@ -247,6 +261,22 @@ class FinPoset:
                 raise ParseError(f"irrational flag for unknown node {x!r}")
 
     @classmethod
+    def _from_covers(
+        cls, elements: Sequence, lower: dict, upper: dict, colour: dict, irrational: frozenset
+    ) -> "FinPoset":
+        """The poset over ``elements``, in node order, whose covers are
+        ``lower`` and ``upper``, node -> list of covers in node order, with
+        its masks left unset.  The dicts and labels are kept, not copied.
+        The covers must be those of an order; nothing is checked."""
+        p = cls.__new__(cls)
+        p.elements = tuple(elements)
+        p._pos = dict(zip(p.elements, range(len(p.elements))))
+        p._lower, p._upper = lower, upper
+        p._tree = p._forest = None
+        p.colour, p.irrational = colour, irrational
+        return p
+
+    @classmethod
     def _from_forest(
         cls,
         parent: Sequence[int],
@@ -257,48 +287,28 @@ class FinPoset:
         lower cover of ``v``, or -1 for a root, equal field for field to
         ``FinPoset(range(n), [(parent[v], v) ...], colour, irrational)``.
 
-        One breadth-first walk from the roots lists every point after its
-        parent, so ``down[v] = down[parent] | bit(parent)``, and in reverse
-        each up-set is the OR of ``up[c] | bit(c)`` over the children ``c``.
-        Both sweeps skip a childless point: it passes nothing down,
-        and its up-set stays empty.  A point the walk misses lies on a
-        cycle of ``parent``: that raises :class:`CycleError` as the public
+        Each point's children and its parent, if any, are both its covers
+        and the edges that :func:`_masks` sweeps, so one list serves both.
+        A cycle of ``parent`` raises :class:`CycleError` as the public
         constructor does.  The labels must name positions; they are not
         checked.
         """
-        n = len(parent)
-        kids: list = [[] for _ in range(n)]
-        order = []
+        points = range(len(parent))
+        kids: list = [[] for _ in range(len(parent) + 1)]
         for v, u in enumerate(parent):
-            (order if u < 0 else kids[u]).append(v)
-        down = [0] * n
-        for u in order:  # breadth first: the list grows as it is read
-            cs = kids[u]
-            if cs:
-                below = down[u] | 1 << u
-                for c in cs:
-                    down[c] = below
-                order += cs
-        if len(order) < n:
-            raise CycleError(f"cycle through node {_first_on_cycle(kids)!r}")
-        up = [0] * n
-        for u in reversed(order):
-            cs = kids[u]
-            if cs:
-                reach = 0
-                for c in cs:
-                    reach |= up[c] | 1 << c
-                up[u] = reach
-        p = cls.__new__(cls)
-        points = range(n)
-        p.elements = tuple(points)
-        p._pos = dict(zip(points, points))
+            kids[u].append(v)  # a root's -1 picks the spare last list
+        lower = [[u] for u in parent]
+        for v in kids.pop():
+            lower[v] = []
+        down, up = _masks(points, kids, lower)
+        p = cls._from_covers(
+            points,
+            dict(enumerate(lower)),
+            dict(enumerate(kids)),
+            dict(colour or {}),
+            frozenset(irrational or ()),
+        )
         p._down, p._up = down, up
-        p._lower = {v: [] if u < 0 else [u] for v, u in enumerate(parent)}
-        p._upper = dict(enumerate(kids))
-        p._tree = p._forest = None
-        p.colour = dict(colour or {})
-        p.irrational = frozenset(irrational or ())
         return p
 
     def _decode(self, mask) -> list:
@@ -356,42 +366,28 @@ class FinPoset:
 
 
 class _CoverPoset(FinPoset):
-    """The order whose covers are ``lower`` and ``upper``, node -> list of
-    covers in node order, over ``elements`` in node order, equal field for
-    field to the public constructor on those covers once its masks are
-    read.  The dicts and labels are kept, not copied.  The covers must be
-    those of an order; nothing is checked.
+    """A poset built by :meth:`FinPoset._from_covers` whose masks are built
+    on first read, equal field for field to the public constructor on its
+    covers once they are.
 
-    ``_down`` and ``_up`` are built on first read: only an unset slot falls
-    through to ``__getattr__``, so later reads find them stored.  This is a
-    subclass because a class that defines ``__getattr__`` loses the
-    interpreter's fast path for every attribute read: on ``FinPoset``
-    itself it made each attribute read of every poset slower.
+    Only an unset slot falls through to ``__getattr__``, so later reads
+    find the masks stored.  This is a subclass because a class that
+    defines ``__getattr__`` loses the interpreter's fast path for every
+    attribute read: on ``FinPoset`` itself it made each attribute read of
+    every poset slower.
     """
 
     __slots__ = ()
 
-    def __init__(
-        self, elements: Sequence, lower: dict, upper: dict, colour: dict, irrational: frozenset
-    ):
-        self.elements = tuple(elements)
-        self._pos = {x: i for i, x in enumerate(self.elements)}
-        self._lower, self._upper = lower, upper
-        self._tree = self._forest = None
-        self.colour, self.irrational = colour, irrational
-
     def __getattr__(self, name):
-        """Build ``_down`` and ``_up`` when either is first read, with the
-        :func:`_closure` sweeps over one Kahn order of the covers."""
+        """Build ``_down`` and ``_up`` with :func:`_masks` over the covers
+        when either is first read."""
         if name not in ("_down", "_up"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         els, pos = self.elements, self._pos
         succ = [[pos[c] for c in self._upper[x]] for x in els]
         pred = [[pos[c] for c in self._lower[x]] for x in els]
-        order = _kahn(succ, pred)
-        self._down = _closure(els, pred, order)[0]
-        order.reverse()
-        self._up = _closure(els, succ, order)[0]
+        self._down, self._up = _masks(els, succ, pred)
         return self._down if name == "_down" else self._up
 
 

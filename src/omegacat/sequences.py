@@ -79,20 +79,13 @@ def _primitive_root(per: List[Term]) -> List[Term]:
             return per[:d]
 
 
-def _period_redex(per: List[Term]) -> Optional[Tuple[int, int]]:
-    """First flanked-shuffle collapse inside the infinite repetition of
-    ``per``, located in the doubled word; start position is within the first
-    copy."""
-    doubled = per + per
-    return next((r for i in range(len(per)) for r in _redexes_at(doubled, i)), None)
-
-
-def _prefix_redex(pre: List[Term], per: List[Term]):
-    """First collapse whose shuffle start lies in the prefix.  The word is
-    extended by two period copies so redexes spanning the junction are
-    seen."""
-    word = pre + per + per
-    return next((r for i in range(len(pre)) for r in _redexes_at(word, i)), None)
+def _first_redex(word: List[Term], n: int) -> Optional[Tuple[int, int]]:
+    """First flanked-shuffle collapse of ``word`` whose shuffle starts
+    before position ``n``.  For the infinite repetition of a period ``per``
+    the word is ``per + per``, with ``n = len(per)``; for the collapses that
+    start in a prefix ``pre`` it is ``pre + per + per``, with
+    ``n = len(pre)``, so that collapses spanning the junction are seen."""
+    return next((r for i in range(n) for r in _redexes_at(word, i)), None)
 
 
 def _rotate_canonical(pre: List[Term], per: List[Term]):
@@ -120,7 +113,7 @@ def _periodic_pipeline(pre: List[Term], per: List[Term]):
     # segment would then hold a copy of its own shuffle.  So the loop runs
     # at most len(per) times.
     per = _primitive_root(per)
-    while (r := _period_redex(per)) is not None:
+    while (r := _first_redex(per + per, len(per))) is not None:
         i, j = r
         k = len(per)
         if j < k:
@@ -139,7 +132,7 @@ def _periodic_pipeline(pre: List[Term], per: List[Term]):
     # of the period).  e drops at least every second round, so the loop
     # runs at most 2 * len(pre) times.
     pre, per = _rotate_canonical(pre, per)
-    while (r := _prefix_redex(pre, per)) is not None:
+    while (r := _first_redex(pre + per + per, len(pre))) is not None:
         i, j = r
         if j < len(pre):
             pre = pre[: i + 1] + pre[j + 1 :]

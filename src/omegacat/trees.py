@@ -916,20 +916,20 @@ def materialize_tree(
                 irrational.append(g)
             elif tag != UNCOLOURED:
                 coloured.append((g, tag))
-        size = len(pts)
+        # ``_emit`` emits the factors in order, so the chain runs through
+        # the points as numbered, each cut point, numbered after them, right
+        # after the last point of its factor
         k = len(dfn.fs)
-        als: List[int] = []
         fac = [desc.path[0] if k > 1 else 0 for desc, _ in pts]
-        for j in range(k):
-            als.extend(i for i, f in enumerate(fac) if f == j)
-            if d >= 1 and j in dfn.cut_positions:
-                irrational.append(size)
-                at[("cut", j)] = size
-                als.append(size)
-                size += 1
-        up = [-1] * size
-        for a, b in zip(als, als[1:]):
-            up[b] = a
+        cuts = dfn.cut_positions if d >= 1 else ()
+        up = [-1] * len(pts)
+        top = -1  # the highest point chained so far
+        for g, (j, after) in enumerate(zip(fac, fac[1:] + [k])):
+            up[g], top = top, g
+            if after != j and j in cuts:
+                at[("cut", j)] = top = len(up)
+                irrational.append(top)
+                up.append(g)
         copies = []
         if d >= 1:
             for site, mult, child in dfn.attachments:

@@ -66,8 +66,7 @@ from omegacat.errors import BudgetError, CycleError, SpecError
 from omegacat.posets import FinPoset, _tree_view, covers, maximal_chains, meet, node_key
 from omegacat.sequences import (
     NfSequence,
-    _period_redex,
-    _prefix_redex,
+    _first_redex,
     _primitive_root,
     _rotate_canonical,
     normalize_sequence,
@@ -811,7 +810,7 @@ def naive_periodic_pipeline(pre: List[Term], per: List[Term]):
     loop that looks for a collapse of the period before every step."""
     while True:
         per = _primitive_root(per)
-        r = _period_redex(per)
+        r = _first_redex(per + per, len(per))
         if r is not None:
             i, j = r
             k = len(per)
@@ -824,7 +823,7 @@ def naive_periodic_pipeline(pre: List[Term], per: List[Term]):
                     return pre, None
             continue
         pre, per = _rotate_canonical(pre, per)
-        r = _prefix_redex(pre, per)
+        r = _first_redex(pre + per + per, len(pre))
         if r is None:
             return pre, per
         i, j = r

@@ -739,15 +739,15 @@ X_POSET = dump_poset(x_point_tree(60, 60, 3))
 X_DIAMOND_POSET = X_POSET + "node top\nedge 39 top\nedge h37 top\n"
 
 
-def closure_calls(monkeypatch):
+def mask_calls(monkeypatch):
     calls = []
-    real = posets._closure
+    real = posets._masks
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(posets, "_closure", counted)
+    monkeypatch.setattr(posets, "_masks", counted)
     return calls
 
 
@@ -763,19 +763,19 @@ def closure_calls(monkeypatch):
 def test_cfpo_queries_on_a_forest_completion_build_no_closure(
     capsys, files, monkeypatch, argv, want
 ):
-    # load_poset sweeps once each way; the completion, a forest, is read
-    # through its covers alone, so its masks are never built
+    # load_poset builds its masks with one call; the completion, a forest,
+    # is read through its covers alone, so its masks are never built
     f = files("x.poset", X_POSET)
-    calls = closure_calls(monkeypatch)
+    calls = mask_calls(monkeypatch)
     assert run(capsys, *(f if a == "X" else a for a in argv)) == (*want, "")
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
     "text, argv, want, sweeps",
     [
-        (DIAMOND_POSET, ("poset", "validate", "--cfpo"), (1, "not cycle-free: pair a b\n"), 2),
-        (X_DIAMOND_POSET, ("poset", "validate", "--cfpo"), (1, "not cycle-free: pair 11 top\n"), 4),
+        (DIAMOND_POSET, ("poset", "validate", "--cfpo"), (1, "not cycle-free: pair a b\n"), 1),
+        (X_DIAMOND_POSET, ("poset", "validate", "--cfpo"), (1, "not cycle-free: pair 11 top\n"), 2),
     ],
 )
 def test_cfpo_masks_of_a_completion_are_built_once_on_first_read(
@@ -783,9 +783,9 @@ def test_cfpo_masks_of_a_completion_are_built_once_on_first_read(
 ):
     # the diamond completes to itself, whose masks load_poset built; the
     # other gains points, and the witness search reads the completion's
-    # masks, built by two more sweeps however often read
+    # masks, built by one more call however often read
     f = files("in.poset", text)
-    calls = closure_calls(monkeypatch)
+    calls = mask_calls(monkeypatch)
     assert run(capsys, *argv, f) == (*want, "")
     assert len(calls) == sweeps
 

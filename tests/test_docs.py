@@ -3,9 +3,11 @@
 Each ``$ omegacat ...`` line of the README's "Quick tour" console block
 runs through the CLI in-process, in a directory holding the files the
 README describes, and must print exactly the lines that follow it.  Each
-script in ``demos/`` must run to completion.
+script in ``demos/`` must run to completion and print exactly the bytes
+pinned by their SHA-256 below.
 """
 
+import hashlib
 import os
 import re
 import shlex
@@ -20,6 +22,13 @@ from omegacat.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the SHA-256 of each demo's stdout: every number and order they print is
+# fixed, whatever the hash seed
+DEMO_STDOUT_SHA256 = {
+    "01_terms_and_normal_forms.py": "3e237722e18cc29b011f155029953c63ae727ca65a67a010a99e5ddc95b349ee",
+    "02_trees_and_categoricity.py": "715ffeb83a9b746f54fcae5ebda5ed3eb78879cdcf03ab4bb00cf8aebb4c1045",
+    "03_cycle_free_orders.py": "c23734a4635cb7d66c00241fe6bdf4de56e273b0215758645d5dfe0eafc3486b",
+}
 
 
 def quick_tour():
@@ -61,7 +70,7 @@ def test_demo_runs(demo):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env,
-        timeout=60,
+        [sys.executable, str(demo)], capture_output=True, env=env, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo.name]

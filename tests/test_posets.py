@@ -353,6 +353,16 @@ def test_forest_constructor_equals_the_closure_of_its_parent_pairs(parent, data)
     assert poset_fields(got) == poset_fields(want)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(parent_arrays())
+def test_forest_siblings_share_one_down_mask(parent):
+    # a point with one lower cover keeps the closed mask its cover pushed,
+    # one int for all the siblings, which keeps a wide sample small
+    p = FinPoset._from_forest(parent)
+    for kids in p._upper.values():
+        assert all(p._down[c] is p._down[kids[0]] for c in kids)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(parent_arrays(least=2), st.data())
 def test_validate_tree_of_a_forest_with_two_or_more_roots_matches_the_oracle(parent, data):

@@ -5,7 +5,9 @@ Every import of a module must be used in it (or re-exported through its
 ``__all__``), every private module-level name (``_x``, not ``__x__``)
 must be referenced somewhere in ``src/`` outside its own definition: in
 another statement of its module, or by an import from another module,
-and every name in a module's ``__all__`` must be bound at module level.
+and so must every private method (classmethods included) defined in a
+class body, read as an attribute or a name outside its own body.  Every
+name in a module's ``__all__`` must be bound at module level.
 A name in ``__all__`` that it defines must be referenced the same way,
 or be named in ``README.md`` or a demo: public API that only the tests
 call is dead code.
@@ -13,6 +15,7 @@ call is dead code.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,6 +122,30 @@ def _unreferenced(picked):
 
 def test_every_private_module_level_name_is_referenced():
     assert _unreferenced(lambda tree, name: _private(name)) == []
+
+
+def _read_counts(node) -> Counter:
+    """How often ``node`` reads each name, as a loaded name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_private_method_is_referenced():
+    modules = _modules()
+    reads = sum(map(_read_counts, modules.values()), Counter())
+    orphans = [
+        f"{mod}: {cls.name}.{fn.name}"
+        for mod, tree in modules.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(fn.name)
+        if reads[fn.name] == _read_counts(fn)[fn.name]
+    ]
+    assert orphans == []
 
 
 def test_every_exported_name_is_used_or_documented():

@@ -5,10 +5,13 @@ two optional node labels: a colour tag and an "irrational" flag.  It keeps
 each element's strict down- and up-set, as int bit masks over element
 positions, and its covers in each direction.  One routine,
 :func:`_masks`, builds the masks of every poset, from any generating
-relation: one Kahn order (Kahn 1962) and one OR sweep each way.  Every
-order query in the package reads these fields: covers, maximal chains,
-meets (and joins and paths in :mod:`omegacat.cfpo`), tree validation, and
-a small line-based file format plus DOT output.
+relation: one Kahn order (Kahn 1962) and one OR sweep each way.  Only the
+public constructor, and so :func:`load_poset`, builds them at once; a
+sample or a path completion holds only its covers and builds its masks
+when a query first reads them.  The queries on samples read covers
+alone: the file format and DOT output, tree validation, the tree view
+and maximal chains.  Meets (and joins and paths in
+:mod:`omegacat.cfpo`) and the oracles read the masks.
 
 The reference oracles are deliberately brute force and deterministic:
 exhaustive automorphism and orbit enumeration by backtracking
@@ -205,16 +208,15 @@ class FinPoset:
     each call, and ``lt``, the set of all strict pairs, is built on each
     access; they serve tests and oracles, not hot paths.
 
-    Two private builders set every field but the masks with
-    :meth:`_from_covers`.  :meth:`_from_forest` takes a parent array, as
+    Only the public constructor builds the masks at once.  The private
+    builders set every other field with :meth:`_from_covers` and return a
+    :class:`_CoverPoset`, which builds the masks on the first read of
+    either, so a query that walks only the covers never builds them:
+    :meth:`_from_forest` takes a parent array, as
     :func:`omegacat.trees.materialize_tree` and
     :func:`omegacat.terms.materialize` (a chain: each point's parent is the
-    point before) build them, and builds the masks at once, as the public
-    constructor does, since the queries on samples read them anyway.  The
-    subclass :class:`_CoverPoset` holds the covers that
-    :func:`omegacat.cfpo.path_completion` keeps and builds the masks on
-    the first read of either, so a query that walks only the covers, such
-    as the path in a Hasse forest, never builds them.
+    point before) build them, and :func:`omegacat.cfpo.path_completion`
+    keeps the covers of its completion.
     """
 
     # _pos: node -> bit position; _down/_up: strict masks; _lower/_upper: covers;
@@ -276,40 +278,43 @@ class FinPoset:
         p.colour, p.irrational = colour, irrational
         return p
 
-    @classmethod
+    @staticmethod
     def _from_forest(
-        cls,
         parent: Sequence[int],
-        colour: Mapping | None = None,
-        irrational: Iterable | None = None,
-    ) -> "FinPoset":
+        colour: dict | None = None,
+        irrational: frozenset = frozenset(),
+    ) -> "_CoverPoset":
         """The forest over positions ``0..n-1`` in which ``parent[v]`` is the
-        lower cover of ``v``, or -1 for a root, equal field for field to
+        lower cover of ``v``, or -1 for a root, as a :class:`_CoverPoset`:
+        its covers are each point's parent, if any, and its children, and
+        its masks are built on first read, equal field for field then to
         ``FinPoset(range(n), [(parent[v], v) ...], colour, irrational)``.
 
-        Each point's children and its parent, if any, are both its covers
-        and the edges that :func:`_masks` sweeps, so one list serves both.
-        A cycle of ``parent`` raises :class:`CycleError` as the public
-        constructor does.  The labels must name positions; they are not
-        checked.
+        A cycle of ``parent`` leaves points that no walk from the roots up
+        the child lists reaches, and raises :class:`CycleError` as the
+        public constructor does.  The labels must name positions; they are
+        kept, not copied, and not checked.
         """
-        points = range(len(parent))
-        kids: list = [[] for _ in range(len(parent) + 1)]
+        n = len(parent)
+        kids: list = [[] for _ in range(n + 1)]
         for v, u in enumerate(parent):
             kids[u].append(v)  # a root's -1 picks the spare last list
         lower = [[u] for u in parent]
-        for v in kids.pop():
+        reached = kids.pop()
+        for v in reached:
             lower[v] = []
-        down, up = _masks(points, kids, lower)
-        p = cls._from_covers(
-            points,
+        for v in reached:  # the list grows as it is read
+            if kids[v]:
+                reached += kids[v]
+        if len(reached) < n:
+            raise CycleError(f"cycle through node {_first_on_cycle(kids)!r}")
+        return _CoverPoset._from_covers(
+            range(n),
             dict(enumerate(lower)),
             dict(enumerate(kids)),
-            dict(colour or {}),
-            frozenset(irrational or ()),
+            {} if colour is None else colour,
+            irrational,
         )
-        p._down, p._up = down, up
-        return p
 
     def _decode(self, mask) -> list:
         """The nodes whose bits are set in ``mask``, in node order."""
@@ -366,8 +371,9 @@ class FinPoset:
 
 
 class _CoverPoset(FinPoset):
-    """A poset built by :meth:`FinPoset._from_covers` whose masks are built
-    on first read, equal field for field to the public constructor on its
+    """A poset that holds only its covers, as a sample or a path completion
+    does, built by :meth:`FinPoset._from_covers`; its masks are built on
+    first read, equal field for field to the public constructor on its
     covers once they are.
 
     Only an unset slot falls through to ``__getattr__``, so later reads
@@ -422,20 +428,23 @@ def _forks(p: FinPoset, covers: Mapping) -> int:
 def _tree_violations(p: FinPoset):
     """The violations of :func:`validate_tree` in order, found lazily, so
     that callers needing only the first stop there."""
-    els, up, down = p.elements, p._up, p._down
+    els, lower = p.elements, p._lower
     # only nodes at or above a fork of lower covers have a closed down-set
     # that is not a chain, so only they can fail axiom 1; a forest, with no
     # such fork, is cleared by one count of the covers in C
-    if max(map(len, p._lower.values()), default=0) > 1:
-        forks = _forks(p, p._lower)
+    if max(map(len, lower.values()), default=0) > 1:
+        up, down = p._up, p._down
+        forks = _forks(p, lower)
         for z in range(len(els)):
             below = down[z] | 1 << z
             if below & forks:
                 for x, y in itertools.combinations(_bits(below), 2):
                     if not (up[x] | down[x]) >> y & 1:
                         yield ("down-linearity", (els[x], els[y], els[z]))
-    # a single minimal element is a common lower bound of every pair
-    if down.count(0) != 1:
+    # a single minimal element, one with no lower cover, is a common lower
+    # bound of every pair
+    if list(lower.values()).count([]) != 1:
+        down = p._down
         for x, y in itertools.combinations(range(len(els)), 2):
             if not (down[x] | 1 << x) & (down[y] | 1 << y):
                 yield ("common-lower-bound", (els[x], els[y]))
@@ -443,19 +452,32 @@ def _tree_violations(p: FinPoset):
 
 def _tree_view(p: FinPoset) -> tuple:
     """``(depth, order, code, kids)`` of the tree ``p``, built once: each
-    point's strict down-set size, the points by depth and then in node
-    order, each point's Aho-Hopcroft-Ullman code over (label, sorted child
-    codes), equal exactly for isomorphic labelled subtrees, and each
-    point's children sorted by code, in node order within one code.
+    point's depth, the size of its strict down-set, counted by a walk up
+    the covers from the root, so that a sample's masks are never built;
+    the points by depth and then in node order; each point's
+    Aho-Hopcroft-Ullman code over (label, sorted child codes), equal
+    exactly for isomorphic labelled subtrees; and each point's children
+    sorted by code, in node order within one code.
     Raises :class:`NotATreeError`, naming the first violation, on a
     non-tree."""
     if p._tree is None:
         violation = next(_tree_violations(p), None)
         if violation is not None:
             raise NotATreeError(f"not a tree: {violation}")
-        depth = dict(zip(p.elements, map(int.bit_count, p._down)))
-        order = sorted(p.elements, key=depth.__getitem__)
         colour, irrational, upper = p.colour, p.irrational, p._upper
+        # a walk up from the root, the one point with no lower cover: each
+        # point's children lie one above it
+        lower = p._lower
+        depth = dict.fromkeys(p.elements, 0)
+        walk = [next(x for x in p.elements if not lower[x])] if p.elements else []
+        for v in walk:  # the list grows as it is read
+            cs = upper[v]
+            if cs:
+                d = depth[v] + 1
+                for c in cs:
+                    depth[c] = d
+                walk += cs
+        order = sorted(p.elements, key=depth.__getitem__)
         code: dict = {}
         kids: dict = {}
         ids: dict = {}
@@ -654,8 +676,8 @@ def covers(p: FinPoset) -> tuple:
 def maximal_chains(p: FinPoset) -> tuple:
     """All maximal chains, each as a tuple from bottom to top, sorted."""
     chains = []
-    for m, down in zip(p.elements, p._down):
-        if down:
+    for m in p.elements:
+        if p._lower[m]:
             continue
         # depth-first along upper covers: walks[i] runs over those of chain[i]
         chain, walks = [m], [iter(p._upper[m])]

@@ -699,15 +699,17 @@ def materialize(t: Term, budget: int, seed: int = 0):
         )
     pts = _sample_points(t, budget, seed)
     n = len(pts)
-    irrational = {i for i, (_, tag) in enumerate(pts) if tag == IRRATIONAL}
-    colour = {
-        i: tag
-        for i, (_, tag) in enumerate(pts)
-        if tag not in (IRRATIONAL, UNCOLOURED)
-    }
+    annotations, colour, irrational = {}, {}, []
+    for i, (desc, tag) in enumerate(pts):
+        annotations[i] = desc
+        if tag != UNCOLOURED:
+            if tag == IRRATIONAL:
+                irrational.append(i)
+            else:
+                colour[i] = tag
     # a chain is a forest: each point's parent is the point before it
-    poset = FinPoset._from_forest(range(-1, n - 1), colour, irrational)
-    return poset, {i: desc for i, (desc, _) in enumerate(pts)}
+    poset = FinPoset._from_forest(range(-1, n - 1), colour, frozenset(irrational))
+    return poset, annotations
 
 
 def _sample_points(t: Term, budget: int, seed: int):

@@ -960,7 +960,7 @@ def materialize_tree(
             irrational.append(first + g)
         for kid, at in reversed(copies):
             stack.append((kid, first + at))
-    return FinPoset._from_forest(parent, colour, irrational)
+    return FinPoset._from_forest(parent, colour, frozenset(irrational))
 
 
 # ---------------------------------------------------------------------------
@@ -1114,25 +1114,29 @@ def two_orbit_equiv(p: FinPoset, pair0, pair1, annotations=None):
     the pairs' points, and the matching ignores them.
     """
     depth, order, code, kids = _tree_view(p)
+    lower = p._lower
+    bases = []
     for a, b in (pair0, pair1):
         if a not in p or b not in p:
             raise ValueError(f"unknown point in pair ({a!r}, {b!r})")
-        if not p.less(a, b):
+        # the base chain runs from the root up to b; in a tree it holds
+        # exactly the points at or below b, each at its depth
+        chain = [b]
+        while lower[chain[-1]]:
+            chain.append(lower[chain[-1]][0])
+        chain.reverse()
+        if depth[a] >= depth[b] or chain[depth[a]] != a:
             raise ValueError(
                 "pairs must be strictly comparable, given bottom-up"
             )
+        bases.append(chain)
     (x0, y0), (x1, y1) = pair0, pair1
     if annotations is not None:
         for a, b in ((x0, x1), (y0, y1)):
             if annotations.get(a) != annotations.get(b):
                 return False, (("annotation-mismatch", a, b),)
 
-    # the base chains run from the root up to y0 and y1
-    base0, base1 = [y0], [y1]
-    for chain in (base0, base1):
-        while p._lower[chain[-1]]:
-            chain.append(p._lower[chain[-1]][0])
-        chain.reverse()
+    base0, base1 = bases
     if len(base0) != len(base1):
         return False, ()
     pin = dict(zip(base0, base1))

@@ -790,6 +790,91 @@ def test_cfpo_masks_of_a_completion_are_built_once_on_first_read(
     assert len(calls) == sweeps
 
 
+CUT_SPEC = "A = spine Q(d)^Q(a) with 2 x B at cut 0, omega x A at orbit 1\nB = spine b\n"
+# the 7-point sample of DENSE at depth 2, width 1: 0 below 1 and 4, each
+# below two leaves, 2 and 3 above 1, 5 and 6 above 4
+DENSE_2_1 = ("--depth", "2", "--width", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ("term", "sample", "Q(a,b)^c^Q(1)", "--size", "7", "--seed", "3"),
+            (
+                0,
+                "node 0 colour=b\nnode 1 colour=a\nnode 2 colour=b\nnode 3 colour=a\n"
+                "node 4 colour=c\nnode 5\nnode 6\n"
+                "edge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 5 6\n",
+            ),
+        ),
+        (
+            ("term", "sample", "Q(a,b)^I^Q(c)", "--size", "5", "--format", "dot"),
+            (
+                0,
+                'digraph poset {\n  rankdir=BT;\n  "0" [label="0:a"];\n  "1" [label="1:b"];\n'
+                '  "2" [label="2:a"];\n  "3" [label="3", style=dashed];\n  "4" [label="4:c"];\n'
+                '  "0" -> "1";\n  "1" -> "2";\n  "2" -> "3";\n  "3" -> "4";\n}\n',
+            ),
+        ),
+        (
+            ("tree", "sample", "CUT", "--depth", "1", "--width", "1"),
+            (
+                0,
+                "node 0 colour=d\nnode 1 colour=a\nnode 2 irrational\nnode 3 colour=b\n"
+                "node 4 colour=b\nnode 5 colour=d\nnode 6 colour=a\nnode 7 colour=d\n"
+                "node 8 colour=a\n"
+                "edge 0 2\nedge 1 5\nedge 1 7\nedge 2 1\nedge 2 3\nedge 2 4\nedge 5 6\n"
+                "edge 7 8\n",
+            ),
+        ),
+        (
+            ("tree", "orbit2", "DENSE", "0", "2", "0", "5", *DENSE_2_1),
+            (
+                0,
+                "equivalent\nbase 0 -> 0\nbase 1 -> 4\nbase 2 -> 5\nodd 4 -> 1\n"
+                "even 3 -> 6\neven 5 -> 2\neven 6 -> 3\n",
+            ),
+        ),
+        (
+            ("tree", "orbit2", "CUT", "2", "4", "2", "3", "--depth", "1", "--width", "1"),
+            (
+                0,
+                "equivalent\nbase 0 -> 0\nbase 2 -> 2\nbase 4 -> 3\neven 1 -> 1\n"
+                "even 3 -> 4\nodd 5 -> 5\nodd 7 -> 7\neven 6 -> 6\neven 8 -> 8\n",
+            ),
+        ),
+        (("tree", "orbit2", "DENSE", "0", "1", "1", "2", *DENSE_2_1), (1, "inequivalent\n")),
+    ],
+    ids=["term-text", "term-dot", "tree-sample", "orbit2-dense", "orbit2-cut", "orbit2-inequivalent"],
+)
+def test_sample_commands_build_no_masks(capsys, files, monkeypatch, argv, want):
+    # a sample holds only its covers, and printing it, validating it as a
+    # tree and matching two of its pairs read nothing else
+    spec = {"DENSE": files("dense.spec", DENSE), "CUT": files("cut.spec", CUT_SPEC)}
+    calls = mask_calls(monkeypatch)
+    assert run(capsys, *(spec.get(a, a) for a in argv)) == (*want, "")
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        (V_POSET, (0, "ok\n")),
+        (DISJOINT_POSET, (1, "not a tree: ('common-lower-bound', ('0', '2'))\n")),
+        (DIAMOND_POSET, (1, "not a tree: ('down-linearity', ('a', 'b', 't'))\n")),
+    ],
+    ids=["v", "disjoint", "diamond"],
+)
+def test_a_loaded_poset_builds_its_masks_once(capsys, files, monkeypatch, text, want):
+    # load_poset builds the masks at once, and tree validation, which
+    # reads them on a non-forest or a forest of two or more roots, adds none
+    f = files("in.poset", text)
+    calls = mask_calls(monkeypatch)
+    assert run(capsys, "poset", "validate", "--tree", f) == (*want, "")
+    assert len(calls) == 1
+
+
 def test_cfpo_path_unknown_node(capsys, files):
     f = files("chain3.poset", CHAIN3_POSET)
     code, out, err = run(capsys, "cfpo", "path", f, "0", "zz")

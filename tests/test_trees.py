@@ -20,6 +20,7 @@ from oracles import (
     poset_fields,
     random_term,
 )
+from test_cfpo import masks_built
 from test_fuzz import parse, random_spec_text
 from test_sequences import norm
 from test_terms import check_segment_words
@@ -736,6 +737,116 @@ def test_tree_view_equals_the_per_point_reference_field_by_field():
         got, want = _tree_view(p), naive_tree_view(p)
         for field, a, b in zip(("depth", "order", "code", "kids"), got, want):
             assert a == b, (field, p.lt)
+
+
+def eager(p):
+    """The sample ``p`` rebuilt by the public constructor from its parent
+    edges and labels, with its masks built at once."""
+    edges = [(cs[0], v) for v, cs in p._lower.items() if cs]
+    return FinPoset(range(len(p)), edges, p.colour, p.irrational)
+
+
+def differential_samples():
+    """Samples of the benchmark's shapes, and of fuzz specs at depths 1 to
+    3, each with its masks unbuilt."""
+    samples = [
+        materialize_tree(parse_spec(text), depth, width, seed)
+        for text in ORBIT_SHAPES
+        for depth in (1, 2, 3)
+        for width in (2, 3)
+        for seed in (0, 1)
+    ]
+    rng = random.Random(35)
+    for _ in range(40):
+        spec = parse(random_spec_text(rng))
+        for depth in (1, 2, 3):
+            try:
+                samples.append(materialize_tree(spec, depth, 2, rng.randrange(100)))
+            except BudgetError:  # nested deeper than ``depth``, or too large
+                pass
+    assert all(masks_built(p) == [] for p in samples)
+    return samples
+
+
+def test_tree_view_of_a_sample_equals_the_eager_constructors_without_masks():
+    for p in differential_samples():
+        got, want = _tree_view(p), _tree_view(eager(p))
+        for field, a, b in zip(("depth", "order", "code", "kids"), got, want):
+            assert a == b, (field, dump_poset(p))
+        assert masks_built(p) == []
+
+
+def test_maximal_chains_of_a_sample_equal_the_eager_constructors_without_masks():
+    # annotate_R reads the sample through maximal_chains alone
+    for p in differential_samples():
+        assert maximal_chains(p) == maximal_chains(eager(p)), dump_poset(p)
+        assert masks_built(p) == []
+
+
+def two_orbit_outcome(p, q0, q1):
+    try:
+        return two_orbit_equiv(p, q0, q1)
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+def two_orbit_error(q, q0, q1):
+    """The error ``two_orbit_equiv`` must raise, by the masks of ``q``: the
+    first pair, in order, with an unknown point or not strictly
+    comparable bottom-up; None when both pairs are."""
+    for a, b in (q0, q1):
+        if a not in q or b not in q:
+            return "ValueError", f"unknown point in pair ({a!r}, {b!r})"
+        if not q.less(a, b):
+            return "ValueError", "pairs must be strictly comparable, given bottom-up"
+    return None
+
+
+def test_two_orbit_on_a_sample_equals_the_eager_constructors_without_masks():
+    # answers, traces and error texts, in the order the pairs are checked,
+    # for pairs the same, reversed, equal, incomparable or with an unknown
+    # point, against the sample rebuilt with its masks
+    rng = random.Random(11)
+    kinds = set()
+    for p in differential_samples():
+        q = eager(p)
+        pairs = sorted((a, b) for a in q.elements for b in q.up(a))
+        if not pairs:
+            continue
+        apart = [(a, b) for a in q.elements for b in q.elements if not q.comparable(a, b)]
+        for _ in range(6):
+            a, b = rng.choice(pairs)
+            odd = {
+                "reversed": (b, a),
+                "equal": (a, a),
+                "unknown": (a, len(p)),
+                "incomparable": rng.choice(apart) if apart else (b, a),
+            }
+            cases = [((a, b), (a, b)), ((a, b), rng.choice(pairs))]
+            for bad in odd.values():
+                cases += [(bad, (a, b)), ((a, b), bad), (bad, odd["unknown"])]
+            for q0, q1 in cases:
+                got = two_orbit_outcome(p, q0, q1)
+                assert got == two_orbit_outcome(q, q0, q1), (dump_poset(p), q0, q1)
+                error = two_orbit_error(q, q0, q1)
+                assert error is None or got == error, (dump_poset(p), q0, q1)
+                kinds.add(got[0])
+        assert masks_built(p) == []
+    assert kinds == {True, False, "ValueError"}
+
+
+def test_tree_violations_of_a_forest_of_two_roots_equal_the_eager_constructors():
+    rng = random.Random(5)
+    for p in differential_samples():
+        parent = [cs[0] if cs else -1 for cs in p._lower.values()]
+        hung = [v for v, u in enumerate(parent) if u >= 0]
+        if not hung:
+            continue
+        parent[rng.choice(hung)] = -1
+        lazy = FinPoset._from_forest(parent, p.colour, p.irrational)
+        edges = [(u, v) for v, u in enumerate(parent) if u >= 0]
+        want = FinPoset(range(len(parent)), edges, p.colour, p.irrational)
+        assert list(posets._tree_violations(lazy)) == list(posets._tree_violations(want))
 
 
 def test_annotate_with_symbolic_table():

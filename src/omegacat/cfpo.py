@@ -28,7 +28,6 @@ from .errors import BudgetError
 from .posets import (
     FinPoset,
     _bits,
-    _common_bounds,
     _CoverPoset,
     _forest_view,
     _forks,
@@ -37,7 +36,6 @@ from .posets import (
 
 __all__ = [
     "AMBIGUOUS",
-    "join",
     "path_completion",
     "path",
     "validate_cfpo",
@@ -54,13 +52,6 @@ def _require(p: FinPoset, *xs):
     for x in xs:
         if x not in p:
             raise ValueError(f"unknown node {x!r}")
-
-
-def join(p: FinPoset, x, y):
-    """Minimum of the common upper bounds of ``x`` and ``y``, or None
-    when the pair is unbounded above or the bound set has no minimum."""
-    _require(p, x, y)
-    return _common_bounds(p, p._up, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ Subcommand groups mirror the library modules:
 - ``cfpo``   path queries and alternation rank for cycle-free orders
 
 Conventions: results go to stdout; every failure is a single
-``error: <kind>: <message>`` line on stderr.  Exit codes: 0 for success,
+``error: <kind>: <message>`` line on stderr.  A spec accepted after an
+adjustment adds one ``warning: spec: <message>`` line per distinct
+message, unless the command fails.  Exit codes: 0 for success,
 1 for a negative verdict (not equivalent, not categorical, not valid,
 no unique path), 2 for usage/parse/value errors, 3 for exhausted
 budgets.  All output is deterministic for a fixed seed.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 from .cfpo import AMBIGUOUS, alt_rank, path, path_completion, validate_cfpo
 from .errors import (
@@ -27,6 +30,7 @@ from .errors import (
     NotATreeError,
     ParseError,
     SpecError,
+    SpecWarning,
 )
 from .posets import (
     AUT_NODE_BOUND,
@@ -420,18 +424,28 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help prints and exits
         code = exc.code
         return 0 if code in (0, None) else int(code)
-    try:
-        return args.func(args)
-    except ParseError as exc:
-        return _fail("parse", exc, 2)
-    except SpecError as exc:
-        return _fail("spec", exc, 2)
-    except BudgetError as exc:
-        return _fail("budget", exc, 3)
-    except (CycleError, NotATreeError, ValueError) as exc:
-        return _fail("value", exc, 2)
-    except OSError as exc:
-        return _fail("io", exc, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        # each distinct message once, whatever -W or PYTHONWARNINGS say
+        warnings.simplefilter("default", SpecWarning)
+        try:
+            code = args.func(args)
+        except ParseError as exc:
+            code = _fail("parse", exc, 2)
+        except SpecError as exc:
+            code = _fail("spec", exc, 2)
+        except BudgetError as exc:
+            code = _fail("budget", exc, 3)
+        except (CycleError, NotATreeError, ValueError) as exc:
+            code = _fail("value", exc, 2)
+        except OSError as exc:
+            code = _fail("io", exc, 2)
+    # a spec warning is one line, and a failure's error line stands alone
+    for w in caught:
+        if not issubclass(w.category, SpecWarning):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        elif code < 2:
+            sys.stderr.write(f"warning: spec: {w.message}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 The CLI (``cli.main``) maps these onto exit codes with one ``error:`` line:
 BudgetError -> 3; ParseError, SpecError, CycleError, NotATreeError, bad
-usage, ValueError and OSError -> 2.  Negative verdicts are ordinary
-results, not errors.
+usage, ValueError and OSError -> 2.  It prints a :class:`SpecWarning` as
+one ``warning: spec:`` line.  Negative verdicts are ordinary results, not
+errors.
 """
 
 from __future__ import annotations

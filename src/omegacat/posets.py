@@ -10,24 +10,22 @@ public constructor, and so :func:`load_poset`, builds them at once; a
 sample or a path completion holds only its covers and builds its masks
 when a query first reads them.  The queries on samples read covers
 alone: the file format and DOT output, tree validation, the tree view
-and maximal chains.  Meets (and joins and paths in
-:mod:`omegacat.cfpo`) and the oracles read the masks.
+and maximal chains.  Tree validation of an order that is no tree, the
+path completion, path search and zigzags of :mod:`omegacat.cfpo`, and the
+oracles read the masks.
 
 The reference oracles are deliberately brute force and deterministic:
 exhaustive automorphism and orbit enumeration by backtracking
-(``_search``/``_extend``, :func:`automorphisms`, :func:`orbits`),
-isomorphism testing with a witness (:func:`is_isomorphic`) and the
-exhaustive catalogue of tree shapes (:func:`all_trees`).  The fast paths
-elsewhere are tested against them, so they stay simple rather than fast.
-Default budgets (12 nodes for the automorphism search, 10**6 tuples for
-orbit enumeration) keep their worst cases at desk scale.
+(``_search``/``_extend``, :func:`automorphisms`, :func:`orbits`).  The
+fast paths elsewhere are tested against them, so they stay simple rather
+than fast.  Default budgets (12 nodes for the automorphism search, 10**6
+tuples for orbit enumeration) keep their worst cases at desk scale.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -36,6 +34,21 @@ from .errors import (
     NotATreeError,
     ParseError,
 )
+
+__all__ = [
+    "AUT_NODE_BOUND",
+    "ORBIT_TUPLE_BUDGET",
+    "node_key",
+    "FinPoset",
+    "OrbitReport",
+    "automorphisms",
+    "orbits",
+    "covers",
+    "maximal_chains",
+    "load_poset",
+    "dump_poset",
+    "to_dot",
+]
 
 AUT_NODE_BOUND = 12
 ORBIT_TUPLE_BUDGET = 10**6
@@ -336,12 +349,6 @@ class FinPoset:
         except KeyError:  # a node not in the order
             return False
 
-    def leq(self, a, b) -> bool:
-        return a == b or self.less(a, b)
-
-    def comparable(self, a, b) -> bool:
-        return a == b or self.less(a, b) or self.less(b, a)
-
     def down(self, x) -> frozenset:
         """Strict lower set of ``x``."""
         return frozenset(self._decode(self._down[self._pos[x]]))
@@ -365,9 +372,9 @@ class FinPoset:
     def __len__(self):
         return len(self.elements)
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        pairs = sum(m.bit_count() for m in self._up)
-        return f"FinPoset({len(self.elements)} nodes, {pairs} pairs)"
+    def __repr__(self):  # read from the covers: a sample's masks stay unbuilt
+        pairs = sum(map(len, self._upper.values()))
+        return f"FinPoset({len(self.elements)} nodes, {pairs} covering pairs)"
 
 
 class _CoverPoset(FinPoset):
@@ -400,22 +407,6 @@ class _CoverPoset(FinPoset):
 # -------------------------------------------------------------- validation
 
 
-@dataclass(frozen=True)
-class TreeReport:
-    ok: bool
-    violations: tuple
-
-
-def validate_tree(p: FinPoset) -> TreeReport:
-    """Check the two tree axioms and return witnesses for failures.
-
-    Axiom 1 (downward linearity): any two elements below a common element
-    are comparable.  Axiom 2: any two elements have a common lower bound.
-    """
-    bad = tuple(_tree_violations(p))
-    return TreeReport(ok=not bad, violations=bad)
-
-
 def _forks(p: FinPoset, covers: Mapping) -> int:
     """The positions, as a bit mask, of the points with two or more covers
     in ``covers`` (``p._lower`` or ``p._upper``).  A closed cone in that
@@ -426,8 +417,10 @@ def _forks(p: FinPoset, covers: Mapping) -> int:
 
 
 def _tree_violations(p: FinPoset):
-    """The violations of :func:`validate_tree` in order, found lazily, so
-    that callers needing only the first stop there."""
+    """The violations of the two tree axioms, found lazily, so that callers
+    needing only the first stop there: axiom 1 (downward linearity), any
+    two elements below a common element are comparable; axiom 2, any two
+    elements have a common lower bound."""
     els, lower = p.elements, p._lower
     # only nodes at or above a fork of lower covers have a closed down-set
     # that is not a chain, so only they can fail axiom 1; a forest, with no
@@ -528,28 +521,6 @@ def _forest_view(p: FinPoset) -> tuple:
     return p._forest
 
 
-# -------------------------------------------------------------- meets
-
-
-def _common_bounds(p: FinPoset, cones, x, y):
-    """The extremum of the common closed bounds of ``x`` and ``y``, or None:
-    ``cones`` is ``p._down`` for the meet or ``p._up`` for the join.  The
-    bounds have an extremum iff they are its closed cone."""
-    i, j = p._pos[x], p._pos[y]
-    common = (cones[i] | 1 << i) & (cones[j] | 1 << j)
-    for t in _bits(common):
-        if cones[t] | 1 << t == common:
-            return p.elements[t]
-    return None
-
-
-def meet(p: FinPoset, x, y):
-    """Maximum of the common lower bounds of x and y, or None."""
-    if x not in p or y not in p:
-        return None
-    return _common_bounds(p, p._down, x, y)
-
-
 # -------------------------------------------------------------- search core
 
 
@@ -625,16 +596,6 @@ def automorphisms(p: FinPoset, bound: int = AUT_NODE_BOUND, invariants=None) -> 
     return maps
 
 
-def is_isomorphic(a: FinPoset, b: FinPoset, bound: int = AUT_NODE_BOUND):
-    """(flag, witness map a->b or None)."""
-    if len(a) > bound or len(b) > bound:
-        raise BudgetError(f"isomorphism search limited to {bound} nodes")
-    found = _search(a, b, find_all=False)
-    if found:
-        return True, found[0]
-    return False, None
-
-
 @dataclass(frozen=True)
 class OrbitReport:
     arity: int
@@ -693,55 +654,6 @@ def maximal_chains(p: FinPoset) -> tuple:
                 chain.pop()
     chains.sort(key=lambda c: tuple(node_key(x) for x in c))
     return tuple(chains)
-
-
-# -------------------------------------------------------------- catalogue
-
-
-@lru_cache(maxsize=None)
-def _forest_shapes(total: int, cap_nodes: int) -> tuple:
-    """Multisets (sorted tuples) of rooted-tree shapes totalling ``total`` nodes."""
-    if total == 0:
-        return ((),)
-    out = set()
-    for size in range(1, min(total, cap_nodes) + 1):
-        for shape in _tree_shapes(size):
-            for rest in _forest_shapes(total - size, cap_nodes):
-                out.add(tuple(sorted((shape,) + rest)))
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _tree_shapes(n: int) -> tuple:
-    """Canonical shapes (nested sorted tuples of child shapes) of rooted trees."""
-    if n == 1:
-        return ((),)
-    return tuple(sorted(_forest_shapes(n - 1, n - 1)))
-
-
-def _shape_to_poset(shape) -> FinPoset:
-    pairs = []
-    counter = itertools.count()
-
-    def build(sh, ancestors):
-        me = next(counter)
-        pairs.extend((a, me) for a in ancestors)
-        for child in sh:
-            build(child, ancestors + [me])
-        return me
-
-    build(shape, [])
-    n = next(counter)
-    return FinPoset(range(n), pairs)
-
-
-def all_trees(max_nodes: int) -> list:
-    """Exhaustive catalogue of tree posets with 1..max_nodes nodes."""
-    out = []
-    for n in range(1, max_nodes + 1):
-        for shape in _tree_shapes(n):
-            out.append(_shape_to_poset(shape))
-    return out
 
 
 # -------------------------------------------------------------- file format

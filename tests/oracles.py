@@ -23,6 +23,9 @@
   the reference for the one f-string per line of ``posets.dump_poset``
 - the cones above a tree point and the closure of a tuple under meets,
   which the package itself does not need
+- the exhaustive catalogue of tree shapes (``all_trees``) and isomorphism
+  testing with a witness (``is_isomorphic``, a search of
+  ``posets._search``), which the package itself does not need either
 - CFPO connecting sets, enumerated without a bound, and the paths
   assembled from them and maximal chains of the intervals between their
   members, the reference for the Hasse-diagram walk of ``cfpo.path``
@@ -59,11 +62,20 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from omegacat.errors import BudgetError, CycleError, SpecError
-from omegacat.posets import FinPoset, _tree_view, covers, maximal_chains, meet, node_key
+from omegacat.posets import (
+    AUT_NODE_BOUND,
+    FinPoset,
+    _search,
+    _tree_view,
+    covers,
+    maximal_chains,
+    node_key,
+)
 from omegacat.sequences import (
     NfSequence,
     _first_redex,
@@ -334,6 +346,14 @@ def poset_fields(p) -> dict:
     return {s: getattr(p, s) for s in FinPoset.__slots__}
 
 
+def leq(p, a, b) -> bool:
+    return a == b or p.less(a, b)
+
+
+def comparable(p, a, b) -> bool:
+    return leq(p, a, b) or p.less(b, a)
+
+
 def naive_bits(mask) -> list:
     """Positions of the set bits of ``mask``, lowest first, one shift and
     test per bit position."""
@@ -396,33 +416,33 @@ def naive_dump_poset(p) -> str:
 
 
 def naive_meet(p, x, y):
-    common = [t for t in p.elements if p.leq(t, x) and p.leq(t, y)]
+    common = [t for t in p.elements if leq(p, t, x) and leq(p, t, y)]
     for m in common:
-        if all(p.leq(t, m) for t in common):
+        if all(leq(p, t, m) for t in common):
             return m
     return None
 
 
 def naive_join(p, x, y):
-    uppers = [t for t in p.elements if p.leq(x, t) and p.leq(y, t)]
+    uppers = [t for t in p.elements if leq(p, x, t) and leq(p, y, t)]
     for m in uppers:
-        if all(p.leq(m, t) for t in uppers):
+        if all(leq(p, m, t) for t in uppers):
             return m
     return None
 
 
 def naive_validate_tree(p):
     """``(ok, violations)`` of the two tree axioms, in the order
-    ``validate_tree`` reports them."""
+    ``posets._tree_violations`` finds them."""
     bad = []
     els = p.elements
     for z in els:
         below = sorted(naive_down(p, z) | {z}, key=node_key)
         for x, y in itertools.combinations(below, 2):
-            if not p.comparable(x, y):
+            if not comparable(p, x, y):
                 bad.append(("down-linearity", (x, y, z)))
     for x, y in itertools.combinations(els, 2):
-        if not any(p.leq(t, x) and p.leq(t, y) for t in els):
+        if not any(leq(p, t, x) and leq(p, t, y) for t in els):
             bad.append(("common-lower-bound", (x, y)))
     return not bad, tuple(bad)
 
@@ -456,7 +476,7 @@ def complete_tuple(p: FinPoset, t: Sequence) -> tuple:
     while changed:
         changed = False
         for x, y in itertools.combinations(sorted(members, key=node_key), 2):
-            m = meet(p, x, y)
+            m = naive_meet(p, x, y)
             if m is None:
                 raise ValueError(f"no meet of {x!r} and {y!r} in the poset")
             if m not in members:
@@ -518,7 +538,7 @@ def connecting_sets(p: FinPoset, a, b) -> List[ConnectingSet]:
                 continue
             if dirs and d == dirs[-1]:
                 continue
-            if any(p.comparable(z, c) for c in tup[:-1]):
+            if any(comparable(p, z, c) for c in tup[:-1]):
                 continue
             if z == b:
                 out.append(ConnectingSet(tup + (z,), dirs + (d,)))
@@ -581,10 +601,10 @@ def _first_missing_bound(p):
     upper bounds but no join (checked first) or common lower bounds but no
     meet, with True for a join; or None."""
     for x, y in itertools.combinations(p.elements, 2):
-        uppers = [t for t in p.elements if p.leq(x, t) and p.leq(y, t)]
+        uppers = [t for t in p.elements if leq(p, x, t) and leq(p, y, t)]
         if uppers and naive_join(p, x, y) is None:
             return uppers, True
-        lowers = [t for t in p.elements if p.leq(t, x) and p.leq(t, y)]
+        lowers = [t for t in p.elements if leq(p, t, x) and leq(p, t, y)]
         if lowers and naive_meet(p, x, y) is None:
             return lowers, False
     return None
@@ -606,10 +626,10 @@ def naive_path_completion(p):
             counter += 1
         name = f"i{counter}"
         if is_join:
-            far = [t for t in cur.elements if all(cur.leq(t, u) for u in bound)]
+            far = [t for t in cur.elements if all(leq(cur, t, u) for u in bound)]
             edges = [(t, name) for t in far] + [(name, u) for u in bound]
         else:
-            far = [t for t in cur.elements if all(cur.leq(u, t) for u in bound)]
+            far = [t for t in cur.elements if all(leq(cur, u, t) for u in bound)]
             edges = [(u, name) for u in bound] + [(name, t) for t in far]
         cur = FinPoset(
             cur.elements + (name,),
@@ -649,7 +669,7 @@ def _naive_embed(p, length, reversed, counter):
             cands = p._decode(cones[p._pos[img[i - 1]]])
         for z in cands:
             _tick(counter)
-            if any(p.comparable(z, img[j]) for j in range(i - 1)):
+            if any(comparable(p, z, img[j]) for j in range(i - 1)):
                 continue
             img[i] = z
             if place(i + 1):
@@ -1107,3 +1127,64 @@ def naive_two_orbit_equiv(p: FinPoset, pair0, pair1):
         if v not in pin
     )
     return True, trace
+
+
+# ---------------------------------------------------------------------------
+# the catalogue of tree shapes and isomorphism testing, which nothing in the
+# package needs; the tests read them
+
+
+@lru_cache(maxsize=None)
+def _forest_shapes(total: int, cap_nodes: int) -> tuple:
+    """Multisets (sorted tuples) of rooted-tree shapes totalling ``total`` nodes."""
+    if total == 0:
+        return ((),)
+    out = set()
+    for size in range(1, min(total, cap_nodes) + 1):
+        for shape in _tree_shapes(size):
+            for rest in _forest_shapes(total - size, cap_nodes):
+                out.add(tuple(sorted((shape,) + rest)))
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def _tree_shapes(n: int) -> tuple:
+    """Canonical shapes (nested sorted tuples of child shapes) of rooted trees."""
+    if n == 1:
+        return ((),)
+    return tuple(sorted(_forest_shapes(n - 1, n - 1)))
+
+
+def _shape_to_poset(shape) -> FinPoset:
+    pairs = []
+    counter = itertools.count()
+
+    def build(sh, ancestors):
+        me = next(counter)
+        pairs.extend((a, me) for a in ancestors)
+        for child in sh:
+            build(child, ancestors + [me])
+        return me
+
+    build(shape, [])
+    n = next(counter)
+    return FinPoset(range(n), pairs)
+
+
+def all_trees(max_nodes: int) -> list:
+    """Exhaustive catalogue of tree posets with 1..max_nodes nodes."""
+    out = []
+    for n in range(1, max_nodes + 1):
+        for shape in _tree_shapes(n):
+            out.append(_shape_to_poset(shape))
+    return out
+
+
+def is_isomorphic(a: FinPoset, b: FinPoset, bound: int = AUT_NODE_BOUND):
+    """(flag, witness map a->b or None)."""
+    if len(a) > bound or len(b) > bound:
+        raise BudgetError(f"isomorphism search limited to {bound} nodes")
+    found = _search(a, b, find_all=False)
+    if found:
+        return True, found[0]
+    return False, None

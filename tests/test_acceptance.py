@@ -16,7 +16,6 @@ import pytest
 from omegacat.cfpo import AMBIGUOUS, alt, alt_rank, path, path_completion, validate_cfpo
 from omegacat.posets import (
     FinPoset,
-    all_trees,
     automorphisms,
     orbits,
 )
@@ -37,7 +36,14 @@ from omegacat.trees import (
     parse_spec,
     two_orbit_equiv,
 )
-from oracles import chain_embeds, random_term, rebuild, reduce_random, samples_agree
+from oracles import (
+    all_trees,
+    chain_embeds,
+    random_term,
+    rebuild,
+    reduce_random,
+    samples_agree,
+)
 
 DENSE = "T = spine Q(1) with omega x T at orbit 0\n"
 OMEGA_SPEC = "T = spine 1 with omega x T at orbit 0\n"

@@ -13,12 +13,13 @@ import sys
 import time
 
 import pytest
+from oracles import comparable, naive_validate_tree
 from test_cfpo import oriented_tree, x_point_tree
 
 from omegacat import posets, trees
 from omegacat.cfpo import alt
 from omegacat.cli import build_parser, main
-from omegacat.posets import FinPoset, dump_poset, load_poset, validate_tree
+from omegacat.posets import FinPoset, dump_poset, load_poset
 
 Q1 = "T = spine Q(1)\n"
 OMEGA_SPEC = "T = spine 1 with omega x T at orbit 0\n"
@@ -162,7 +163,7 @@ def test_term_sample_is_a_coloured_chain(capsys):
     assert len(p) == 6
     for x in p.elements:
         for y in p.elements:
-            assert p.comparable(x, y)
+            assert comparable(p, x, y)
     colours = {p.label(x)[0] for x in p.elements}
     assert colours == {"a", "b"}
 
@@ -314,6 +315,46 @@ def test_tree_check_dangling_child_is_spec_error(capsys, files):
     assert code == 2
     assert out == ""
     assert err.startswith("error: spec:")
+
+
+# a cut right above the spine's greatest point, rewritten to its orbit
+DEGENERATE_CUT = "T = spine a^b with 1 x T at cut 0\n"
+DEGENERATE_CUT_CHECK = (
+    "categorical: no — chain [] * [a] w is not a term\n"
+    "condition finite-ramification: fail\n"
+    "condition chains-categorical: fail witness [] * [a] w\n"
+    "condition finite-chain-family: fail witness [a^a^a^b] vs [a^a^b]\n"
+)
+DEGENERATE_CUT_WARNING = (
+    "warning: spec: cut site in 'T' sits right above a greatest point; "
+    "using orbit 0 instead\n"
+)
+
+
+def test_a_degenerate_cut_warns_in_one_line(capsys, files):
+    f = files("cut.spec", DEGENERATE_CUT)
+    assert run(capsys, "tree", "check", f) == (1, DEGENERATE_CUT_CHECK, DEGENERATE_CUT_WARNING)
+
+
+def test_a_command_that_fails_after_a_warning_prints_only_its_error(capsys, files):
+    f = files("cut.spec", DEGENERATE_CUT)
+    assert run(capsys, "tree", "sample", f, "--depth", "-1") == (
+        2, "", "error: value: depth must be >= 0\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["error", "ignore"])
+def test_a_degenerate_cut_warns_in_one_line_whatever_the_warning_flags(tmp_path, flag):
+    f = tmp_path / "cut.spec"
+    f.write_text(DEGENERATE_CUT)
+    proc = subprocess.run(
+        [sys.executable, "-W", flag, "-m", "omegacat.cli", "tree", "check", str(f)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, DEGENERATE_CUT_CHECK, DEGENERATE_CUT_WARNING
+    )
 
 
 def test_tree_chains_golden(capsys, files):
@@ -857,6 +898,14 @@ def test_sample_commands_build_no_masks(capsys, files, monkeypatch, argv, want):
     assert len(calls) == 0
 
 
+def test_repr_of_a_sample_builds_no_masks(monkeypatch):
+    # the repr counts the covering pairs, which a sample holds
+    p = trees.materialize_tree(trees.parse_spec(DENSE), depth=2, width=1, seed=0)
+    calls = mask_calls(monkeypatch)
+    assert repr(p) == "FinPoset(7 nodes, 6 covering pairs)"
+    assert len(calls) == 0
+
+
 @pytest.mark.parametrize(
     "text, want",
     [
@@ -960,12 +1009,12 @@ def test_poset_validate_tree_prints_the_first_violation(capsys, files):
         edges = [(a, b) for b in range(n) for a in range(b) if rng.random() < 0.3]
         text = "".join(f"node {i}\n" for i in range(n))
         text += "".join(f"edge {a} {b}\n" for a, b in edges)
-        report = validate_tree(load_poset(text))
-        if report.ok:
+        ok, violations = naive_validate_tree(load_poset(text))
+        if ok:
             continue
         checked += 1
         code, out, _ = run(capsys, "poset", "validate", "--tree", files("p.poset", text))
-        assert (code, out) == (1, f"not a tree: {report.violations[0]}\n")
+        assert (code, out) == (1, f"not a tree: {violations[0]}\n")
     assert checked > 30
 
 

@@ -8,9 +8,12 @@ another statement of its module, or by an import from another module,
 and so must every private method (classmethods included) defined in a
 class body, read as an attribute or a name outside its own body.  Every
 name in a module's ``__all__`` must be bound at module level.
-A name in ``__all__`` that it defines must be referenced the same way,
-or be named in ``README.md`` or a demo: public API that only the tests
-call is dead code.
+A name in ``__all__`` that it defines must be read as a plain name in
+another statement of its module, or imported by another module, or be
+named in a code span or fenced block of ``README.md`` or in a demo:
+public API that only the tests call is dead code.  An attribute that is
+spelled the same, such as ``", ".join`` for a function ``join``, is no
+use of it, and neither is a word of README prose.
 """
 
 import ast
@@ -39,19 +42,20 @@ def _annotations(node):
             yield n.annotation
 
 
-def _read_names(node):
-    """The names ``node`` reads: loaded names, attribute names, and the
-    names inside string annotations such as ``"_Walk"``."""
+def _read_names(node, attributes=True):
+    """The names ``node`` reads: loaded names, attribute names unless
+    ``attributes`` is false, and the names inside string annotations such
+    as ``"_Walk"``."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and attributes:
             out.add(n.attr)
     for ann in _annotations(node):
         for n in ast.walk(ann):
             if isinstance(n, ast.Constant) and isinstance(n.value, str):
-                out |= _read_names(ast.parse(n.value, mode="eval"))
+                out |= _read_names(ast.parse(n.value, mode="eval"), attributes)
     return out
 
 
@@ -95,10 +99,11 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def _unreferenced(picked):
+def _unreferenced(picked, attributes=True):
     """The module-level names ``picked(tree, name)`` selects among those a
-    module defines that no other statement of the module reads and no
-    other module imports, as ``"module: name"``."""
+    module defines that no other statement of the module reads, as a name
+    or, when ``attributes``, as an attribute, and no other module imports,
+    as ``"module: name"``."""
     modules = _modules()
     imported = {
         (node.module, alias.name)
@@ -109,7 +114,7 @@ def _unreferenced(picked):
     }
     orphans = []
     for mod, tree in modules.items():
-        reads = [_read_names(stmt) for stmt in tree.body]
+        reads = [_read_names(stmt, attributes) for stmt in tree.body]
         for i, stmt in enumerate(tree.body):
             for name in sorted(_defined(stmt)):
                 if not picked(tree, name):
@@ -148,15 +153,22 @@ def test_every_private_method_is_referenced():
     assert orphans == []
 
 
+def _code_words(markdown: str) -> set:
+    """The words inside the fenced blocks and code spans of ``markdown``."""
+    fence = re.compile(r"^```.*?^```", re.M | re.S)
+    code = fence.findall(markdown) + re.findall(r"`[^`]+`", fence.sub("", markdown))
+    return set(re.findall(r"\w+", " ".join(code)))
+
+
 def test_every_exported_name_is_used_or_documented():
-    named = set()
-    for path in [ROOT / "README.md", *(ROOT / "demos").glob("*.py")]:
+    named = _code_words((ROOT / "README.md").read_text(encoding="utf-8"))
+    for path in (ROOT / "demos").glob("*.py"):
         named |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
 
     def undocumented_export(tree, name):
         return name in _exported(tree) and name not in named
 
-    assert _unreferenced(undocumented_export) == []
+    assert _unreferenced(undocumented_export, attributes=False) == []
 
 
 def test_every_exported_name_is_bound():

@@ -226,10 +226,10 @@ class FinPoset:
     :class:`_CoverPoset`, which builds the masks on the first read of
     either, so a query that walks only the covers never builds them:
     :meth:`_from_forest` takes a parent array, as
-    :func:`omegacat.trees.materialize_tree` and
-    :func:`omegacat.terms.materialize` (a chain: each point's parent is the
-    point before) build them, and :func:`omegacat.cfpo.path_completion`
-    keeps the covers of its completion.
+    :func:`omegacat.trees.materialize_tree` builds it,
+    :func:`omegacat.terms.materialize` gives the covers of a chain in
+    closed form, and :func:`omegacat.cfpo.path_completion` keeps the covers
+    of its completion.
     """
 
     # _pos: node -> bit position; _down/_up: strict masks; _lower/_upper: covers;

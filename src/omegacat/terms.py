@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetError, ParseError
-from .posets import FinPoset
+from .posets import _CoverPoset
 
 __all__ = [
     "Singleton",
@@ -659,28 +659,63 @@ def _emit(t: Term, budget: int, rng: Optional[random.Random], first: int, out) -
         return
     cs = t.constituents
     mins = [min_size(c) for c in cs]
-    starts = list(itertools.accumulate(mins[:-1], initial=first))
+    single = [c.__class__ is Singleton for c in cs]
     remaining = budget
+    if len(cs) == 1:  # each round places one copy, and shuffles nothing
+        if single[0]:
+            out += [first] * budget
+        else:
+            while remaining >= mins[0]:
+                _emit(cs[0], mins[0], rng, first, out)
+                remaining -= mins[0]
+        return
+    starts = list(itertools.accumulate(mins[:-1], initial=first))
+    if all(single):
+        # a round shuffles the constituents' leaf numbers themselves, as the
+        # same draws permute any list of that length alike; a round places
+        # them all, and a last one as many as there is room for
+        k, shuffle = len(cs), rng.shuffle
+        while remaining > 0:
+            order = starts.copy()
+            shuffle(order)
+            out += order[:remaining]
+            remaining -= k
+        return
+    base = list(range(len(cs)))
+    least = min(mins)
     # each round places a smallest constituent, or the ones before it used
     # up the room, so every round places one
-    while remaining >= min(mins):
-        order = list(range(len(cs)))
-        if len(order) > 1:
-            rng.shuffle(order)
+    while remaining >= least:
+        order = base.copy()
+        rng.shuffle(order)
         for i in order:
             if mins[i] <= remaining:
-                if cs[i].__class__ is Singleton:
+                if single[i]:
                     out.append(starts[i])
                 else:
                     _emit(cs[i], mins[i], rng, starts[i], out)
                 remaining -= mins[i]
 
 
+def _chain(n: int, colour: dict, irrational: frozenset) -> _CoverPoset:
+    """The chain ``0 < 1 < ... < n-1`` with these labels, kept, not copied:
+    each point's one lower cover is the point before and its one upper cover
+    the point after, so both cover dicts come from ranges, and a chain has
+    no cycle to check."""
+    lower = {i: [i - 1] for i in range(n)}
+    upper = {i: [i + 1] for i in range(n)}
+    if n:
+        lower[0] = []
+        upper[n - 1] = []
+    return _CoverPoset._from_covers(range(n), lower, upper, colour, irrational)
+
+
 def materialize(t: Term, budget: int, seed: int = 0):
     """Build a finite sample of the denoted order.
 
     Returns ``(poset, annotations)``: a totally ordered :class:`FinPoset`
-    over ids ``0..n-1`` in order, and a dict mapping each id to the
+    over ids ``0..n-1`` in order, which holds only its covers (see
+    :func:`_chain`), and a dict mapping each id to the
     :class:`OrbitDescriptor` of the leaf it came from.  The points of one
     leaf share one descriptor, which is safe as descriptors are frozen.
 
@@ -699,41 +734,47 @@ def materialize(t: Term, budget: int, seed: int = 0):
             f"a sample of {most} points may hold more than "
             f"{_MAX_SAMPLE_PAIRS} order pairs"
         )
-    pts = _sample_points(t, budget, seed)
-    n = len(pts)
-    annotations, colour, irrational = {}, {}, []
-    for i, (desc, tag) in enumerate(pts):
-        annotations[i] = desc
-        if tag != UNCOLOURED:
-            if tag == IRRATIONAL:
-                irrational.append(i)
-            else:
-                colour[i] = tag
-    # a chain is a forest: each point's parent is the point before it
-    poset = FinPoset._from_forest(range(-1, n - 1), colour, frozenset(irrational))
-    return poset, annotations
+    leaves, table = _sample_points(t, budget, seed)
+    n = len(leaves)
+    descs, leaf_tags = zip(*table)
+    annotations = dict(zip(range(n), map(descs.__getitem__, leaves)))
+    tags = list(map(leaf_tags.__getitem__, leaves))
+    colour = {i: tag for i, tag in enumerate(tags) if tag != UNCOLOURED and tag != IRRATIONAL}
+    irrational = frozenset(
+        [i for i, tag in enumerate(tags) if tag == IRRATIONAL] if IRRATIONAL in leaf_tags else ()
+    )
+    return _chain(n, colour, irrational), annotations
 
 
 def _sample_points(t: Term, budget: int, seed: int):
-    """The points of :func:`materialize`'s sample in order, as
-    ``(OrbitDescriptor, tag)`` pairs: one pair per leaf of ``t``, built once
-    and shared by all the points of that leaf, as descriptors are frozen."""
+    """The points of :func:`materialize`'s sample in order, as ``(leaves,
+    table)``: ``leaves`` lists each point's leaf number, its position in
+    :func:`orbit_paths` order, and ``table`` holds one ``(OrbitDescriptor,
+    tag)`` row per leaf, built once and shared by all the points of that
+    leaf, as descriptors are frozen."""
     need = min_size(t)
     if budget < need:
         raise BudgetError(
             f"budget {budget} is below the minimum sample size {need}"
         )
-    # ``Random.shuffle`` draws one number per index after the first, so it
-    # draws nothing on one index, and ``_emit`` shuffles only orders of two
-    # or more.  A term with no shuffle of two or more constituents draws
-    # nothing, and takes the same points with no generator built; any other
-    # term draws the same numbers from the one generator as if every order
-    # were shuffled.
+    # ``Random.shuffle`` draws one number per index after the first, and
+    # which numbers depends only on the list's length, not on what it
+    # holds.  So the draws are those of one shuffle of every constituent
+    # order, each round, from a generator seeded for every term:
+    # - an order of one index draws nothing, so ``_emit`` shuffles only
+    #   orders of two or more, and a term with no shuffle of two or more
+    #   constituents takes the same points with no generator built;
+    # - a shuffle of singletons shuffles its leaf numbers in place of its
+    #   index list, the same length, so the same draws give the same
+    #   permutation of them, and a short last round still shuffles all of
+    #   them before it keeps the ones there is room for;
+    # - the index list and its least size are built once per shuffle, and
+    #   each round shuffles a fresh copy of that list.
     rng = random.Random(seed) if _draws(t) else None
     leaves: List[int] = []
     _emit(t, budget, rng, 0, leaves)
-    pairs = [
+    table = [
         (OrbitDescriptor(i, path), subterm_at(t, path).tag)
         for i, path in enumerate(orbit_paths(t))
     ]
-    return list(map(pairs.__getitem__, leaves))
+    return leaves, table

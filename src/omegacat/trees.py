@@ -906,12 +906,16 @@ def materialize_tree(
         # a budget of at least min_size(spine) samples every orbit, so
         # ``at`` below holds the lowest sampled point of each orbit site
         budget = max(min_size(dfn.spine), width)
-        pts = _sample_points(dfn.spine, budget, sp_seed)
+        leaves, table = _sample_points(dfn.spine, budget, sp_seed)
         at: Dict[tuple, int] = {}  # site -> the point its copies hang above
         coloured: List[Tuple[int, str]] = []
         irrational: List[int] = []
-        for g, (desc, tag) in enumerate(pts):
-            at.setdefault(("orbit", desc.index), g)
+        # one loop builds all three, cheaper than a pass each on the few
+        # points a spine sample often has; a leaf's number is its orbit's
+        # index
+        for g, leaf in enumerate(leaves):
+            at.setdefault(("orbit", leaf), g)
+            tag = table[leaf][1]
             if tag == IRRATIONAL:
                 irrational.append(g)
             elif tag != UNCOLOURED:
@@ -920,9 +924,13 @@ def materialize_tree(
         # the points as numbered, each cut point, numbered after them, right
         # after the last point of its factor
         k = len(dfn.fs)
-        fac = [desc.path[0] if k > 1 else 0 for desc, _ in pts]
+        if k > 1:
+            heads = [desc.path[0] for desc, _ in table]  # each leaf's factor
+            fac = [heads[leaf] for leaf in leaves]
+        else:
+            fac = [0] * len(leaves)
         cuts = dfn.cut_positions if d >= 1 else ()
-        up = [-1] * len(pts)
+        up = [-1] * len(leaves)
         top = -1  # the highest point chained so far
         for g, (j, after) in enumerate(zip(fac, fac[1:] + [k])):
             up[g], top = top, g

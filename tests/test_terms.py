@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from omegacat import posets
 from omegacat.errors import BudgetError, ParseError
 from omegacat.posets import FinPoset
 from omegacat.terms import (
@@ -24,8 +25,10 @@ from omegacat.terms import (
     Concat,
     Shuffle,
     Singleton,
+    _chain,
     _down_word,
     _draws,
+    _emit,
     _later_points,
     _redexes_at,
     _sample_points,
@@ -50,6 +53,7 @@ from omegacat.terms import (
 )
 
 from oracles import (
+    _naive_emit,
     naive_collapse_factors,
     naive_final_segment,
     naive_initial_segment,
@@ -70,6 +74,13 @@ ONE = Singleton("1")
 
 def t(text):
     return parse_term(text)
+
+
+def sample_points(term, budget, seed):
+    """``_sample_points``'s sample as one ``(OrbitDescriptor, tag)`` row per
+    point, the form of ``naive_sample_points``."""
+    leaves, table = _sample_points(term, budget, seed)
+    return [table[i] for i in leaves]
 
 
 # ---------------------------------------------------------------- structure
@@ -401,7 +412,7 @@ def test_materialize_equals_the_closure_of_its_successor_pairs():
     for term in (t("Q(1)"), t("Q(a,I)^b^Q(1)")):
         for size in range(min_size(term), 301):
             p, _ = materialize(term, budget=size, seed=size)
-            tags = [tag for _, tag in _sample_points(term, size, size)]
+            tags = [tag for _, tag in sample_points(term, size, size)]
             n = len(tags)
             want = FinPoset(
                 range(n),
@@ -432,7 +443,7 @@ def test_sample_points_equal_the_always_seeded_oracle():
         least = min_size(term)
         for budget in (least, least + 1 + i % 13):
             for seed in (i, i * 7919 + 1):
-                got = _sample_points(term, budget, seed)
+                got = sample_points(term, budget, seed)
                 assert got == naive_sample_points(term, budget, seed), (term, budget)
         lone += not _draws(term) and not is_finite(term)
     # random terms with shuffles that draw nothing are common
@@ -444,8 +455,66 @@ def test_sample_points_equal_the_always_seeded_oracle():
     ):
         for budget in (60, 70, 160, 200, 2000):
             for seed in (budget, 40503):
-                got = _sample_points(t(x), budget, seed)
+                got = sample_points(t(x), budget, seed)
                 assert got == naive_sample_points(t(x), budget, seed), (x, budget)
+
+
+@pytest.mark.parametrize(
+    "text, budgets",
+    [
+        ("Q(1)", (1, 2, 7)),  # one singleton constituent: no draw
+        ("Q(a,b,c)", (3, 4, 5, 30, 31, 32)),  # 3k, 3k + 1 and 3k + 2
+        ("Q(a,b^c)", (3, 4, 5, 10, 11)),  # unequal least sizes
+        ("Q(a^b)", (2, 3, 9)),  # one constituent that is no singleton
+    ],
+)
+def test_emit_draws_what_the_oracle_draws(text, budgets):
+    # the same leaves, and the generator left in the same state, so the
+    # same numbers were drawn in the same order
+    term = t(text)
+    index = {path: i for i, path in enumerate(orbit_paths(term))}
+    for budget in budgets:
+        for seed in (0, 7, 40503):
+            rng, naive_rng = random.Random(seed), random.Random(seed)
+            leaves, points = [], []
+            _emit(term, budget, rng, 0, leaves)
+            _naive_emit(term, budget, naive_rng, (), points)
+            assert leaves == [index[path] for path, _ in points], (text, budget, seed)
+            assert leaves == [
+                desc.index for desc, _ in naive_sample_points(term, budget, seed)
+            ], (text, budget, seed)
+            assert rng.getstate() == naive_rng.getstate(), (text, budget, seed)
+
+
+def test_emit_leaves_the_generator_as_the_oracle_does_on_random_terms():
+    rng = random.Random(20261022)
+    for i in range(500):
+        term = random_term(rng, 4)
+        budget = min_size(term) + i % 17
+        ours, naive = random.Random(i), random.Random(i)
+        _emit(term, budget, ours, 0, [])
+        _naive_emit(term, budget, naive, (), [])
+        assert ours.getstate() == naive.getstate(), (term, budget)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 200])
+def test_the_chain_equals_the_forest_of_its_predecessors(monkeypatch, n):
+    # the chain's covers come from ranges, and equal those of the forest in
+    # which each point's parent is the point before; its masks, once read,
+    # equal the public constructor's on the chain's pairs
+    colour = {i: "ab"[i % 2] for i in range(0, n, 3)}
+    irrational = frozenset(range(n - 1, -1, -5))
+    forest = FinPoset._from_forest(range(-1, n - 1), colour, irrational)
+    sweeps = []
+    real = posets._masks
+    monkeypatch.setattr(posets, "_masks", lambda *a: sweeps.append(a) or real(*a))
+    chain = _chain(n, colour, irrational)
+    assert type(chain) is type(forest)
+    for field in ("elements", "_pos", "_lower", "_upper", "colour", "irrational"):
+        assert getattr(chain, field) == getattr(forest, field), (n, field)
+    assert sweeps == []
+    want = FinPoset(range(n), [(i, i + 1) for i in range(n - 1)], colour, irrational)
+    assert poset_fields(chain) == poset_fields(want)
 
 
 def test_the_points_of_one_leaf_share_one_descriptor():

@@ -524,10 +524,8 @@ def test_a_spine_sample_holds_a_point_of_every_orbit():
         spine = normalize(random_term(rng, 3))
         width = rng.randint(1, 6)
         budget = max(min_size(spine), width)
-        pts = _sample_points(spine, budget, rng.randrange(2**32))
-        assert {desc.index for desc, _ in pts} == set(
-            range(len(orbit_paths(spine)))
-        ), (spine, width)
+        leaves, _ = _sample_points(spine, budget, rng.randrange(2**32))
+        assert set(leaves) == set(range(len(orbit_paths(spine)))), (spine, width)
 
 
 # ---------------------------------------------------------------------------
